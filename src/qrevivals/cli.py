@@ -79,15 +79,30 @@ def _sweep_path(base: str, param: str, value: float) -> str:
     return str(p.with_name(f"{p.stem}__{param}={value:g}{p.suffix or '.csv'}"))
 
 
+def _sweep_paths(base: str, param: str, values: list[float]) -> list[str]:
+    """One output path per value; refuses values whose names collide, so that
+    no file is overwritten by a later value of the same sweep."""
+    paths = [_sweep_path(base, param, v) for v in values]
+    first = {}
+    for value, path in zip(values, paths):
+        if path in first:
+            raise ConfigError(
+                f"--values: {first[path]!r} and {value!r} would both write {path}"
+            )
+        first[path] = value
+    return paths
+
+
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
     values = _parse_values(args.values)
+    paths = None if args.out is None else _sweep_paths(args.out, args.param, values)
     results = sweep(cfg, args.param, values, threads=args.threads)
-    if args.out is None:
+    if paths is None:
         sys.stdout.write("\n".join(res.to_csv() for _, res in results))
     else:
-        for value, res in results:
-            _write(res.to_csv(), _sweep_path(args.out, args.param, value))
+        for (_, res), path in zip(results, paths):
+            _write(res.to_csv(), path)
     return 0
 
 

@@ -50,7 +50,7 @@ def hermitian_eigenvalues(m, herm_tol: float = 1e-8) -> np.ndarray:
     """
     m = _as_square(m)
     dev = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
-    if dev > herm_tol:
+    if not dev <= herm_tol:  # negated so that a NaN deviation also raises
         raise ValueError(f"matrix is not Hermitian within {herm_tol:g} (max deviation {dev:.3e})")
     vals = np.linalg.eigvalsh(m)[::-1].copy()
     vals[(vals < 0.0) & (vals > -EIG_DUST)] = 0.0
@@ -89,11 +89,13 @@ class DensityOperator:
             raise ValueError(f"dims {self.dims} do not multiply to matrix dim {m.shape[0]}")
         if m.shape[0] not in SUPPORTED_DIMS:
             raise ValueError(f"dimension {m.shape[0]} unsupported (expected one of {SUPPORTED_DIMS})")
+        # negated checks: a non-finite entry makes the trace or the deviation
+        # NaN or inf, and every comparison with NaN is False
         tr = np.trace(m)
-        if abs(tr - 1.0) > TRACE_TOL:
+        if not abs(tr - 1.0) <= TRACE_TOL:
             raise ValueError(f"trace {tr:.12g} differs from 1 by more than {TRACE_TOL:g}")
         herm_dev = np.max(np.abs(m - m.conj().T))
-        if herm_dev > HERM_TOL:
+        if not herm_dev <= HERM_TOL:
             raise ValueError(f"not Hermitian within {HERM_TOL:g} (max deviation {herm_dev:.3e})")
         vals = np.linalg.eigvalsh(m)
         if vals[0] < -EIG_DUST:

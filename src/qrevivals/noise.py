@@ -18,6 +18,7 @@ Conventions used throughout:
 """
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -167,12 +168,20 @@ def _field_unitaries(phase: float, rabi_values, t: float) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=8)
 def _gh_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Hermite nodes and weights normalized against exp(-x^2)/sqrt(pi)."""
+    """Gauss-Hermite nodes and weights normalized against exp(-x^2)/sqrt(pi).
+
+    Computed once per order and process; the arrays are read-only because
+    every caller shares them.
+    """
     if order < 1:
         raise ValueError(f"quadrature order {order} must be >= 1")
     x, w = np.polynomial.hermite.hermgauss(order)
-    return x, w / np.sqrt(np.pi)
+    w = w / np.sqrt(np.pi)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 @dataclass(frozen=True)
@@ -519,6 +528,8 @@ def ou_dephasing_factors(
     times = np.asarray(times, dtype=float).reshape(-1)
     if times.size == 0 or np.any(np.diff(times) <= 0.0) or times[0] < 0.0:
         raise ValueError("times must be a nonempty strictly increasing nonnegative grid")
+    if times[-1] == 0.0:  # the grid is {0}: no phase accrues and the partition is empty
+        return DephasingEstimate(np.ones(1, dtype=complex), np.zeros(1), trajectories)
     decay, diffuse, dur_sign, write_idx, zero_col = _ou_partition(p, times)
     sizes = _batch_sizes(trajectories)
     streams = np.random.SeedSequence(seed).spawn(len(sizes))
@@ -540,7 +551,7 @@ def ou_noise_state(
 ) -> DensityOperator:
     """Trajectory-averaged state for a Bell input under Ornstein-Uhlenbeck
     dephasing; deterministic for a fixed seed."""
-    est = ou_dephasing_factors(p, [t] if t > 0 else [0.0], trajectories, seed, threads)
+    est = ou_dephasing_factors(p, [t], trajectories, seed, threads)
     psi0 = bell_state(bell_input)
     _, echoed = _echo_effective_duration(p, t)
     return dephased_state(
@@ -560,6 +571,11 @@ def rtn_coherence(p: RTNParams, t):
     exp(-gamma t) [cosh(d t) + (gamma/d) sinh(d t)] with d = sqrt(gamma^2 - v^2);
     above it (g > 1) the analytic continuation oscillates with
     mu = sqrt(v^2 - gamma^2); at g = 1 it is exp(-gamma t)(1 + gamma t).
+
+    The hyperbolic form overflows (inf * 0 = NaN) once d t passes ~710, so it
+    is evaluated as 1/2 (1 + gamma/d) e^{-(gamma-d)t} + 1/2 (1 - gamma/d) e^{-(gamma+d)t}
+    = e^{-(gamma-d)t} [1 + 1/2 (1 - gamma/d) expm1(-2 d t)], gamma - d = v^2/(gamma + d),
+    which stays finite and does not cancel as d -> 0 near the crossover.
     """
     t = np.asarray(t, dtype=float)
     gamma, v = p.rate, p.coupling
@@ -567,7 +583,9 @@ def rtn_coherence(p: RTNParams, t):
         q = np.exp(-gamma * t) * (1.0 + gamma * t)
     elif v < gamma:
         d = math.sqrt(gamma * gamma - v * v)
-        q = np.exp(-gamma * t) * (np.cosh(d * t) + (gamma / d) * np.sinh(d * t))
+        q = np.exp(-(v * v / (gamma + d)) * t) * (
+            1.0 + 0.5 * (1.0 - gamma / d) * np.expm1(-2.0 * d * t)
+        )
     else:
         mu = math.sqrt(v * v - gamma * gamma)
         q = np.exp(-gamma * t) * (np.cos(mu * t) + (gamma / mu) * np.sin(mu * t))

@@ -41,12 +41,7 @@ import numpy as np
 from . import __version__ as _pkg_version
 from . import kernels
 from .linalg import DensityOperator
-from .measures import (
-    average_entanglement,
-    concurrence,
-    eof_from_concurrence,
-    hidden_entanglement,
-)
+from .measures import concurrence, concurrence_pure, eof_from_concurrence
 from .noise import (
     MC_BATCH,
     RNG_DESCRIPTION,
@@ -54,13 +49,13 @@ from .noise import (
     RandomFieldParams,
     StaticNoiseParams,
     StroboscopicParams,
+    _echo_effective_duration,
     dephased_state,
     gaussian_averaged_map,
     ou_dephasing_factors,
-    random_field_ensemble,
     random_field_map,
     rtn_evolved_state,
-    static_noise_state,
+    static_dephasing_factor,
     stroboscopic_coherences,
 )
 from .states import BELL_LABELS, EWLParams, XYZParams, bell_state, ewl_state, xyz_state
@@ -352,8 +347,13 @@ def parse_config_text(text: str) -> ScenarioConfig:
 
 
 def parse_config(path) -> ScenarioConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else f"not UTF-8 text ({exc.reason})"
+        raise ConfigError(f"cannot read config file {str(path)!r}: {reason}") from exc
+    return parse_config_text(text)
 
 
 def _validate_semantics(cfg: ScenarioConfig):
@@ -515,56 +515,65 @@ def _columns_for(cfg: ScenarioConfig) -> tuple[str, ...]:
     return tuple(cols)
 
 
-def _run_field_like(cfg: ScenarioConfig, threads: int) -> np.ndarray:
-    p = RandomFieldParams(rabi=cfg.param("rabi"), width=cfg.param("width", 0.0))
+def _quadrature_rows(cfg: ScenarioConfig, evolve) -> np.ndarray:
+    """Rows of a quadrature model; ``evolve(rho, v)`` applies its channel at grid value v.
+
+    These channels are mixtures of local unitaries on qubit B, which keep the
+    entanglement of every member of the pure ensemble they generate from
+    |psi0>: the average entanglement is E_f(psi0) at every time, and the
+    hidden entanglement is E_f(psi0) - E_f(rho_psi0(t)), rho_psi0(t) the
+    channel applied to |psi0><psi0| (the mixture of that ensemble).
+    """
     rho0 = cfg.initial_density()
-    need_ens = any(m in cfg.measures for m in ("hidden-entanglement", "average-entanglement"))
-    psi0 = cfg.initial_pure_vector() if need_ens else None
-    values = _grid_values(cfg)
+    invariant = any(m in cfg.measures for m in ("hidden-entanglement", "average-entanglement"))
+    if invariant:
+        psi0 = cfg.initial_pure_vector()
+        e0 = eof_from_concurrence(concurrence_pure(psi0))
+        pure0 = np.outer(psi0, psi0.conj())
+        # a Bell input is its own projector, so rho(t) serves both columns
+        rho_pure0 = rho0 if np.array_equal(pure0, rho0.matrix) else DensityOperator(pure0, (2, 2))
     rows = []
-    for v in values:
-        t = v / p.rabi
-        if p.width == 0.0:
-            rho_t = random_field_map(rho0, p, t)
-        else:
-            rho_t = gaussian_averaged_map(rho0, p, t, cfg.quadrature_order)
+    for v in _grid_values(cfg):
+        rho_t = evolve(rho0, v)
         c = concurrence(rho_t)
+        if invariant:
+            c_pure = c if rho_pure0 is rho0 else concurrence(evolve(rho_pure0, v))
         row = [v]
-        ens = random_field_ensemble(psi0, p, t, cfg.quadrature_order) if need_ens else None
         for m in cfg.measures:
             if m == "concurrence":
                 row.append(c)
             elif m == "eof":
                 row.append(eof_from_concurrence(c))
             elif m == "hidden-entanglement":
-                row.append(hidden_entanglement(ens))
+                row.append(e0 - eof_from_concurrence(c_pure))
             elif m == "average-entanglement":
-                row.append(average_entanglement(ens))
+                row.append(e0)
         rows.append(row)
     return np.asarray(rows)
+
+
+def _run_field_like(cfg: ScenarioConfig, threads: int) -> np.ndarray:
+    p = RandomFieldParams(rabi=cfg.param("rabi"), width=cfg.param("width", 0.0))
+
+    def evolve(rho, v):
+        if p.width == 0.0:
+            return random_field_map(rho, p, v / p.rabi)
+        return gaussian_averaged_map(rho, p, v / p.rabi, cfg.quadrature_order)
+
+    return _quadrature_rows(cfg, evolve)
 
 
 def _run_static(cfg: ScenarioConfig, threads: int) -> np.ndarray:
     sigma = cfg.param("sigma")
     echo = cfg.param("echo-time")
     p = StaticNoiseParams(sigma=sigma, echo_time=None if echo is None else echo / sigma)
-    rows = []
-    for v in _grid_values(cfg):
+
+    def evolve(rho, v):
         t = v / sigma
-        rho_t, ens = static_noise_state(cfg.initial_bell, p, t, cfg.quadrature_order)
-        c = concurrence(rho_t)
-        row = [v]
-        for m in cfg.measures:
-            if m == "concurrence":
-                row.append(c)
-            elif m == "eof":
-                row.append(eof_from_concurrence(c))
-            elif m == "hidden-entanglement":
-                row.append(hidden_entanglement(ens))
-            elif m == "average-entanglement":
-                row.append(average_entanglement(ens))
-        rows.append(row)
-    return np.asarray(rows)
+        _, echoed = _echo_effective_duration(p, t)
+        return dephased_state(rho, static_dephasing_factor(p, t, cfg.quadrature_order), echoed)
+
+    return _quadrature_rows(cfg, evolve)
 
 
 def _run_ou(cfg: ScenarioConfig, threads: int) -> np.ndarray:

@@ -2,6 +2,13 @@ import numpy as np
 import pytest
 
 from qrevivals.cli import main
+from qrevivals.measures import average_entanglement, eof_from_concurrence, hidden_entanglement
+from qrevivals.noise import (
+    RandomFieldParams,
+    StaticNoiseParams,
+    random_field_ensemble,
+    static_noise_state,
+)
 from qrevivals.scenarios import (
     ConfigError,
     parse_config_text,
@@ -277,6 +284,99 @@ width = 0.0
         assert np.max(np.abs(res.rows[:, 4])) < 1e-9  # local information zero
 
 
+def _ensemble_oracle(cfg):
+    """Average and hidden entanglement from the pure ensemble each channel
+    member makes of |psi0>, one WeightedPureEnsemble per grid value."""
+    values = np.linspace(cfg.time_start, cfg.time_stop, cfg.time_points)
+    if cfg.model == "static-noise":
+        sigma, echo = cfg.param("sigma"), cfg.param("echo-time")
+        p = StaticNoiseParams(sigma=sigma, echo_time=None if echo is None else echo / sigma)
+        ensembles = [
+            static_noise_state(cfg.initial_bell, p, v / sigma, cfg.quadrature_order)[1]
+            for v in values
+        ]
+    else:
+        p = RandomFieldParams(rabi=cfg.param("rabi"), width=cfg.param("width", 0.0))
+        psi0 = cfg.initial_pure_vector()
+        ensembles = [
+            random_field_ensemble(psi0, p, v / p.rabi, cfg.quadrature_order) for v in values
+        ]
+    return (
+        np.array([average_entanglement(e) for e in ensembles]),
+        np.array([hidden_entanglement(e) for e in ensembles]),
+    )
+
+
+INVARIANT_MEASURES = "concurrence, average-entanglement, hidden-entanglement"
+
+
+def _field_text(model, width, initial):
+    text = FIELD_CFG.replace("concurrence, eof", INVARIANT_MEASURES)
+    text = text.replace("kind = xyz\nx = 1.0\ny = 0.9\nz = 1.0", initial)
+    text = text.replace("time-stop = 6.2831853071795865", "time-stop = 12.566370614359172")
+    text = text.replace("time-points = 17", "time-points = 41")
+    return text.replace("model = random-field", f"model = {model}").replace(
+        "[random-field]", f"[{model}]").replace("width = 0.0", f"width = {width}")
+
+
+STATIC_TEXT = """
+[scenario]
+model = static-noise
+measures = concurrence, average-entanglement, hidden-entanglement
+time-start = 0.0
+time-stop = 8.0
+time-points = 41
+seed = 6
+
+[initial-state]
+kind = bell
+label = 1-
+
+[static-noise]
+sigma = 1.3
+"""
+
+BELL = "kind = bell\nlabel = 2+"
+PURE_XYZ = "kind = xyz\nx = 0.6\ny = 1.0\nz = 1.0"  # 0.6|2+> + 0.8|1+>, C = 0.28
+
+
+class TestEntanglementInvariant:
+    """The runner takes average/hidden entanglement from E_f(psi0); the
+    per-member ensemble loop is the oracle."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            _field_text("random-field", 0.0, BELL),
+            _field_text("random-field", 0.0, PURE_XYZ),
+            _field_text("random-field-gaussian", 0.0, BELL),
+            _field_text("random-field-gaussian", 0.1, BELL),
+            _field_text("random-field-gaussian", 0.1, PURE_XYZ),
+            STATIC_TEXT,
+            STATIC_TEXT.replace("sigma = 1.3", "sigma = 1.3\necho-time = 4.0"),
+        ],
+        ids=[
+            "field-bell", "field-pure-xyz", "gaussian-width0", "gaussian-bell",
+            "gaussian-pure-xyz", "static", "static-echo",
+        ],
+    )
+    def test_matches_ensemble_oracle(self, text):
+        cfg = parse_config_text(text)
+        res = run_scenario(cfg)
+        assert res.columns == ("time", "concurrence", "average_entanglement", "hidden_entanglement")
+        e_av, e_h = _ensemble_oracle(cfg)
+        assert np.max(np.abs(res.rows[:, 2] - e_av)) < 1e-12
+        assert np.max(np.abs(res.rows[:, 3] - e_h)) < 1e-12
+        assert np.ptp(res.rows[:, 3]) > 0.1  # the grid crosses entangled and dark times
+
+    def test_pure_xyz_average_is_its_initial_entanglement(self):
+        # psi0 = (0.6, 0.8, 0.8, 0.6)/sqrt2, C = 2 |0.18 - 0.32| = 0.28
+        res = run_scenario(parse_config_text(_field_text("random-field", 0.0, PURE_XYZ)))
+        assert np.max(np.abs(res.rows[:, 2] - eof_from_concurrence(0.28))) < 1e-12
+        assert abs(res.rows[0, 1] - 0.28) < 1e-12
+        assert abs(res.rows[0, 3]) < 1e-12  # nothing hidden at t = 0
+
+
 class TestSweep:
     def test_rtn_g_sweep(self):
         cfg = parse_config_text(RTN_CFG)
@@ -362,6 +462,46 @@ class TestCLI:
         assert main(["sweep", "--config", cfg, "--param", "g", "--values", "0.5,5", "--out", str(out)]) == 0
         assert (tmp_path / "rtn__g=0.5.csv").exists()
         assert (tmp_path / "rtn__g=5.csv").exists()
+
+    def test_sweep_refuses_colliding_file_names(self, tmp_path, capsys):
+        cfg = self.write(tmp_path, RTN_CFG)
+        out = tmp_path / "rtn.csv"
+        argv = ["sweep", "--config", cfg, "--param", "g", "--values", "0.5,1.0000001,1.0000002",
+                "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "rtn__g=1.csv" in err
+        assert len(err.strip().splitlines()) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.cfg"]  # nothing written
+
+    def test_sweep_to_stdout_keeps_close_values(self, tmp_path, capsys):
+        cfg = self.write(tmp_path, RTN_CFG)
+        assert main(["sweep", "--config", cfg, "--param", "g", "--values", "1.0000001,1.0000002"]) == 0
+        assert capsys.readouterr().out.count("# sweep.value = ") == 2
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+    def test_unreadable_config_is_a_config_error(self, tmp_path, capsys, kind):
+        path = tmp_path / "scenario.cfg"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not-utf8":
+            path.write_bytes(b"[scenario]\nmodel = \xff\xfe\n")
+        for command in (["simulate"], ["sweep", "--param", "g", "--values", "1"]):
+            assert main(command + ["--config", str(path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("config error: cannot read config file")
+            assert len(err.strip().splitlines()) == 1
+
+    def test_rtn_long_time_below_crossover(self, tmp_path):
+        text = RTN_CFG.replace("g = 5.0", "g = 0.5").replace("time-stop = 10.0", "time-stop = 1000")
+        cfg = self.write(tmp_path, text)
+        out = tmp_path / "rtn.csv"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        body = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        assert body[0] == "time,concurrence"
+        rows = np.array([[float(x) for x in l.split(",")] for l in body[1:]])
+        assert rows.shape == (11, 2)
+        assert np.all(np.isfinite(rows)) and np.all((rows[:, 1] >= 0) & (rows[:, 1] <= 1))
 
     def test_sweep_empty_values_success(self, tmp_path, capsys):
         cfg = self.write(tmp_path, RTN_CFG)

@@ -112,6 +112,10 @@ class TestHermitianEigenvalues:
         vals = hermitian_eigenvalues(m)
         assert vals[1] == 0.0
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="Hermitian"):
+            hermitian_eigenvalues(np.diag([np.nan, 1.0]))
+
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError, match="Hermitian"):
             hermitian_eigenvalues(np.array([[0, 1], [0, 0]], dtype=complex))
@@ -140,6 +144,15 @@ class TestDensityOperator:
     def test_rejects_negative_eigenvalue(self):
         m = np.diag([1.2, -0.2]).astype(complex)
         with pytest.raises(PositivityError):
+            DensityOperator(m, (2,))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    def test_rejects_non_finite_entries(self, bad, where):
+        m = np.eye(2, dtype=complex) / 2
+        m[where] = bad
+        m[where[::-1]] = np.conj(bad)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError):
             DensityOperator(m, (2,))
 
     def test_rejects_mismatched_dims(self):

@@ -7,6 +7,7 @@ from qrevivals.noise import (
     ConvergenceError,
     RandomFieldParams,
     RandomUnitaryChannel,
+    _gh_nodes,
     field_unitary,
     gaussian_averaged_map,
     random_field_map,
@@ -68,6 +69,28 @@ class TestRandomUnitaryChannel:
         ch = RandomUnitaryChannel(np.array([1.0]), EYE2[None])
         rho = fig2_state()
         assert np.allclose(ch.apply(rho).matrix, rho.matrix, atol=1e-15)
+
+
+class TestGaussHermiteNodes:
+    def test_matches_hermgauss_normalized(self):
+        for order in (1, 8, 64, 128):
+            x, w = _gh_nodes(order)
+            x_ref, w_ref = np.polynomial.hermite.hermgauss(order)
+            assert np.array_equal(x, x_ref)
+            assert np.array_equal(w, w_ref / np.sqrt(np.pi))
+
+    def test_shared_arrays_are_read_only(self):
+        x, w = _gh_nodes(16)
+        assert _gh_nodes(16)[0] is x
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+        assert np.array_equal(x, np.polynomial.hermite.hermgauss(16)[0])
+
+    def test_rejects_nonpositive_order(self):
+        with pytest.raises(ValueError, match="order"):
+            _gh_nodes(0)
 
 
 class TestRandomFieldMap:

@@ -53,6 +53,33 @@ class TestAnalyticCoherence:
         assert abs(below - at) < 1e-7
         assert abs(above - at) < 1e-7
 
+    def test_finite_where_the_hyperbolic_form_overflows(self):
+        # the former form exp(-gamma t) [cosh(d t) + (gamma/d) sinh(d t)] gives
+        # NaN once d t passes ~710; compare wherever it is finite
+        t = np.linspace(0.0, 1000.0, 20001)
+        overflowed = 0
+        for g in (0.1, 0.5, 0.9, 0.975, 1.0 - 1e-6, 1.0 - 1e-9):
+            q = rtn_coherence(RTNParams(rate=1.0, coupling=g), t)
+            assert np.all(np.isfinite(q))
+            assert np.all(q >= 0.0) and np.all(np.diff(q) <= 1e-300)  # subnormal dust
+            d = np.sqrt(1.0 - g * g)
+            with np.errstate(over="ignore", invalid="ignore"):
+                hyperbolic = np.exp(-t) * (np.cosh(d * t) + np.sinh(d * t) / d)
+            finite = np.isfinite(hyperbolic)
+            overflowed += int(np.sum(~finite))
+            assert np.max(np.abs(q[finite] - hyperbolic[finite])) < 1e-14
+        assert overflowed > 0
+
+    def test_stable_form_against_high_precision(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            for g, t in ((0.01, 700.0), (0.5, 1000.0), (1.0 - 1e-9, 5.0), (0.1, 1e4)):
+                d = mpmath.sqrt(1 - mpmath.mpf(g) ** 2)
+                tm = mpmath.mpf(t)
+                ref = float(mpmath.exp(-tm) * (mpmath.cosh(d * tm) + mpmath.sinh(d * tm) / d))
+                q = rtn_coherence(RTNParams(rate=1.0, coupling=g), t)
+                assert abs(q - ref) <= 1e-14 * ref
+
     def test_param_validation(self):
         with pytest.raises(ValueError):
             RTNParams(rate=0.0, coupling=1.0)

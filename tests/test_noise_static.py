@@ -11,6 +11,7 @@ from qrevivals.noise import (
     static_dephasing_factor,
     static_noise_state,
 )
+from qrevivals.states import bell_state
 
 
 def _graded_rule(lo, hi, scale, toward_hi=False):
@@ -155,6 +156,15 @@ class TestOUNoise:
         est = ou_dephasing_factors(p, [0.0, 1.0], 2048, 21)
         assert est.factors[0] == 1.0 + 0.0j
         assert est.se_abs[0] == 0.0
+
+    def test_grid_of_time_zero_alone(self):
+        p = StaticNoiseParams(sigma=1.0, echo_time=2.0, correlation_time=3.0)
+        est = ou_dephasing_factors(p, [0.0], 2048, 21)
+        assert est.factors.tolist() == [1.0 + 0.0j]
+        assert est.se_abs.tolist() == [0.0]
+        rho = ou_noise_state("1-", p, 0.0, 2048, 21)
+        psi = bell_state("1-")
+        assert np.array_equal(rho.matrix, np.outer(psi, psi.conj()))
 
     def test_trajectory_floor_enforced(self):
         p = StaticNoiseParams(sigma=1.0, correlation_time=3.0)
