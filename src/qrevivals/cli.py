@@ -1,6 +1,8 @@
 """Command-line interface: ``simulate``, ``sweep`` and ``selftest``.
 
-Exit codes: 0 success, 1 configuration error, 2 numerical-convergence failure.
+Exit codes: 0 success, 1 configuration error, 2 numerical-convergence failure,
+3 any other numerical failure (a state that fails its validity checks, or a
+LAPACK error). Every failure prints one line on stderr.
 """
 from __future__ import annotations
 
@@ -8,8 +10,11 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .acceptance import run_all
+from .linalg import NumericalError
 from .noise import ConvergenceError
 from .scenarios import ConfigError, parse_config, run_scenario, sweep
 
@@ -113,6 +118,12 @@ def _cmd_selftest(args) -> int:
     return 0 if not failed else 1
 
 
+def _fail(kind: str, exc: Exception, code: int) -> int:
+    message = " ".join(str(exc).split())  # one line, whatever the exception text
+    print(f"{kind}: {message}", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -122,11 +133,11 @@ def main(argv=None) -> int:
             return _cmd_sweep(args)
         return _cmd_selftest(args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+        return _fail("config error", exc, 1)
     except ConvergenceError as exc:
-        print(f"numerical convergence error: {exc}", file=sys.stderr)
-        return 2
+        return _fail("numerical convergence error", exc, 2)
+    except (NumericalError, np.linalg.LinAlgError) as exc:
+        return _fail("numerical error", exc, 3)
 
 
 if __name__ == "__main__":

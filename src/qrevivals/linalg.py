@@ -2,10 +2,13 @@
 
 All operations are pure functions on immutable values: inputs are never
 mutated and density operators are validated once at construction time.
+Density operators, partial traces, spectra and entropies also take stacks
+(..., d, d) of matrices, such as a whole time grid, so that one LAPACK call
+serves every matrix of the stack; a single matrix is the stack of one.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,7 +21,12 @@ TRACE_TOL = 1e-10
 HERM_TOL = 1e-10
 
 
-class PositivityError(ValueError):
+class NumericalError(ValueError):
+    """A matrix failed a numerical validity check (trace, Hermiticity,
+    positivity, finiteness) that valid inputs cannot fail."""
+
+
+class PositivityError(NumericalError):
     """An operator that must be positive semidefinite has a real negative eigenvalue."""
 
 
@@ -36,6 +44,24 @@ def _as_square(m) -> np.ndarray:
     return m
 
 
+def _as_stack(m) -> np.ndarray:
+    """A square matrix or a stack (..., d, d) of them, as a complex array."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    return m
+
+
+def _first_failure(ok: np.ndarray):
+    """Index of the first False entry of ``ok`` (None if all hold), and its
+    " at stack index ..." suffix for messages (empty for a single matrix)."""
+    if ok.all():
+        return None, ""
+    idx = np.unravel_index(int(np.argmin(ok)), ok.shape)
+    suffix = f" at stack index {idx[0] if len(idx) == 1 else idx}" if idx else ""
+    return idx, suffix
+
+
 def tensor_product(a, b) -> np.ndarray:
     """Kronecker product a (x) b with row-major index convention
     (a(x)b)[i*db+k, j*db+l] = a[i,j] * b[k,l]."""
@@ -43,18 +69,21 @@ def tensor_product(a, b) -> np.ndarray:
 
 
 def hermitian_eigenvalues(m, herm_tol: float = 1e-8) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, sorted in descending order.
+    """Eigenvalues of a Hermitian matrix (or of each matrix of a stack),
+    sorted in descending order along the last axis.
 
     Values inside the dust window (-EIG_DUST, 0) are clipped to exactly 0;
     more negative values are returned as-is (the matrix need not be positive).
     """
-    m = _as_square(m)
-    dev = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
-    if not dev <= herm_tol:  # negated so that a NaN deviation also raises
-        raise ValueError(f"matrix is not Hermitian within {herm_tol:g} (max deviation {dev:.3e})")
-    vals = np.linalg.eigvalsh(m)[::-1].copy()
-    vals[(vals < 0.0) & (vals > -EIG_DUST)] = 0.0
-    return vals
+    m = _as_stack(m)
+    dev = np.max(np.abs(m - np.swapaxes(m, -1, -2).conj()), axis=(-2, -1), initial=0.0)
+    idx, where = _first_failure(dev <= herm_tol)  # negated: a NaN deviation fails
+    if idx is not None:
+        raise NumericalError(
+            f"matrix is not Hermitian within {herm_tol:g}{where} (max deviation {dev[idx]:.3e})"
+        )
+    vals = np.linalg.eigvalsh(m)[..., ::-1]
+    return np.where((vals < 0.0) & (vals > -EIG_DUST), 0.0, vals)
 
 
 def clip_positive_spectrum(values, dust: float = EIG_DUST) -> np.ndarray:
@@ -69,45 +98,65 @@ def clip_positive_spectrum(values, dust: float = EIG_DUST) -> np.ndarray:
     return out
 
 
+def _density_spectrum(m) -> np.ndarray:
+    """Validate a density matrix, or each matrix of a stack (..., d, d), and
+    return the spectra in descending order with eigenvalue dust clipped to 0.
+
+    Trace one, Hermiticity and positivity are tested with negated comparisons,
+    so a NaN or inf entry fails them too (every comparison with NaN is False).
+    One eigvalsh call serves the positivity check of the whole stack, and its
+    eigenvalues are the returned spectra.
+    """
+    tr = np.trace(m, axis1=-2, axis2=-1)
+    idx, where = _first_failure(np.abs(tr - 1.0) <= TRACE_TOL)
+    if idx is not None:
+        raise NumericalError(f"trace {tr[idx]:.12g}{where} differs from 1 by more than {TRACE_TOL:g}")
+    vals = hermitian_eigenvalues(m, HERM_TOL)
+    low = vals[..., -1]
+    idx, where = _first_failure(low >= 0.0)  # dust is already 0
+    if idx is not None:
+        raise PositivityError(
+            f"negative eigenvalue {low[idx]:.3e}{where} below the -{EIG_DUST:g} dust window"
+        )
+    return vals
+
+
 @dataclass(frozen=True)
 class DensityOperator:
-    """Trace-one Hermitian positive-semidefinite matrix with subsystem metadata.
+    """Trace-one Hermitian positive-semidefinite matrix with subsystem metadata,
+    or a stack (..., d, d) of such matrices sharing the metadata.
 
     ``dims`` lists the tensor-factor dimensions in order; their product must
-    equal the matrix dimension. The matrix is copied and frozen on input.
+    equal the matrix dimension. The matrix is copied and frozen on input and
+    validated once by ``_density_spectrum``, whose spectra are kept, so
+    ``eigenvalues`` needs no further eigendecomposition.
     """
 
     matrix: np.ndarray
     dims: tuple[int, ...] = (2,)
+    _spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = _as_square(self.matrix).copy()
+        m = _as_stack(self.matrix).copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        if int(np.prod(self.dims)) != m.shape[0]:
-            raise ValueError(f"dims {self.dims} do not multiply to matrix dim {m.shape[0]}")
-        if m.shape[0] not in SUPPORTED_DIMS:
-            raise ValueError(f"dimension {m.shape[0]} unsupported (expected one of {SUPPORTED_DIMS})")
-        # negated checks: a non-finite entry makes the trace or the deviation
-        # NaN or inf, and every comparison with NaN is False
-        tr = np.trace(m)
-        if not abs(tr - 1.0) <= TRACE_TOL:
-            raise ValueError(f"trace {tr:.12g} differs from 1 by more than {TRACE_TOL:g}")
-        herm_dev = np.max(np.abs(m - m.conj().T))
-        if not herm_dev <= HERM_TOL:
-            raise ValueError(f"not Hermitian within {HERM_TOL:g} (max deviation {herm_dev:.3e})")
-        vals = np.linalg.eigvalsh(m)
-        if vals[0] < -EIG_DUST:
-            raise PositivityError(f"negative eigenvalue {vals[0]:.3e} below the dust window")
+        if int(np.prod(self.dims)) != m.shape[-1]:
+            raise ValueError(f"dims {self.dims} do not multiply to matrix dim {m.shape[-1]}")
+        if m.shape[-1] not in SUPPORTED_DIMS:
+            raise ValueError(f"dimension {m.shape[-1]} unsupported (expected one of {SUPPORTED_DIMS})")
+        spectrum = _density_spectrum(m)
+        spectrum.setflags(write=False)
+        object.__setattr__(self, "_spectrum", spectrum)
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
     def eigenvalues(self) -> np.ndarray:
-        """Spectrum in descending order with dust clipped to zero."""
-        return clip_positive_spectrum(hermitian_eigenvalues(self.matrix))
+        """Spectrum in descending order with dust clipped to zero (one row per
+        matrix of a stack)."""
+        return self._spectrum.copy()
 
 
 def pure_state_density(psi, dims: tuple[int, ...]) -> DensityOperator:
@@ -120,42 +169,46 @@ def pure_state_density(psi, dims: tuple[int, ...]) -> DensityOperator:
 
 
 def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
-    """Trace out every subsystem not listed in ``keep`` (indices into rho.dims)."""
+    """Trace out every subsystem not listed in ``keep`` (indices into rho.dims),
+    from every matrix of a stack."""
     keep = tuple(sorted(set(int(k) for k in keep)))
     n = len(rho.dims)
     if not keep:
         raise ValueError("keep must be a nonempty subset of subsystem indices")
     if any(k < 0 or k >= n for k in keep):
         raise ValueError(f"subsystem indices {keep} out of range for dims {rho.dims}")
+    lead = rho.matrix.shape[:-2]
     dims = list(rho.dims)
-    reshaped = rho.matrix.reshape(dims + dims)
+    reshaped = rho.matrix.reshape(lead + tuple(dims + dims))
     traced = [i for i in range(n) if i not in keep]
     for idx in sorted(traced, reverse=True):
-        reshaped = np.trace(reshaped, axis1=idx, axis2=idx + len(dims))
+        axis = len(lead) + idx
+        reshaped = np.trace(reshaped, axis1=axis, axis2=axis + len(dims))
         dims.pop(idx)
     d = int(np.prod(dims))
-    return DensityOperator(reshaped.reshape(d, d), tuple(dims))
+    return DensityOperator(reshaped.reshape(lead + (d, d)), tuple(dims))
 
 
-def von_neumann_entropy(rho: DensityOperator, base: str = "natural") -> float:
-    """S(rho) = -sum_i p_i log p_i with 0 log 0 := 0.
+def von_neumann_entropy(rho: DensityOperator, base: str = "natural"):
+    """S(rho) = -sum_i p_i log p_i with 0 log 0 := 0; a float, or an array
+    with one entropy per matrix of a stack.
 
     base "natural" gives nats, base "two" gives bits.
     """
     if base not in ("natural", "two"):
         raise ValueError(f"base must be 'natural' or 'two', got {base!r}")
     p = rho.eigenvalues()
-    p = p[p > 0.0]
-    s = float(-np.sum(p * np.log(p)))
+    s = -np.sum(p * np.log(np.where(p > 0.0, p, 1.0)), axis=-1)
     if base == "two":
-        s /= np.log(2.0)
-    # -0.0 guard for pure states
-    return abs(s) if s == 0.0 else s
+        s = s / np.log(2.0)
+    s = s + 0.0  # -0.0 guard for pure states
+    return float(s) if s.ndim == 0 else s
 
 
 def matrix_sqrt_psd(m) -> np.ndarray:
-    """Principal square root of a Hermitian PSD matrix via eigendecomposition."""
-    m = _as_square(m)
+    """Principal square root of a Hermitian PSD matrix (or of each matrix of a
+    stack) via eigendecomposition."""
+    m = _as_stack(m)
     vals, vecs = np.linalg.eigh(m)
     vals = clip_positive_spectrum(vals)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+    return (vecs * np.sqrt(vals)[..., None, :]) @ np.swapaxes(vecs, -1, -2).conj()

@@ -1,6 +1,10 @@
-"""Scalar correlation quantifiers: concurrence, entanglement of formation,
-mutual information, genuine tripartite correlations, the total-information
+"""Correlation quantifiers: concurrence, entanglement of formation, mutual
+information, genuine tripartite correlations, the total-information
 decomposition, and average/hidden entanglement of pure-state ensembles.
+
+Concurrence, mutual information, tripartite correlations and the
+decomposition take a DensityOperator holding one matrix (and return floats)
+or a stack of them (and return one value per matrix, as arrays).
 
 Entropy units: natural log (nats) for every mutual-information/decomposition
 quantity; base 2 only inside the binary entropy of the entanglement of
@@ -31,8 +35,13 @@ def _require_two_qubits(rho: DensityOperator):
         raise ValueError(f"expected a two-qubit state with dims (2, 2), got {rho.dims}")
 
 
-def concurrence(rho: DensityOperator) -> float:
-    """Wootters concurrence of a two-qubit state.
+def _value(x):
+    """A float for a single matrix, the array itself for a stack."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def concurrence(rho: DensityOperator):
+    """Wootters concurrence of a two-qubit state (or of each state of a stack).
 
     Computed from the Hermitian form sqrt(rho) (sy(x)sy) rho* (sy(x)sy) sqrt(rho),
     whose spectrum equals that of rho (sy(x)sy) rho* (sy(x)sy); complex
@@ -43,12 +52,11 @@ def concurrence(rho: DensityOperator) -> float:
     _require_two_qubits(rho)
     s = matrix_sqrt_psd(rho.matrix)
     flipped = _YY @ rho.matrix.conj() @ _YY
-    chi = hermitian_eigenvalues(s @ flipped @ s)
-    chi = clip_positive_spectrum(chi)
-    if chi[0] > 0.0:
-        chi[chi < 1e-13 * chi[0]] = 0.0
+    chi = clip_positive_spectrum(hermitian_eigenvalues(s @ flipped @ s))
+    chi = np.where(chi < 1e-13 * chi[..., :1], 0.0, chi)
     roots = np.sqrt(chi)
-    return float(max(0.0, roots[0] - roots[1] - roots[2] - roots[3]))
+    c = roots[..., 0] - roots[..., 1] - roots[..., 2] - roots[..., 3]
+    return _value(np.where(c > 0.0, c, 0.0))
 
 
 def concurrence_pure(psi) -> float:
@@ -83,7 +91,7 @@ def _validate_bipartition(rho: DensityOperator, bipartition):
     return part_i, part_j
 
 
-def mutual_information(rho: DensityOperator, bipartition) -> float:
+def mutual_information(rho: DensityOperator, bipartition):
     """Quantum mutual information S(rho_I) + S(rho_J) - S(rho) in nats across
     a bipartition ((i, ...), (j, ...)) of the declared subsystems."""
     part_i, part_j = _validate_bipartition(rho, bipartition)
@@ -97,33 +105,32 @@ def _require_three_qubits(rho: DensityOperator):
         raise ValueError(f"expected a three-qubit state with dims (2, 2, 2), got {rho.dims}")
 
 
-def tripartite_correlations(rho_abe: DensityOperator) -> float:
+def tripartite_correlations(rho_abe: DensityOperator):
     """Genuine tripartite correlations: the minimum mutual information over the
-    three bipartitions (AB|E), (AE|B), (BE|A)."""
-    _require_three_qubits(rho_abe)
-    return min(
-        mutual_information(rho_abe, ((0, 1), (2,))),
-        mutual_information(rho_abe, ((0, 2), (1,))),
-        mutual_information(rho_abe, ((1, 2), (0,))),
-    )
+    three bipartitions (AB|E), (AE|B), (BE|A) (the decomposition's tau)."""
+    return information_decomposition(rho_abe).tripartite
 
 
 @dataclass(frozen=True)
 class InformationDecomposition:
     """Split of the total state information into local, genuine-tripartite and
-    maximal-bipartite parts, plus the residual of the bookkeeping identity."""
+    maximal-bipartite parts, plus the residual of the bookkeeping identity
+    (floats, or arrays with one value per state of a stack)."""
 
-    total: float
-    local: float
-    tripartite: float
-    bipartite_max: float
-    residual: float
+    total: float | np.ndarray
+    local: float | np.ndarray
+    tripartite: float | np.ndarray
+    bipartite_max: float | np.ndarray
+    residual: float | np.ndarray
 
 
 def information_decomposition(rho_abe: DensityOperator) -> InformationDecomposition:
     """Decompose I = ln 8 - S(rho_ABE) into local information
     sum_i (ln 2 - S(rho_i)), genuine tripartite correlations, and the maximal
-    pairwise mutual information; the residual records the identity mismatch."""
+    pairwise mutual information; the residual records the identity mismatch.
+
+    tau is the minimum over the three bipartitions of S(pair) + S(single) -
+    S(rho_ABE), the mutual information across each cut."""
     _require_three_qubits(rho_abe)
     s_full = von_neumann_entropy(rho_abe)
     singles = [von_neumann_entropy(partial_trace(rho_abe, (k,))) for k in range(3)]
@@ -134,23 +141,23 @@ def information_decomposition(rho_abe: DensityOperator) -> InformationDecomposit
     }
     ln2 = np.log(2.0)
     total = 3.0 * ln2 - s_full
-    local = sum(ln2 - s for s in singles)
-    tau = min(
+    local = (ln2 - singles[0]) + (ln2 - singles[1]) + (ln2 - singles[2])
+    tau = np.minimum.reduce([
         pairs[(0, 1)] + singles[2] - s_full,
         pairs[(0, 2)] + singles[1] - s_full,
         pairs[(1, 2)] + singles[0] - s_full,
-    )
-    mu2 = max(
+    ])
+    mu2 = np.maximum.reduce([
         singles[0] + singles[1] - pairs[(0, 1)],
         singles[0] + singles[2] - pairs[(0, 2)],
         singles[1] + singles[2] - pairs[(1, 2)],
-    )
+    ])
     return InformationDecomposition(
-        total=total,
-        local=local,
-        tripartite=tau,
-        bipartite_max=mu2,
-        residual=total - local - tau - mu2,
+        total=_value(total),
+        local=_value(local),
+        tripartite=_value(tau),
+        bipartite_max=_value(mu2),
+        residual=_value(total - local - tau - mu2),
     )
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .linalg import DensityOperator, EYE2, SIGMA_X
+from .linalg import DensityOperator, EYE2, SIGMA_X, NumericalError
 from .measures import WeightedPureEnsemble
 from .states import EWLParams, bell_state, ewl_state
 
@@ -156,15 +156,16 @@ def field_unitary(phase: float, rabi: float, t: float) -> np.ndarray:
     )
 
 
-def _field_unitaries(phase: float, rabi_values, t: float) -> np.ndarray:
-    """field_unitary stacked over an array of Rabi frequencies, shape (n, 2, 2)."""
+def _field_unitaries(phase: float, rabi_values, t) -> np.ndarray:
+    """field_unitary stacked over an array of Rabi frequencies, shape (n, 2, 2);
+    an array ``t`` broadcasting against them adds its leading axes."""
     half = 0.5 * np.asarray(rabi_values, dtype=float) * t
     c, s = np.cos(half), np.sin(half)
-    out = np.empty((half.size, 2, 2), dtype=complex)
-    out[:, 0, 0] = c
-    out[:, 1, 1] = c
-    out[:, 0, 1] = np.exp(-1j * phase) * s
-    out[:, 1, 0] = -np.exp(1j * phase) * s
+    out = np.empty(half.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = c
+    out[..., 1, 1] = c
+    out[..., 0, 1] = np.exp(-1j * phase) * s
+    out[..., 1, 0] = -np.exp(1j * phase) * s
     return out
 
 
@@ -173,11 +174,17 @@ def _gh_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Hermite nodes and weights normalized against exp(-x^2)/sqrt(pi).
 
     Computed once per order and process; the arrays are read-only because
-    every caller shares them.
+    every caller shares them. numpy's rule turns non-finite at high orders
+    (from 372 with numpy 2.4), which raises ConvergenceError.
     """
     if order < 1:
         raise ValueError(f"quadrature order {order} must be >= 1")
-    x, w = np.polynomial.hermite.hermgauss(order)
+    with np.errstate(all="ignore"):  # a non-finite rule raises below
+        x, w = np.polynomial.hermite.hermgauss(order)
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(w))):
+        raise ConvergenceError(
+            f"Gauss-Hermite rule of order {order} is not finite; lower quadrature-order"
+        )
     w = w / np.sqrt(np.pi)
     x.setflags(write=False)
     w.setflags(write=False)
@@ -197,10 +204,11 @@ class RandomUnitaryChannel:
         u = np.asarray(self.unitaries, dtype=complex)
         if u.shape != (w.size, 2, 2):
             raise ValueError(f"unitaries shape {u.shape} does not match {w.size} weights")
-        if np.any(w < 0.0) or abs(w.sum() - 1.0) > 1e-12:
+        # negated checks: NaN weights or unitaries fail them too
+        if not (np.all(w >= 0.0) and abs(w.sum() - 1.0) <= 1e-12):
             raise ValueError("channel weights must be nonnegative and sum to 1")
         dev = np.max(np.abs(np.einsum("nij,nkj->nik", u, u.conj()) - EYE2))
-        if dev > 1e-12:
+        if not dev <= 1e-12:
             raise ValueError(f"channel members are not unitary within 1e-12 (dev {dev:.3e})")
         w = w.copy()
         w.setflags(write=False)
@@ -274,7 +282,7 @@ def gaussian_averaged_map(
         rho0.matrix
     )
     drift = np.max(np.abs(base - check))
-    if drift > 1e-8:
+    if not drift <= 1e-8:  # negated: a NaN drift fails
         raise ConvergenceError(
             f"Rabi-average quadrature not converged at t={t:g}: order {order} -> {2 * order} "
             f"moved an entry by {drift:.3e}"
@@ -300,17 +308,21 @@ def random_field_ensemble(
 _X4 = np.kron(EYE2, SIGMA_X)
 
 
-def apply_b_dephasing(mat4: np.ndarray, factor: complex, echoed: bool = False) -> np.ndarray:
+def apply_b_dephasing(mat4: np.ndarray, factor, echoed=False) -> np.ndarray:
     """Pure dephasing of qubit B: the |0><1|_B coherences pick up ``factor``
-    (|factor| <= 1), followed by a sigma_x on B when ``echoed``."""
-    f2 = np.array([[1.0, factor], [np.conj(factor), 1.0]], dtype=complex)
-    out = mat4 * np.kron(np.ones((2, 2)), f2)
-    if echoed:
-        out = _X4 @ out @ _X4
+    (|factor| <= 1), followed by a sigma_x on B when ``echoed``. Arrays of
+    factors and echo flags give a (..., 4, 4) stack, one matrix per factor."""
+    f2 = np.ones(np.shape(factor) + (2, 2), dtype=complex)
+    f2[..., 0, 1] = factor
+    f2[..., 1, 0] = np.conj(factor)
+    out = mat4 * np.tile(f2, (2, 2))  # kron(ones(2, 2), f2) on the last two axes
+    echoed = np.asarray(echoed)
+    if echoed.any():
+        out = np.where(echoed[..., None, None], _X4 @ out @ _X4, out)
     return out
 
 
-def dephased_state(rho0: DensityOperator, factor: complex, echoed: bool = False) -> DensityOperator:
+def dephased_state(rho0: DensityOperator, factor, echoed=False) -> DensityOperator:
     return DensityOperator(apply_b_dephasing(rho0.matrix, factor, echoed), (2, 2))
 
 
@@ -399,7 +411,7 @@ def static_dephasing_factor(p: StaticNoiseParams, t: float, order: int = 64) -> 
 
     base = factor(order)
     drift = abs(base - factor(2 * order))
-    if drift > 1e-8:
+    if not drift <= 1e-8:  # negated: a NaN drift fails
         raise ConvergenceError(
             f"static-noise quadrature not converged at t={t:g}: order {order} -> {2 * order} "
             f"moved the dephasing factor by {drift:.3e}"
@@ -513,6 +525,15 @@ def _ou_partition(p: StaticNoiseParams, times: np.ndarray):
     col_of = {float(t): j for j, t in enumerate(times)}
     write_idx = np.array([col_of.get(float(b), -1) for b in fine[1:]], dtype=np.int64)
     zero_col = col_of.get(0.0)
+    # every output column must be written (the kernel leaves the others as
+    # uninitialised memory): each grid time must be a fine boundary, or 0
+    written = np.zeros(times.size, dtype=bool)
+    written[write_idx[write_idx >= 0]] = True
+    if zero_col is not None:
+        written[zero_col] = True
+    if not written.all():
+        t_miss = float(times[np.argmin(written)])
+        raise NumericalError(f"OU fine partition has no boundary at grid time t={t_miss!r}")
     return decay, diffuse, durations * signs, write_idx, zero_col
 
 
@@ -650,8 +671,9 @@ def rtn_concurrence(ewl: EWLParams, p: RTNParams, t):
     return float(c) if np.ndim(c) == 0 else c
 
 
-def rtn_evolved_state(ewl: EWLParams, p: RTNParams, t: float) -> DensityOperator:
-    """Evolved extended Werner-like state under telegraph dephasing of qubit B."""
+def rtn_evolved_state(ewl: EWLParams, p: RTNParams, t) -> DensityOperator:
+    """Evolved extended Werner-like state under telegraph dephasing of qubit B
+    (a stack with one state per time when ``t`` is an array)."""
     return dephased_state(ewl_state(ewl), rtn_coherence(p, t))
 
 

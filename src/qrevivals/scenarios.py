@@ -47,19 +47,20 @@ from .noise import (
     RNG_DESCRIPTION,
     RTNParams,
     RandomFieldParams,
+    RandomUnitaryChannel,
     StaticNoiseParams,
     StroboscopicParams,
     _echo_effective_duration,
+    apply_b_dephasing,
     dephased_state,
     gaussian_averaged_map,
     ou_dephasing_factors,
-    random_field_map,
     rtn_evolved_state,
     static_dephasing_factor,
     stroboscopic_coherences,
 )
 from .states import BELL_LABELS, EWLParams, XYZParams, bell_state, ewl_state, xyz_state
-from .tripartite import flow_timeseries
+from .tripartite import flow_measures
 
 
 class ConfigError(ValueError):
@@ -492,6 +493,10 @@ def _eof_se(c: float, se_c: float) -> float:
     return 0.5 * (hi - lo)
 
 
+def _eof(conc: np.ndarray) -> np.ndarray:
+    return np.array([eof_from_concurrence(float(c)) for c in conc])
+
+
 def _columns_for(cfg: ScenarioConfig) -> tuple[str, ...]:
     cols = ["time"]
     mc = cfg.model in MC_MODELS
@@ -515,8 +520,29 @@ def _columns_for(cfg: ScenarioConfig) -> tuple[str, ...]:
     return tuple(cols)
 
 
+def _rows(cfg: ScenarioConfig, values: np.ndarray, columns: dict) -> np.ndarray:
+    """The grid values, then the columns of each requested measure in config
+    order; ``columns`` maps a measure to its list of (T,) arrays."""
+    cols = [values]
+    for m in cfg.measures:
+        cols += columns[m]
+    return np.column_stack(cols)
+
+
+def _two_qubit_columns(rho: DensityOperator, se_c: np.ndarray | None = None) -> dict:
+    """Concurrence and eof columns of a (T, 4, 4) stack of evolved states,
+    with their standard errors for a Monte-Carlo model."""
+    conc = concurrence(rho)
+    eof = _eof(conc)
+    if se_c is None:
+        return {"concurrence": [conc], "eof": [eof]}
+    eof_se = np.array([_eof_se(float(c), float(se)) for c, se in zip(conc, se_c)])
+    return {"concurrence": [conc, se_c], "eof": [eof, eof_se]}
+
+
 def _quadrature_rows(cfg: ScenarioConfig, evolve) -> np.ndarray:
-    """Rows of a quadrature model; ``evolve(rho, v)`` applies its channel at grid value v.
+    """Rows of a quadrature model; ``evolve(rho, v)`` returns the matrix of its
+    channel applied to rho at grid value v.
 
     These channels are mixtures of local unitaries on qubit B, which keep the
     entanglement of every member of the pure ensemble they generate from
@@ -524,32 +550,25 @@ def _quadrature_rows(cfg: ScenarioConfig, evolve) -> np.ndarray:
     hidden entanglement is E_f(psi0) - E_f(rho_psi0(t)), rho_psi0(t) the
     channel applied to |psi0><psi0| (the mixture of that ensemble).
     """
+    values = _grid_values(cfg)
     rho0 = cfg.initial_density()
-    invariant = any(m in cfg.measures for m in ("hidden-entanglement", "average-entanglement"))
-    if invariant:
+
+    def states(rho):  # validated once, as a stack
+        return DensityOperator(np.stack([evolve(rho, v) for v in values]), (2, 2))
+
+    columns = _two_qubit_columns(states(rho0))
+    if any(m in cfg.measures for m in ("hidden-entanglement", "average-entanglement")):
         psi0 = cfg.initial_pure_vector()
         e0 = eof_from_concurrence(concurrence_pure(psi0))
         pure0 = np.outer(psi0, psi0.conj())
         # a Bell input is its own projector, so rho(t) serves both columns
-        rho_pure0 = rho0 if np.array_equal(pure0, rho0.matrix) else DensityOperator(pure0, (2, 2))
-    rows = []
-    for v in _grid_values(cfg):
-        rho_t = evolve(rho0, v)
-        c = concurrence(rho_t)
-        if invariant:
-            c_pure = c if rho_pure0 is rho0 else concurrence(evolve(rho_pure0, v))
-        row = [v]
-        for m in cfg.measures:
-            if m == "concurrence":
-                row.append(c)
-            elif m == "eof":
-                row.append(eof_from_concurrence(c))
-            elif m == "hidden-entanglement":
-                row.append(e0 - eof_from_concurrence(c_pure))
-            elif m == "average-entanglement":
-                row.append(e0)
-        rows.append(row)
-    return np.asarray(rows)
+        if np.array_equal(pure0, rho0.matrix):
+            eof_pure = columns["eof"][0]
+        else:
+            eof_pure = _two_qubit_columns(states(DensityOperator(pure0, (2, 2))))["eof"][0]
+        columns["hidden-entanglement"] = [e0 - eof_pure]
+        columns["average-entanglement"] = [np.full(values.size, e0)]
+    return _rows(cfg, values, columns)
 
 
 def _run_field_like(cfg: ScenarioConfig, threads: int) -> np.ndarray:
@@ -557,8 +576,8 @@ def _run_field_like(cfg: ScenarioConfig, threads: int) -> np.ndarray:
 
     def evolve(rho, v):
         if p.width == 0.0:
-            return random_field_map(rho, p, v / p.rabi)
-        return gaussian_averaged_map(rho, p, v / p.rabi, cfg.quadrature_order)
+            return RandomUnitaryChannel.two_phase(p.rabi, v / p.rabi).apply_matrix(rho.matrix)
+        return gaussian_averaged_map(rho, p, v / p.rabi, cfg.quadrature_order).matrix
 
     return _quadrature_rows(cfg, evolve)
 
@@ -571,7 +590,7 @@ def _run_static(cfg: ScenarioConfig, threads: int) -> np.ndarray:
     def evolve(rho, v):
         t = v / sigma
         _, echoed = _echo_effective_duration(p, t)
-        return dephased_state(rho, static_dephasing_factor(p, t, cfg.quadrature_order), echoed)
+        return apply_b_dephasing(rho.matrix, static_dephasing_factor(p, t, cfg.quadrature_order), echoed)
 
     return _quadrature_rows(cfg, evolve)
 
@@ -587,22 +606,9 @@ def _run_ou(cfg: ScenarioConfig, threads: int) -> np.ndarray:
     values = _grid_values(cfg)
     times = values / sigma
     est = ou_dephasing_factors(p, times, cfg.trajectories, cfg.seed, threads)
-    psi0 = bell_state(cfg.initial_bell)
-    rho0 = DensityOperator(np.outer(psi0, psi0.conj()), (2, 2))
-    rows = []
-    for j, v in enumerate(values):
-        echoed = p.echo_time is not None and times[j] > p.echo_time
-        rho_t = dephased_state(rho0, est.factors[j], echoed)
-        c = concurrence(rho_t)
-        se_c = float(est.se_abs[j])
-        row = [v]
-        for m in cfg.measures:
-            if m == "concurrence":
-                row += [c, se_c]
-            elif m == "eof":
-                row += [eof_from_concurrence(c), _eof_se(c, se_c)]
-        rows.append(row)
-    return np.asarray(rows)
+    echoed = p.echo_time is not None and times > p.echo_time
+    rho = dephased_state(cfg.initial_density(), est.factors, echoed)
+    return _rows(cfg, values, _two_qubit_columns(rho, est.se_abs))
 
 
 def _run_rtn(cfg: ScenarioConfig, threads: int) -> np.ndarray:
@@ -611,18 +617,9 @@ def _run_rtn(cfg: ScenarioConfig, threads: int) -> np.ndarray:
     if coupling is None:
         coupling = cfg.param("g") * rate
     p = RTNParams(rate=rate, coupling=coupling)
-    rows = []
-    for v in _grid_values(cfg):
-        rho_t = rtn_evolved_state(cfg.initial_ewl, p, v / rate)
-        c = concurrence(rho_t)
-        row = [v]
-        for m in cfg.measures:
-            if m == "concurrence":
-                row.append(c)
-            elif m == "eof":
-                row.append(eof_from_concurrence(c))
-        rows.append(row)
-    return np.asarray(rows)
+    values = _grid_values(cfg)
+    rho = rtn_evolved_state(cfg.initial_ewl, p, values / rate)
+    return _rows(cfg, values, _two_qubit_columns(rho))
 
 
 def _run_stroboscopic(cfg: ScenarioConfig, threads: int) -> np.ndarray:
@@ -634,46 +631,27 @@ def _run_stroboscopic(cfg: ScenarioConfig, threads: int) -> np.ndarray:
         echo_after_step=None if cfg.param("echo-after-step") is None else int(cfg.param("echo-after-step")),
     )
     est = stroboscopic_coherences(p, threads)
-    psi0 = bell_state(cfg.initial_bell)
-    rho0 = DensityOperator(np.outer(psi0, psi0.conj()), (2, 2))
-    rows = []
-    for v in _grid_values(cfg):
-        step = int(round(v))
-        if step == 0:
-            c, se_c = concurrence(rho0), 0.0
-        else:
-            echoed = p.echo_after_step is not None and step > p.echo_after_step
-            rho_t = dephased_state(rho0, est.factors[step - 1], echoed)
-            c, se_c = concurrence(rho_t), float(est.se_abs[step - 1])
-        row = [v]
-        for m in cfg.measures:
-            if m == "concurrence":
-                row += [c, se_c]
-            elif m == "eof":
-                row += [eof_from_concurrence(c), _eof_se(c, se_c)]
-        rows.append(row)
-    return np.asarray(rows)
+    values = _grid_values(cfg)
+    steps = np.rint(values).astype(int)
+    # step 0 is the undephased input: factor 1, standard error 0
+    factors = np.concatenate([[1.0 + 0.0j], est.factors])[steps]
+    se_c = np.concatenate([[0.0], est.se_abs])[steps]
+    echoed = p.echo_after_step is not None and steps > p.echo_after_step
+    rho = dephased_state(cfg.initial_density(), factors, echoed)
+    return _rows(cfg, values, _two_qubit_columns(rho, se_c))
 
 
 def _run_flows(cfg: ScenarioConfig, threads: int) -> np.ndarray:
     p = RandomFieldParams(rabi=cfg.param("rabi"), width=cfg.param("width", 0.0))
     values = _grid_values(cfg)
-    records = flow_timeseries(cfg.initial_density(), p, values / p.rabi, cfg.quadrature_order)
-    rows = []
-    for v, rec in zip(values, records):
-        row = [v]
-        for m in cfg.measures:
-            if m == "concurrence":
-                row.append(rec.concurrence)
-            elif m == "eof":
-                row.append(eof_from_concurrence(rec.concurrence))
-            elif m == "tripartite":
-                row.append(rec.tripartite)
-            elif m == "info-decomposition":
-                d = rec.decomposition
-                row += [d.total, d.local, d.tripartite, d.bipartite_max, d.residual]
-        rows.append(row)
-    return np.asarray(rows)
+    conc, dec = flow_measures(cfg.initial_density(), p, values / p.rabi, cfg.quadrature_order)
+    columns = {
+        "concurrence": [conc],
+        "eof": [_eof(conc)],
+        "tripartite": [dec.tripartite],
+        "info-decomposition": [dec.total, dec.local, dec.tripartite, dec.bipartite_max, dec.residual],
+    }
+    return _rows(cfg, values, columns)
 
 
 _RUNNERS = {

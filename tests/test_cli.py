@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from qrevivals import cli
 from qrevivals.cli import main
+from qrevivals.linalg import NumericalError, PositivityError
 from qrevivals.measures import average_entanglement, eof_from_concurrence, hidden_entanglement
 from qrevivals.noise import (
     RandomFieldParams,
@@ -518,3 +520,63 @@ class TestCLI:
         assert main(["simulate", "--config", cfg, "--out", str(out1), "--threads", "1"]) == 0
         assert main(["simulate", "--config", cfg, "--out", str(out8), "--threads", "8"]) == 0
         assert out1.read_bytes() == out8.read_bytes()
+
+
+STATIC_CFG = """
+[scenario]
+model = static-noise
+measures = concurrence
+time-start = 0.0
+time-stop = 8.0
+time-points = 5
+seed = 1
+
+[initial-state]
+kind = bell
+label = 2+
+
+[static-noise]
+sigma = 1.0
+echo-time = 4.0
+"""
+
+
+class TestNumericalExitCodes:
+    def write(self, tmp_path, text):
+        path = tmp_path / "scenario.cfg"
+        path.write_text(text, encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("model", ["static-noise", "random-field-gaussian", "tripartite-flows"])
+    def test_non_finite_gauss_hermite_rule_exits_2(self, tmp_path, capsys, model):
+        # numpy's Gauss-Hermite rule is not finite at order 400
+        if model == "static-noise":
+            text = STATIC_CFG
+        else:
+            text = FIELD_CFG.replace("model = random-field", f"model = {model}")
+            text = text.replace("[random-field]", f"[{model}]").replace("width = 0.0", "width = 0.1")
+        text = text.replace("seed = ", "quadrature-order = 400\nseed = ", 1)
+        assert main(["simulate", "--config", self.write(tmp_path, text)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical convergence error:") and "not finite" in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("exc", [
+        PositivityError("negative eigenvalue -1e-3 below the -1e-10 dust window"),
+        NumericalError("trace nan differs from 1 by more than 1e-10"),
+        np.linalg.LinAlgError("Eigenvalues did not converge\nsecond line"),
+    ])
+    def test_numerical_failure_exits_3(self, tmp_path, capsys, monkeypatch, exc):
+        def failing_run(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "run_scenario", failing_run)
+        assert main(["simulate", "--config", self.write(tmp_path, FIELD_CFG)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: ")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_config_error_stays_exit_1(self, tmp_path, capsys):
+        text = FIELD_CFG.replace("seed = 4242", "seed = 4242\nquadrature-order = 0")
+        assert main(["simulate", "--config", self.write(tmp_path, text)]) == 1
+        assert capsys.readouterr().err.startswith("config error:")

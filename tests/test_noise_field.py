@@ -55,6 +55,15 @@ class TestFieldUnitary:
 
 
 class TestRandomUnitaryChannel:
+    def test_nan_weights_or_members_rejected(self):
+        us = np.stack([EYE2, SIGMA_X])
+        with pytest.raises(ValueError, match="weights"):
+            RandomUnitaryChannel(np.array([np.nan, 1.0]), us)
+        bad = us.copy()
+        bad[1, 0, 1] = np.nan
+        with pytest.raises(ValueError, match="unitary"):
+            RandomUnitaryChannel(np.array([0.5, 0.5]), bad)
+
     def test_weights_validated(self):
         us = np.stack([EYE2, EYE2])
         with pytest.raises(ValueError):
@@ -91,6 +100,14 @@ class TestGaussHermiteNodes:
     def test_rejects_nonpositive_order(self):
         with pytest.raises(ValueError, match="order"):
             _gh_nodes(0)
+
+    def test_non_finite_rule_is_a_convergence_error(self):
+        # numpy's rule is NaN from order ~372 on; no NaN may reach a channel
+        with np.errstate(all="ignore"):
+            x, w = np.polynomial.hermite.hermgauss(400)
+        assert not np.all(np.isfinite(w))
+        with np.errstate(all="ignore"), pytest.raises(ConvergenceError, match="order 400 is not finite"):
+            _gh_nodes(400)
 
 
 class TestRandomFieldMap:

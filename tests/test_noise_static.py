@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qrevivals.linalg import NumericalError
 from qrevivals.measures import average_entanglement, concurrence, eof_from_concurrence
 from qrevivals.noise import (
     _OU_SERIES_LIMIT,
@@ -165,6 +166,21 @@ class TestOUNoise:
         rho = ou_noise_state("1-", p, 0.0, 2048, 21)
         psi = bell_state("1-")
         assert np.array_equal(rho.matrix, np.outer(psi, psi.conj()))
+
+    def test_unwritten_output_column_raises(self, monkeypatch):
+        # a grid time that is no fine boundary would leave its column as
+        # uninitialised memory; nudge the partition's last boundary off it
+        linspace = np.linspace
+
+        def nudged(start, stop, num, **kwargs):
+            out = linspace(start, stop, num, **kwargs)
+            out[-1] = np.nextafter(out[-1], np.inf)
+            return out
+
+        p = StaticNoiseParams(sigma=1.0, correlation_time=2.0)
+        monkeypatch.setattr(np, "linspace", nudged)
+        with pytest.raises(NumericalError, match="no boundary at grid time"):
+            ou_dephasing_factors(p, [0.5, 1.0], 1000, seed=1)
 
     def test_trajectory_floor_enforced(self):
         p = StaticNoiseParams(sigma=1.0, correlation_time=3.0)

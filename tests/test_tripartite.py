@@ -68,13 +68,18 @@ class TestUbeUnitary:
         assert np.max(np.abs(u @ mixed @ u.conj().T - mixed)) < 1e-12
 
     def test_batched_construction_matches_scalar(self):
-        from qrevivals.tripartite import _ube_batch
+        from qrevivals.tripartite import _register_unitaries
 
         omegas = np.array([0.7, 1.0, 1.8])
-        batch = _ube_batch(omegas, 1.3)
-        for k, om in enumerate(omegas):
-            direct = ube_unitary(RandomFieldParams(om), 1.3)
-            assert np.max(np.abs(batch[k] - direct)) < 1e-15
+        times = np.array([0.4, 1.3])
+        batch = _register_unitaries(omegas, times)
+        assert batch.shape == (2, 3, 2, 2, 2)
+        for j, t in enumerate(times):
+            for k, om in enumerate(omegas):
+                direct = ube_unitary(RandomFieldParams(om), t)
+                for e in (0, 1):  # register state e owns the rows/columns 2b + e
+                    block = direct[e::2, e::2]
+                    assert np.max(np.abs(batch[j, k, e] - block)) < 1e-15
 
 
 class TestEvolveAbe:
