@@ -1,12 +1,14 @@
 """Command-line interface: ``simulate``, ``sweep`` and ``selftest``.
 
-Exit codes: 0 success, 1 configuration error, 2 numerical-convergence failure,
-3 any other numerical failure (a state that fails its validity checks, or a
-LAPACK error). Every failure prints one line on stderr.
+Exit codes: 0 success, 1 configuration error (an output file that cannot be
+written included), 2 numerical-convergence failure, 3 any other numerical
+failure (a state that fails its validity checks, or a LAPACK error). Every
+failure prints one line on stderr.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -16,7 +18,7 @@ from . import __version__
 from .acceptance import run_all
 from .linalg import NumericalError
 from .noise import ConvergenceError
-from .scenarios import ConfigError, parse_config, run_scenario, sweep
+from .scenarios import ConfigError, parse_config, parse_sweep_values, run_scenario, sweep
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -57,26 +59,28 @@ def _load_config(args):
     return cfg
 
 
+def _check_out_dir(out: str | None):
+    """Refuse, before anything runs, an output path whose directory is missing."""
+    if out is not None and not os.path.isdir(os.path.dirname(out) or "."):
+        raise ConfigError(f"cannot write output file {out!r}: no such directory")
+
+
 def _write(text: str, out: str | None):
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {out!r}: {exc.strerror or exc}") from exc
 
 
 def _cmd_simulate(args) -> int:
-    result = run_scenario(_load_config(args), threads=args.threads)
-    _write(result.to_csv(), args.out)
+    cfg = _load_config(args)
+    _check_out_dir(args.out)
+    _write(run_scenario(cfg, threads=args.threads).to_csv(), args.out)
     return 0
-
-
-def _parse_values(raw: str) -> list[float]:
-    items = [s.strip() for s in raw.split(",") if s.strip()]
-    try:
-        return [float(s) for s in items]
-    except ValueError as exc:
-        raise ConfigError(f"--values: cannot parse {raw!r} as a comma-separated float list") from exc
 
 
 def _sweep_path(base: str, param: str, value: float) -> str:
@@ -100,7 +104,8 @@ def _sweep_paths(base: str, param: str, values: list[float]) -> list[str]:
 
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    values = _parse_values(args.values)
+    values = parse_sweep_values(cfg, args.param, [s for s in args.values.split(",") if s.strip()])
+    _check_out_dir(args.out)
     paths = None if args.out is None else _sweep_paths(args.out, args.param, values)
     results = sweep(cfg, args.param, values, threads=args.threads)
     if paths is None:

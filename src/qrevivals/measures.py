@@ -56,7 +56,8 @@ def concurrence(rho: DensityOperator):
     chi = np.where(chi < 1e-13 * chi[..., :1], 0.0, chi)
     roots = np.sqrt(chi)
     c = roots[..., 0] - roots[..., 1] - roots[..., 2] - roots[..., 3]
-    return _value(np.where(c > 0.0, c, 0.0))
+    # rounding can carry a maximally entangled state a few ulps past 1
+    return _value(np.where(c > 0.0, np.minimum(c, 1.0), 0.0))
 
 
 def concurrence_pure(psi) -> float:

@@ -31,6 +31,7 @@ from .measures import WeightedPureEnsemble
 from .states import EWLParams, bell_state, ewl_state
 
 MC_BATCH = 2048
+OU_MIN_TRAJECTORIES = 1000
 RNG_DESCRIPTION = "numpy-pcg64; SeedSequence.spawn per fixed-size trajectory batch"
 
 FIELD_PHASES = (np.pi / 2.0, -np.pi / 2.0)
@@ -225,14 +226,12 @@ class RandomUnitaryChannel:
         u4[:, 2:, 2:] = self.unitaries
         return u4
 
-    def apply_matrix(self, mat4: np.ndarray) -> np.ndarray:
-        u4 = self._lifted()
-        return np.einsum("n,nij,jk,nlk->il", self.weights, u4, mat4, u4.conj(), optimize=True)
-
     def apply(self, rho: DensityOperator) -> DensityOperator:
         if rho.dims != (2, 2):
             raise ValueError(f"channel acts on two-qubit states, got dims {rho.dims}")
-        return DensityOperator(self.apply_matrix(rho.matrix), (2, 2))
+        u4 = self._lifted()
+        m = np.einsum("n,nij,jk,nlk->il", self.weights, u4, rho.matrix, u4.conj(), optimize=True)
+        return DensityOperator(m, (2, 2))
 
     def pure_ensemble(self, psi0: np.ndarray) -> WeightedPureEnsemble:
         """Ensemble {(w_k, (1 (x) U_k)|psi0>)} generated from a pure input."""
@@ -263,11 +262,69 @@ class RandomUnitaryChannel:
         return RandomUnitaryChannel(weights, us)
 
 
+def _check_drift(what: str, times: np.ndarray, drift: np.ndarray, order: int, moved: str):
+    """Raise ConvergenceError naming the first time whose order-doubling drift
+    exceeds 1e-8 (negated test: a NaN drift fails)."""
+    bad = np.flatnonzero(~(drift <= 1e-8))
+    if bad.size:
+        raise ConvergenceError(
+            f"{what} quadrature not converged at t={times[bad[0]]:g}: order {order} -> "
+            f"{2 * order} moved {moved} by {drift[bad[0]]:.3e}"
+        )
+
+
+# Grid points evaluated together by field_mixture_grid: the (points, 2, nodes, 4)
+# propagator working set stays small at any grid size.
+_GRID_BLOCK = 16
+
+
+def _register_maps(blocks0: np.ndarray, omegas, weights, times: np.ndarray) -> np.ndarray:
+    """The node average folded into the per-register superoperator
+    K[t, e, b, c, b', c'] = sum_n w_n U_e(n, t)[b, c] conj(U_e(n, t)[b', c']) (one
+    batched matmul), then applied to blocks0[e] indexed [a, c, a', c']."""
+    u = np.stack([_field_unitaries(ph, omegas, times[:, None]) for ph in FIELD_PHASES], axis=1)
+    u = u.reshape(times.size, 2, weights.size, 4)
+    k = np.swapaxes(u * weights[:, None], 2, 3) @ u.conj()
+    out = np.einsum(
+        "tebcBC,eacAC->teabAB", k.reshape((times.size,) + (2,) * 5), blocks0.reshape((2,) * 5)
+    )
+    return out.reshape(times.size, 2, 4, 4)
+
+
+def field_mixture_grid(blocks0, p: RandomFieldParams, times, order: int = 64,
+                       summed: bool = False) -> np.ndarray:
+    """The two-phase field on qubit B over a time grid, Gauss-Hermite-averaged
+    over the Rabi frequency when the width is nonzero, resolved by the register
+    state e of the phase FIELD_PHASES[e]: out[t, e] = sum_n w_n (1 (x) U_e(n, t))
+    blocks0[e] (1 (x) U_e(n, t))^dag, shape (T, 2, 4, 4); ``blocks0`` is (2, 4, 4)
+    or one (4, 4) matrix for both. With blocks0 = rho0 / 2 the sum over e, returned
+    (T, 4, 4) when ``summed``, is the two-qubit channel; the blocks of an A-B-E
+    state give its dilation. The order-doubling drift of the returned entries
+    raises ConvergenceError at the first time it exceeds 1e-8."""
+    times = np.asarray(times, dtype=float).reshape(-1)
+    blocks0 = np.broadcast_to(np.asarray(blocks0, dtype=complex), (2, 4, 4))
+    out = np.empty((times.size,) + ((4, 4) if summed else (2, 4, 4)), dtype=complex)
+    for lo in range(0, times.size, _GRID_BLOCK):
+        t = times[lo:lo + _GRID_BLOCK]
+        if p.width == 0.0:
+            rules = [(np.zeros(1), np.ones(1))]
+        else:
+            rules = [_gh_nodes(order), _gh_nodes(2 * order)]
+        stacks = [_register_maps(blocks0, p.rabi + 2.0 * p.width * x, w, t) for x, w in rules]
+        if summed:
+            stacks = [s.sum(axis=1) for s in stacks]
+        if len(stacks) == 2:
+            drift = np.max(np.abs(stacks[0] - stacks[1]).reshape(t.size, -1), axis=1)
+            _check_drift("Rabi-average", t, drift, order, "an entry")
+        out[lo:lo + t.size] = stacks[0]
+    return out
+
+
 def random_field_map(rho0: DensityOperator, p: RandomFieldParams, t: float) -> DensityOperator:
     """Evolved two-qubit state under the fixed-Rabi two-phase field."""
     if p.width != 0.0:
         raise ValueError("random_field_map requires width = 0; use gaussian_averaged_map")
-    return RandomUnitaryChannel.two_phase(p.rabi, t).apply(rho0)
+    return DensityOperator(field_mixture_grid(0.5 * rho0.matrix, p, [t], summed=True)[0], (2, 2))
 
 
 def gaussian_averaged_map(
@@ -277,17 +334,8 @@ def gaussian_averaged_map(
     order doubling (any entry moving by more than 1e-8 raises)."""
     if p.width <= 0.0:
         raise ValueError("gaussian_averaged_map requires width > 0")
-    base = RandomUnitaryChannel.gaussian_field(p.rabi, p.width, t, order).apply_matrix(rho0.matrix)
-    check = RandomUnitaryChannel.gaussian_field(p.rabi, p.width, t, 2 * order).apply_matrix(
-        rho0.matrix
-    )
-    drift = np.max(np.abs(base - check))
-    if not drift <= 1e-8:  # negated: a NaN drift fails
-        raise ConvergenceError(
-            f"Rabi-average quadrature not converged at t={t:g}: order {order} -> {2 * order} "
-            f"moved an entry by {drift:.3e}"
-        )
-    return DensityOperator(base, (2, 2))
+    m = field_mixture_grid(0.5 * rho0.matrix, p, [t], order, summed=True)[0]
+    return DensityOperator(m, (2, 2))
 
 
 def random_field_ensemble(
@@ -392,31 +440,36 @@ def _map_ordered(fn, n_batches: int, threads: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _echo_effective_duration(p: StaticNoiseParams, t: float) -> tuple[float, bool]:
-    """Signed duration multiplying the static noise value, and the echo flag."""
-    if p.echo_time is not None and t > p.echo_time:
-        return 2.0 * p.echo_time - t, True
-    return t, False
+def _echo_effective_duration(p: StaticNoiseParams, t):
+    """Signed duration multiplying the static noise value, and the echo flag,
+    as arrays over ``t``."""
+    t = np.asarray(t, dtype=float)
+    if p.echo_time is None:
+        return t, np.zeros(t.shape, dtype=bool)
+    echoed = t > p.echo_time
+    return np.where(echoed, 2.0 * p.echo_time - t, t), echoed
+
+
+def static_dephasing_factors(p: StaticNoiseParams, times, order: int = 64) -> np.ndarray:
+    """<exp(-i eps u)> over the Gaussian noise amplitude at every time of
+    ``times``, u the effective (echo-refocused) duration; checked by order
+    doubling like field_mixture_grid."""
+    times = np.asarray(times, dtype=float).reshape(-1)
+    u, _ = _echo_effective_duration(p, times)
+
+    def factors(n):
+        x, w = _gh_nodes(n)
+        eps = np.sqrt(2.0) * p.sigma * x
+        return np.sum(w * np.exp(-1j * eps * u[:, None]), axis=1)
+
+    base = factors(order)
+    _check_drift("static-noise", times, np.abs(base - factors(2 * order)), order, "the dephasing factor")
+    return base
 
 
 def static_dephasing_factor(p: StaticNoiseParams, t: float, order: int = 64) -> complex:
-    """<exp(-i eps u)> over the Gaussian noise amplitude, u the effective
-    (echo-refocused) duration; convergence-checked by order doubling."""
-    u, _ = _echo_effective_duration(p, t)
-
-    def factor(n):
-        x, w = _gh_nodes(n)
-        eps = np.sqrt(2.0) * p.sigma * x
-        return complex(np.sum(w * np.exp(-1j * eps * u)))
-
-    base = factor(order)
-    drift = abs(base - factor(2 * order))
-    if not drift <= 1e-8:  # negated: a NaN drift fails
-        raise ConvergenceError(
-            f"static-noise quadrature not converged at t={t:g}: order {order} -> {2 * order} "
-            f"moved the dephasing factor by {drift:.3e}"
-        )
-    return base
+    """static_dephasing_factors at a single time t."""
+    return complex(static_dephasing_factors(p, [t], order)[0])
 
 
 def static_noise_state(
@@ -544,8 +597,8 @@ def ou_dephasing_factors(
     ascending time grid (exact conditional updates, midpoint phase rule)."""
     if p.is_static:
         raise ValueError("ou_dephasing_factors requires a finite correlation_time")
-    if trajectories < 1000:
-        raise ValueError(f"trajectories={trajectories} below the minimum of 1000")
+    if trajectories < OU_MIN_TRAJECTORIES:
+        raise ValueError(f"trajectories={trajectories} below the minimum of {OU_MIN_TRAJECTORIES}")
     times = np.asarray(times, dtype=float).reshape(-1)
     if times.size == 0 or np.any(np.diff(times) <= 0.0) or times[0] < 0.0:
         raise ValueError("times must be a nonempty strictly increasing nonnegative grid")

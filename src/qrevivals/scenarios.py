@@ -35,6 +35,7 @@ import hashlib
 import io
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -44,19 +45,18 @@ from .linalg import DensityOperator
 from .measures import concurrence, concurrence_pure, eof_from_concurrence
 from .noise import (
     MC_BATCH,
+    OU_MIN_TRAJECTORIES,
     RNG_DESCRIPTION,
     RTNParams,
     RandomFieldParams,
-    RandomUnitaryChannel,
     StaticNoiseParams,
     StroboscopicParams,
     _echo_effective_duration,
-    apply_b_dephasing,
     dephased_state,
-    gaussian_averaged_map,
+    field_mixture_grid,
     ou_dephasing_factors,
     rtn_evolved_state,
-    static_dephasing_factor,
+    static_dephasing_factors,
     stroboscopic_coherences,
 )
 from .states import BELL_LABELS, EWLParams, XYZParams, bell_state, ewl_state, xyz_state
@@ -67,16 +67,6 @@ class ConfigError(ValueError):
     """A scenario configuration is invalid; the message names the field."""
 
 
-MODELS = (
-    "random-field",
-    "random-field-gaussian",
-    "static-noise",
-    "ou-noise",
-    "rtn",
-    "stroboscopic",
-    "tripartite-flows",
-)
-MC_MODELS = ("ou-noise", "stroboscopic")
 MEASURES = (
     "concurrence",
     "eof",
@@ -85,35 +75,7 @@ MEASURES = (
     "hidden-entanglement",
     "average-entanglement",
 )
-
-_MEASURES_BY_MODEL = {
-    "random-field": ("concurrence", "eof", "hidden-entanglement", "average-entanglement"),
-    "random-field-gaussian": ("concurrence", "eof", "hidden-entanglement", "average-entanglement"),
-    "static-noise": ("concurrence", "eof", "hidden-entanglement", "average-entanglement"),
-    "ou-noise": ("concurrence", "eof"),
-    "rtn": ("concurrence", "eof"),
-    "stroboscopic": ("concurrence", "eof"),
-    "tripartite-flows": ("concurrence", "eof", "tripartite", "info-decomposition"),
-}
-
-# model section -> key -> (required, parser)
-_MODEL_KEYS = {
-    "random-field": {"rabi": (True, float), "width": (False, float)},
-    "random-field-gaussian": {"rabi": (True, float), "width": (True, float)},
-    "static-noise": {"sigma": (True, float), "echo-time": (False, float)},
-    "ou-noise": {
-        "sigma": (True, float),
-        "echo-time": (False, float),
-        "correlation-time": (True, float),
-    },
-    "rtn": {"rate": (True, float), "coupling": (False, float), "g": (False, float)},
-    "stroboscopic": {
-        "phase-sigma": (True, float),
-        "autocorrelation": (True, float),
-        "echo-after-step": (False, int),
-    },
-    "tripartite-flows": {"rabi": (True, float), "width": (False, float)},
-}
+_ENSEMBLE_MEASURES = ("hidden-entanglement", "average-entanglement")
 
 _DECISION_METADATA = (
     ("decision.rotating-frame", "local-sigma-z-terms-dropped"),
@@ -226,6 +188,7 @@ def parse_config_text(text: str) -> ScenarioConfig:
     model = scen["model"].strip()
     if model not in MODELS:
         raise ConfigError(f"[scenario] model: unknown model {model!r}; expected one of {MODELS}")
+    row = _MODEL_TABLE[model]
 
     measures = tuple(m.strip() for m in scen["measures"].split(",") if m.strip())
     if not measures:
@@ -234,10 +197,10 @@ def parse_config_text(text: str) -> ScenarioConfig:
     for m in measures:
         if m not in MEASURES:
             raise ConfigError(f"[scenario] measures: unknown measure {m!r}; expected from {MEASURES}")
-        if m not in _MEASURES_BY_MODEL[model]:
+        if m not in row.measures:
             raise ConfigError(
                 f"[scenario] measures: {m!r} is not available for model {model!r} "
-                f"(allowed: {_MEASURES_BY_MODEL[model]})"
+                f"(allowed: {row.measures})"
             )
         if m not in seen:
             seen.append(m)
@@ -259,15 +222,14 @@ def parse_config_text(text: str) -> ScenarioConfig:
     if order < 1:
         raise ConfigError(f"[scenario] quadrature-order: must be >= 1, got {order}")
 
-    is_mc = model in MC_MODELS
     trajectories = None
     if "trajectories" in scen:
-        if not is_mc:
+        if not row.monte_carlo:
             raise ConfigError(f"[scenario] trajectories: not accepted for non-Monte-Carlo model {model!r}")
         trajectories = _parse_scalar("scenario", "trajectories", scen["trajectories"], int)
         if trajectories < 1:
             raise ConfigError(f"[scenario] trajectories: must be >= 1, got {trajectories}")
-    elif is_mc:
+    elif row.monte_carlo:
         raise ConfigError(f"[scenario] trajectories: required for Monte-Carlo model {model!r}")
 
     # --- initial state ---
@@ -317,14 +279,13 @@ def parse_config_text(text: str) -> ScenarioConfig:
     if model not in sections:
         raise ConfigError(f"missing [{model}] section")
     raw = dict(cp.items(model))
-    key_spec = _MODEL_KEYS[model]
     for key in raw:
-        if key not in key_spec:
-            raise ConfigError(f"[{model}] unknown key {key!r}; expected from {sorted(key_spec)}")
+        if key not in row.keys:
+            raise ConfigError(f"[{model}] unknown key {key!r}; expected from {sorted(row.keys)}")
     params = {}
-    for key, (required, caster) in key_spec.items():
+    for key, (parser, required) in row.keys.items():
         if key in raw:
-            params[key] = _parse_scalar(model, key, raw[key], caster)
+            params[key] = _parse_scalar(model, key, raw[key], parser)
         elif required:
             raise ConfigError(f"[{model}] missing required key {key!r}")
 
@@ -343,7 +304,12 @@ def parse_config_text(text: str) -> ScenarioConfig:
         initial_ewl=initial_ewl,
         model_params=tuple(sorted(params.items())),
     )
-    _validate_semantics(cfg)
+    if kind not in row.initial_kinds:
+        names = " or ".join(_INPUT_NAMES[k] for k in row.initial_kinds)
+        raise ConfigError(f"[initial-state] kind: model {model!r} requires {names} input")
+    _model_params(cfg)
+    if any(m in measures for m in _ENSEMBLE_MEASURES):
+        cfg.initial_pure_vector()  # raises ConfigError when impure
     return cfg
 
 
@@ -355,56 +321,6 @@ def parse_config(path) -> ScenarioConfig:
         reason = exc.strerror if isinstance(exc, OSError) else f"not UTF-8 text ({exc.reason})"
         raise ConfigError(f"cannot read config file {str(path)!r}: {reason}") from exc
     return parse_config_text(text)
-
-
-def _validate_semantics(cfg: ScenarioConfig):
-    model = cfg.model
-    if model == "random-field" and cfg.param("width", 0.0) != 0.0:
-        raise ConfigError("[random-field] width: must be 0 (use random-field-gaussian)")
-    if model in ("random-field", "random-field-gaussian", "tripartite-flows"):
-        if cfg.param("rabi", 0.0) <= 0.0:
-            raise ConfigError(f"[{model}] rabi: must be > 0")
-        # width = 0 on the gaussian model degenerates to the sharp two-phase
-        # map, which keeps width sweeps down to zero expressible
-        if cfg.param("width", 0.0) < 0.0:
-            raise ConfigError(f"[{model}] width: must be >= 0")
-    if model in ("static-noise", "ou-noise", "stroboscopic") and cfg.initial_kind != "bell":
-        raise ConfigError(f"[initial-state] kind: model {model!r} requires a Bell-state input")
-    if model == "rtn" and cfg.initial_kind != "ewl":
-        raise ConfigError("[initial-state] kind: model 'rtn' requires an extended Werner-like input")
-    if model in ("static-noise", "ou-noise"):
-        if cfg.param("sigma", 0.0) <= 0.0:
-            raise ConfigError(f"[{model}] sigma: must be > 0 (the time grid is in sigma*t units)")
-        echo = cfg.param("echo-time")
-        if echo is not None and echo <= 0.0:
-            raise ConfigError(f"[{model}] echo-time: must be > 0 when present")
-    if model == "ou-noise" and cfg.param("correlation-time", 0.0) <= 0.0:
-        raise ConfigError("[ou-noise] correlation-time: must be > 0 (dimensionless sigma*tau)")
-    if model == "rtn":
-        if cfg.param("rate", 0.0) <= 0.0:
-            raise ConfigError("[rtn] rate: must be > 0")
-        has_coupling = cfg.param("coupling") is not None
-        has_g = cfg.param("g") is not None
-        if has_coupling == has_g:
-            raise ConfigError("[rtn] exactly one of 'coupling' and 'g' must be given")
-        value = cfg.param("coupling") if has_coupling else cfg.param("g") * cfg.param("rate")
-        if value < 0.0:
-            raise ConfigError("[rtn] coupling: must be >= 0")
-    if model == "stroboscopic":
-        if cfg.param("phase-sigma", -1.0) < 0.0:
-            raise ConfigError("[stroboscopic] phase-sigma: must be >= 0")
-        if not 0.0 <= cfg.param("autocorrelation", -1.0) <= 1.0:
-            raise ConfigError("[stroboscopic] autocorrelation: must lie in [0, 1]")
-        echo = cfg.param("echo-after-step")
-        if echo is not None and not 1 <= int(echo) <= 3:
-            raise ConfigError("[stroboscopic] echo-after-step: must lie in [1, 3]")
-        for v in _grid_values(cfg):
-            if abs(v - round(v)) > 1e-9 or not 0 <= round(v) <= 4:
-                raise ConfigError(
-                    f"[scenario] time grid for 'stroboscopic' must be integer steps in [0, 4], got {v}"
-                )
-    if any(m in cfg.measures for m in ("hidden-entanglement", "average-entanglement")):
-        cfg.initial_pure_vector()  # raises ConfigError when impure
 
 
 def _grid_values(cfg: ScenarioConfig) -> np.ndarray:
@@ -499,7 +415,7 @@ def _eof(conc: np.ndarray) -> np.ndarray:
 
 def _columns_for(cfg: ScenarioConfig) -> tuple[str, ...]:
     cols = ["time"]
-    mc = cfg.model in MC_MODELS
+    mc = _MODEL_TABLE[cfg.model].monte_carlo
     for m in cfg.measures:
         if m == "concurrence":
             cols.append("concurrence")
@@ -540,24 +456,19 @@ def _two_qubit_columns(rho: DensityOperator, se_c: np.ndarray | None = None) -> 
     return {"concurrence": [conc, se_c], "eof": [eof, eof_se]}
 
 
-def _quadrature_rows(cfg: ScenarioConfig, evolve) -> np.ndarray:
-    """Rows of a quadrature model; ``evolve(rho, v)`` returns the matrix of its
-    channel applied to rho at grid value v.
+def _mixture_columns(cfg: ScenarioConfig, evolve) -> dict:
+    """Columns of a mixture of local unitaries on qubit B (the field and static
+    channels); ``evolve(rho)`` maps a two-qubit input state to its stack of
+    evolved states over the grid.
 
-    These channels are mixtures of local unitaries on qubit B, which keep the
-    entanglement of every member of the pure ensemble they generate from
-    |psi0>: the average entanglement is E_f(psi0) at every time, and the
-    hidden entanglement is E_f(psi0) - E_f(rho_psi0(t)), rho_psi0(t) the
-    channel applied to |psi0><psi0| (the mixture of that ensemble).
+    Such a channel keeps the entanglement of every member of the pure ensemble
+    it generates from |psi0>: the average entanglement is E_f(psi0) at every
+    time, and the hidden entanglement is E_f(psi0) - E_f(rho_psi0(t)),
+    rho_psi0(t) the channel applied to |psi0><psi0| (the mixture of that ensemble).
     """
-    values = _grid_values(cfg)
     rho0 = cfg.initial_density()
-
-    def states(rho):  # validated once, as a stack
-        return DensityOperator(np.stack([evolve(rho, v) for v in values]), (2, 2))
-
-    columns = _two_qubit_columns(states(rho0))
-    if any(m in cfg.measures for m in ("hidden-entanglement", "average-entanglement")):
+    columns = _two_qubit_columns(evolve(rho0))
+    if any(m in cfg.measures for m in _ENSEMBLE_MEASURES):
         psi0 = cfg.initial_pure_vector()
         e0 = eof_from_concurrence(concurrence_pure(psi0))
         pure0 = np.outer(psi0, psi0.conj())
@@ -565,139 +476,210 @@ def _quadrature_rows(cfg: ScenarioConfig, evolve) -> np.ndarray:
         if np.array_equal(pure0, rho0.matrix):
             eof_pure = columns["eof"][0]
         else:
-            eof_pure = _two_qubit_columns(states(DensityOperator(pure0, (2, 2))))["eof"][0]
+            eof_pure = _two_qubit_columns(evolve(DensityOperator(pure0, (2, 2))))["eof"][0]
         columns["hidden-entanglement"] = [e0 - eof_pure]
-        columns["average-entanglement"] = [np.full(values.size, e0)]
-    return _rows(cfg, values, columns)
+        columns["average-entanglement"] = [np.full(eof_pure.size, e0)]
+    return columns
 
 
-def _run_field_like(cfg: ScenarioConfig, threads: int) -> np.ndarray:
-    p = RandomFieldParams(rabi=cfg.param("rabi"), width=cfg.param("width", 0.0))
-
-    def evolve(rho, v):
-        if p.width == 0.0:
-            return RandomUnitaryChannel.two_phase(p.rabi, v / p.rabi).apply_matrix(rho.matrix)
-        return gaussian_averaged_map(rho, p, v / p.rabi, cfg.quadrature_order).matrix
-
-    return _quadrature_rows(cfg, evolve)
+# ---------------------------------------------------------------------------
+# the model table: a params builder (the dataclass plus the checks no
+# dataclass makes) and a grid evaluator per model
+# ---------------------------------------------------------------------------
 
 
-def _run_static(cfg: ScenarioConfig, threads: int) -> np.ndarray:
+def _field_params(cfg: ScenarioConfig) -> RandomFieldParams:
+    # width = 0 on the gaussian model degenerates to the sharp two-phase map,
+    # which keeps width sweeps down to zero expressible
+    if cfg.model == "random-field" and cfg.param("width", 0.0) != 0.0:
+        raise ConfigError("[random-field] width: must be 0 (use random-field-gaussian)")
+    return RandomFieldParams(rabi=cfg.param("rabi"), width=cfg.param("width", 0.0))
+
+
+def _dephasing_params(cfg: ScenarioConfig) -> StaticNoiseParams:
     sigma = cfg.param("sigma")
-    echo = cfg.param("echo-time")
-    p = StaticNoiseParams(sigma=sigma, echo_time=None if echo is None else echo / sigma)
-
-    def evolve(rho, v):
-        t = v / sigma
-        _, echoed = _echo_effective_duration(p, t)
-        return apply_b_dephasing(rho.matrix, static_dephasing_factor(p, t, cfg.quadrature_order), echoed)
-
-    return _quadrature_rows(cfg, evolve)
-
-
-def _run_ou(cfg: ScenarioConfig, threads: int) -> np.ndarray:
-    sigma = cfg.param("sigma")
-    echo = cfg.param("echo-time")
-    p = StaticNoiseParams(
-        sigma=sigma,
-        echo_time=None if echo is None else echo / sigma,
-        correlation_time=cfg.param("correlation-time") / sigma,
+    if not sigma > 0.0:
+        raise ConfigError(f"[{cfg.model}] sigma: must be > 0 (the time grid is in sigma*t units)")
+    echo, tau = cfg.param("echo-time"), cfg.param("correlation-time")
+    # checked in the config's sigma*t units first, so a range error quotes the value as written
+    p = StaticNoiseParams(sigma=sigma, echo_time=echo, correlation_time=math.inf if tau is None else tau)
+    return dataclasses.replace(
+        p, echo_time=None if echo is None else echo / sigma, correlation_time=p.correlation_time / sigma
     )
-    values = _grid_values(cfg)
-    times = values / sigma
-    est = ou_dephasing_factors(p, times, cfg.trajectories, cfg.seed, threads)
-    echoed = p.echo_time is not None and times > p.echo_time
-    rho = dephased_state(cfg.initial_density(), est.factors, echoed)
-    return _rows(cfg, values, _two_qubit_columns(rho, est.se_abs))
 
 
-def _run_rtn(cfg: ScenarioConfig, threads: int) -> np.ndarray:
-    rate = cfg.param("rate")
-    coupling = cfg.param("coupling")
-    if coupling is None:
-        coupling = cfg.param("g") * rate
-    p = RTNParams(rate=rate, coupling=coupling)
-    values = _grid_values(cfg)
-    rho = rtn_evolved_state(cfg.initial_ewl, p, values / rate)
-    return _rows(cfg, values, _two_qubit_columns(rho))
+def _ou_params(cfg: ScenarioConfig) -> StaticNoiseParams:
+    if cfg.trajectories < OU_MIN_TRAJECTORIES:
+        raise ConfigError(f"[scenario] trajectories: model 'ou-noise' needs at least {OU_MIN_TRAJECTORIES}, "
+                          f"got {cfg.trajectories}")
+    return _dephasing_params(cfg)
 
 
-def _run_stroboscopic(cfg: ScenarioConfig, threads: int) -> np.ndarray:
-    p = StroboscopicParams(
+def _rtn_params(cfg: ScenarioConfig) -> RTNParams:
+    coupling, g, rate = cfg.param("coupling"), cfg.param("g"), cfg.param("rate")
+    if (coupling is None) == (g is None):
+        raise ConfigError("[rtn] exactly one of 'coupling' and 'g' must be given")
+    return RTNParams(rate=rate, coupling=coupling if g is None else g * rate)
+
+
+def _strobo_params(cfg: ScenarioConfig) -> StroboscopicParams:
+    v = _grid_values(cfg)
+    steps = np.round(v)
+    bad = ~((np.abs(v - steps) <= 1e-9) & (steps >= 0) & (steps <= 4))
+    if bad.any():
+        raise ConfigError(
+            f"[scenario] time grid for 'stroboscopic' must be integer steps in [0, 4], got {v[bad][0]}"
+        )
+    return StroboscopicParams(
         phase_sigma=cfg.param("phase-sigma"),
         autocorrelation=cfg.param("autocorrelation"),
         sequences=cfg.trajectories,
         seed=cfg.seed,
-        echo_after_step=None if cfg.param("echo-after-step") is None else int(cfg.param("echo-after-step")),
+        echo_after_step=cfg.param("echo-after-step"),
     )
+
+
+def _field_columns(cfg: ScenarioConfig, p: RandomFieldParams, threads: int) -> dict:
+    times = _grid_values(cfg) / p.rabi
+
+    def evolve(rho):
+        m = field_mixture_grid(0.5 * rho.matrix, p, times, cfg.quadrature_order, summed=True)
+        return DensityOperator(m, (2, 2))
+
+    return _mixture_columns(cfg, evolve)
+
+
+def _static_columns(cfg: ScenarioConfig, p: StaticNoiseParams, threads: int) -> dict:
+    times = _grid_values(cfg) / p.sigma
+    factors = static_dephasing_factors(p, times, cfg.quadrature_order)
+    echoed = _echo_effective_duration(p, times)[1]
+    return _mixture_columns(cfg, lambda rho: dephased_state(rho, factors, echoed))
+
+
+def _ou_columns(cfg: ScenarioConfig, p: StaticNoiseParams, threads: int) -> dict:
+    times = _grid_values(cfg) / p.sigma
+    est = ou_dephasing_factors(p, times, cfg.trajectories, cfg.seed, threads)
+    rho = dephased_state(cfg.initial_density(), est.factors, _echo_effective_duration(p, times)[1])
+    return _two_qubit_columns(rho, est.se_abs)
+
+
+def _rtn_columns(cfg: ScenarioConfig, p: RTNParams, threads: int) -> dict:
+    return _two_qubit_columns(rtn_evolved_state(cfg.initial_ewl, p, _grid_values(cfg) / p.rate))
+
+
+def _strobo_columns(cfg: ScenarioConfig, p: StroboscopicParams, threads: int) -> dict:
     est = stroboscopic_coherences(p, threads)
-    values = _grid_values(cfg)
-    steps = np.rint(values).astype(int)
+    steps = np.rint(_grid_values(cfg)).astype(int)
     # step 0 is the undephased input: factor 1, standard error 0
     factors = np.concatenate([[1.0 + 0.0j], est.factors])[steps]
     se_c = np.concatenate([[0.0], est.se_abs])[steps]
     echoed = p.echo_after_step is not None and steps > p.echo_after_step
-    rho = dephased_state(cfg.initial_density(), factors, echoed)
-    return _rows(cfg, values, _two_qubit_columns(rho, se_c))
+    return _two_qubit_columns(dephased_state(cfg.initial_density(), factors, echoed), se_c)
 
 
-def _run_flows(cfg: ScenarioConfig, threads: int) -> np.ndarray:
-    p = RandomFieldParams(rabi=cfg.param("rabi"), width=cfg.param("width", 0.0))
-    values = _grid_values(cfg)
-    conc, dec = flow_measures(cfg.initial_density(), p, values / p.rabi, cfg.quadrature_order)
-    columns = {
+def _flow_columns(cfg: ScenarioConfig, p: RandomFieldParams, threads: int) -> dict:
+    grid = _grid_values(cfg) / p.rabi
+    conc, dec = flow_measures(cfg.initial_density(), p, grid, cfg.quadrature_order)
+    return {
         "concurrence": [conc],
         "eof": [_eof(conc)],
         "tripartite": [dec.tripartite],
         "info-decomposition": [dec.total, dec.local, dec.tripartite, dec.bipartite_max, dec.residual],
     }
-    return _rows(cfg, values, columns)
 
 
-_RUNNERS = {
-    "random-field": _run_field_like,
-    "random-field-gaussian": _run_field_like,
-    "static-noise": _run_static,
-    "ou-noise": _run_ou,
-    "rtn": _run_rtn,
-    "stroboscopic": _run_stroboscopic,
-    "tripartite-flows": _run_flows,
+@dataclass(frozen=True)
+class _Model:
+    keys: dict  # section key -> (parser, required)
+    measures: tuple[str, ...]
+    initial_kinds: tuple[str, ...]
+    monte_carlo: bool
+    params: Callable  # ScenarioConfig -> params dataclass; may raise ValueError
+    evaluate: Callable  # (ScenarioConfig, params, threads) -> {measure: [(T,) arrays]}
+
+
+_FIELD_KEYS = {"rabi": (float, True), "width": (float, False)}
+_DEPHASING_KEYS = {"sigma": (float, True), "echo-time": (float, False)}
+_MIXTURE_MEASURES = ("concurrence", "eof", "hidden-entanglement", "average-entanglement")
+_TWO_QUBIT = ("concurrence", "eof")
+_ANY_INPUT = ("bell", "xyz", "ewl")
+_INPUT_NAMES = {"bell": "a Bell-state", "ewl": "an extended Werner-like"}  # of the rows that restrict the kind
+
+_MODEL_TABLE = {
+    "random-field": _Model(_FIELD_KEYS, _MIXTURE_MEASURES, _ANY_INPUT, False, _field_params, _field_columns),
+    "random-field-gaussian": _Model({"rabi": (float, True), "width": (float, True)}, _MIXTURE_MEASURES,
+                                    _ANY_INPUT, False, _field_params, _field_columns),
+    "static-noise": _Model(_DEPHASING_KEYS, _MIXTURE_MEASURES, ("bell",), False, _dephasing_params,
+                           _static_columns),
+    "ou-noise": _Model({**_DEPHASING_KEYS, "correlation-time": (float, True)}, _TWO_QUBIT, ("bell",), True,
+                       _ou_params, _ou_columns),
+    "rtn": _Model({"rate": (float, True), "coupling": (float, False), "g": (float, False)}, _TWO_QUBIT,
+                  ("ewl",), False, _rtn_params, _rtn_columns),
+    "stroboscopic": _Model({"phase-sigma": (float, True), "autocorrelation": (float, True),
+                            "echo-after-step": (int, False)}, _TWO_QUBIT, ("bell",), True, _strobo_params,
+                           _strobo_columns),
+    "tripartite-flows": _Model(_FIELD_KEYS, ("concurrence", "eof", "tripartite", "info-decomposition"),
+                               _ANY_INPUT, False, _field_params, _flow_columns),
 }
+MODELS = tuple(_MODEL_TABLE)
+
+
+def _model_params(cfg: ScenarioConfig):
+    """The model's params dataclass, built from the final config; its ValueError
+    becomes a ConfigError naming the model's section."""
+    try:
+        return _MODEL_TABLE[cfg.model].params(cfg)
+    except ConfigError:
+        raise
+    except ValueError as exc:  # the dataclasses name a key by its field, echo_time for echo-time
+        raise ConfigError(f"[{cfg.model}] {str(exc).replace('_', '-')}") from exc
 
 
 def run_scenario(cfg: ScenarioConfig, threads: int = 1, sweep_info=None) -> ScenarioResult:
     """Execute a scenario; identical (cfg, seed) pairs produce byte-identical
     CSV irrespective of ``threads``."""
     columns = _columns_for(cfg)
-    rows = _RUNNERS[cfg.model](cfg, max(1, int(threads)))
+    data = _MODEL_TABLE[cfg.model].evaluate(cfg, _model_params(cfg), max(1, int(threads)))
+    rows = _rows(cfg, _grid_values(cfg), data)
     return ScenarioResult(metadata=_metadata(cfg, columns, sweep_info), columns=columns, rows=rows)
 
 
 def sweepable_parameters(model: str) -> tuple[str, ...]:
-    return tuple(sorted(_MODEL_KEYS[model]))
+    return tuple(sorted(_MODEL_TABLE[model].keys))
+
+
+def parse_sweep_values(cfg: ScenarioConfig, parameter: str, values) -> list:
+    """``values`` read with the parser of ``parameter``'s key, from their text as
+    in a config file (so a non-integer value of an integer key is an error)."""
+    keys = _MODEL_TABLE[cfg.model].keys
+    if parameter not in keys:
+        raise ConfigError(
+            f"unknown sweep parameter {parameter!r} for model {cfg.model!r}; "
+            f"expected one of {sweepable_parameters(cfg.model)}"
+        )
+    return [_parse_scalar(cfg.model, parameter, str(v).strip(), keys[parameter][0]) for v in values]
 
 
 def sweep(cfg: ScenarioConfig, parameter: str, values, threads: int = 1):
     """Run the scenario once per parameter value; returns [(value, result), ...].
 
-    ``parameter`` must name a numeric key of the model's parameter section
-    (for 'rtn', 'g' and 'coupling' displace each other).
+    ``parameter`` must name a key of the model's parameter section (for 'rtn',
+    'g' and 'coupling' displace each other). Every value is parsed and
+    validated before any runs.
     """
-    if parameter not in _MODEL_KEYS[cfg.model]:
-        raise ConfigError(
-            f"unknown sweep parameter {parameter!r} for model {cfg.model!r}; "
-            f"expected one of {sweepable_parameters(cfg.model)}"
-        )
-    out = []
-    for value in values:
+    configs = []
+    for value in parse_sweep_values(cfg, parameter, values):
         params = dict(cfg.model_params)
-        params[parameter] = float(value)
+        params[parameter] = value
         if cfg.model == "rtn":
             if parameter == "g":
                 params.pop("coupling", None)
             elif parameter == "coupling":
                 params.pop("g", None)
         new_cfg = dataclasses.replace(cfg, model_params=tuple(sorted(params.items())))
-        _validate_semantics(new_cfg)
-        out.append((float(value), run_scenario(new_cfg, threads, sweep_info=(parameter, float(value)))))
-    return out
+        _model_params(new_cfg)
+        configs.append((value, new_cfg))
+    return [
+        (value, run_scenario(new_cfg, threads, sweep_info=(parameter, value)))
+        for value, new_cfg in configs
+    ]

@@ -11,20 +11,9 @@ import numpy as np
 
 from .linalg import DensityOperator, EYE2, partial_trace, tensor_product
 from .measures import InformationDecomposition, concurrence, information_decomposition
-from .noise import (
-    FIELD_PHASES,
-    ConvergenceError,
-    RandomFieldParams,
-    _field_unitaries,
-    _gh_nodes,
-    field_unitary,
-)
+from .noise import FIELD_PHASES, RandomFieldParams, field_mixture_grid, field_unitary
 
 _P_ENV = (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
-
-# Grid points evolved together by evolve_abe_grid: the node x time working
-# set, (block, 2 * order, 8) complex entries, stays small at any grid size.
-_GRID_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -80,55 +69,23 @@ def ube_unitary(p: RandomFieldParams, t: float, rabi: float | None = None) -> np
     return out
 
 
-def _register_unitaries(omegas: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Field propagators U_e(omega_n, t) of the register states e: the blocks
-    of ube_unitary, shape (T, n, 2, 2, 2) indexed [t, n, e, b, c]."""
-    return np.stack([_field_unitaries(ph, omegas, times[:, None]) for ph in FIELD_PHASES], axis=2)
-
-
-def _averaged_abe(m0: np.ndarray, omegas, weights, times: np.ndarray) -> np.ndarray:
-    """sum_n w_n (1_A (x) U_BE(n)) rho0 (1_A (x) U_BE(n))^dag at each time, (T, 8, 8).
-
-    The node average is folded into the register superoperator
-    K_t[e, b, c, f, b', c'] = sum_n w_n U_e(n)[b, c] conj(U_f(n)[b', c']), one
-    batched matmul over the nodes, then applied to rho0 indexed [a, c, e, a', c', f].
-    """
-    u = _register_unitaries(omegas, times).reshape(times.size, weights.size, 8)
-    k = np.swapaxes(u * weights[:, None], 1, 2) @ u.conj()
-    out = np.einsum(
-        "tebcfgh,aceAhf->tabeAgf", k.reshape((times.size,) + (2,) * 6), m0.reshape((2,) * 6)
-    )
-    return out.reshape(times.size, 8, 8)
-
-
 def evolve_abe_grid(
     s0: HybridTripartiteState, p: RandomFieldParams, times, order: int = 64
 ) -> np.ndarray:
     """(1_A (x) U_BE) rho (1_A (x) U_BE)^dag at every time of ``times``, as a
     (T, 8, 8) array, Gauss-Hermite-averaged over the Rabi frequency when the
-    field width is nonzero. Doubling the order must move no entry at any time
-    by more than 1e-8; the first time that fails raises ConvergenceError."""
-    times = np.asarray(times, dtype=float).reshape(-1)
-    m0 = s0.rho.matrix
-    out = np.empty((times.size, 8, 8), dtype=complex)
-    for lo in range(0, times.size, _GRID_BLOCK):
-        t = times[lo:lo + _GRID_BLOCK]
-        if p.width == 0.0:
-            out[lo:lo + t.size] = _averaged_abe(m0, np.array([p.rabi]), np.ones(1), t)
-            continue
-        base, check = [
-            _averaged_abe(m0, p.rabi + 2.0 * p.width * x, w, t)
-            for x, w in (_gh_nodes(order), _gh_nodes(2 * order))
-        ]
-        drift = np.max(np.abs(base - check), axis=(1, 2))
-        bad = np.flatnonzero(~(drift <= 1e-8))  # negated: a NaN drift fails
-        if bad.size:
-            raise ConvergenceError(
-                f"tripartite Rabi-average quadrature not converged at t={t[bad[0]]:g}: "
-                f"order {order} -> {2 * order} moved an entry by {drift[bad[0]]:.3e}"
-            )
-        out[lo:lo + t.size] = base
-    return out
+    field width is nonzero. The state has no register coherences, so each
+    register block evolves under its own field phase: the blocks of
+    noise.field_mixture_grid, placed on the E diagonal (its order-doubling
+    check raises ConvergenceError at the first time that fails)."""
+    m0 = s0.rho.matrix.reshape((2,) * 6)  # [a, b, e, a', b', e']
+    blocks = field_mixture_grid(
+        [m0[:, :, e, :, :, e].reshape(4, 4) for e in (0, 1)], p, times, order
+    ).reshape((-1, 2) + (2,) * 4)
+    out = np.zeros((blocks.shape[0],) + (2,) * 6, dtype=complex)
+    for e in (0, 1):
+        out[:, :, :, e, :, :, e] = blocks[:, e]
+    return out.reshape(-1, 8, 8)
 
 
 def evolve_abe(

@@ -443,6 +443,17 @@ class TestCLI:
         assert main(["simulate", "--config", cfg, "--out", str(out2), "--seed", "777"]) == 0
         assert out1.read_text() != out2.read_text()
 
+    def test_seed_override_changes_monte_carlo_rows(self, tmp_path):
+        # the params are built from the final config, so --seed reaches the sequences
+        for text in (OU_CFG, STROBO_CFG):
+            cfg = self.write(tmp_path, text)
+            out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+            assert main(["simulate", "--config", cfg, "--out", str(out1)]) == 0
+            assert main(["simulate", "--config", cfg, "--out", str(out2), "--seed", "777"]) == 0
+            rows = [[l for l in p.read_text().splitlines() if not l.startswith("#")][1:]
+                    for p in (out1, out2)]
+            assert rows[0] != rows[1]
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = self.write(tmp_path, "[scenario]\nmodel = nope\n")
         assert main(["simulate", "--config", cfg]) == 1
@@ -580,3 +591,124 @@ class TestNumericalExitCodes:
         text = FIELD_CFG.replace("seed = 4242", "seed = 4242\nquadrature-order = 0")
         assert main(["simulate", "--config", self.write(tmp_path, text)]) == 1
         assert capsys.readouterr().err.startswith("config error:")
+
+
+STROBO_CFG = """
+[scenario]
+model = stroboscopic
+measures = concurrence, eof
+time-start = 0
+time-stop = 4
+time-points = 5
+seed = 2718
+trajectories = 4096
+
+[initial-state]
+kind = bell
+label = 1-
+
+[stroboscopic]
+phase-sigma = 0.6
+autocorrelation = 0.5
+echo-after-step = 2
+"""
+
+GAUSSIAN_CFG = FIELD_CFG.replace("model = random-field", "model = random-field-gaussian").replace(
+    "[random-field]", "[random-field-gaussian]").replace("width = 0.0", "width = 0.1")
+FLOWS_CFG = FIELD_CFG.replace("model = random-field", "model = tripartite-flows").replace(
+    "[random-field]", "[tripartite-flows]")
+
+
+def _set(text, key, value):
+    """``text`` with ``key = value`` in its model section (replaced or added)."""
+    lines = [l for l in text.splitlines() if not l.startswith(f"{key} =")]
+    return "\n".join(lines) + f"\n{key} = {value}\n"
+
+
+class TestModelParameterRanges:
+    """Every out-of-range model parameter is one config error naming the
+    section and the key (the params dataclasses hold the range checks)."""
+
+    @pytest.mark.parametrize("text, section, key", [
+        (_set(FIELD_CFG, "rabi", "0.0"), "random-field", "rabi"),
+        (_set(GAUSSIAN_CFG, "rabi", "-1.0"), "random-field-gaussian", "rabi"),
+        (_set(FLOWS_CFG, "rabi", "0"), "tripartite-flows", "rabi"),
+        (_set(GAUSSIAN_CFG, "width", "-0.1"), "random-field-gaussian", "width"),
+        (_set(FLOWS_CFG, "width", "-0.1"), "tripartite-flows", "width"),
+        (_set(STATIC_CFG, "sigma", "0.0"), "static-noise", "sigma"),
+        (_set(OU_CFG, "sigma", "-1.0"), "ou-noise", "sigma"),
+        (_set(STATIC_CFG, "echo-time", "0.0"), "static-noise", "echo-time"),
+        (_set(OU_CFG, "echo-time", "-2.0"), "ou-noise", "echo-time"),
+        (_set(OU_CFG, "correlation-time", "0.0"), "ou-noise", "correlation-time"),
+        (_set(RTN_CFG, "rate", "0.0"), "rtn", "rate"),
+        (_set(RTN_CFG.replace("g = 5.0\n", ""), "coupling", "-1.0"), "rtn", "coupling"),
+        (_set(STROBO_CFG, "phase-sigma", "-0.1"), "stroboscopic", "phase-sigma"),
+        (_set(STROBO_CFG, "autocorrelation", "1.5"), "stroboscopic", "autocorrelation"),
+        (_set(STROBO_CFG, "autocorrelation", "-0.5"), "stroboscopic", "autocorrelation"),
+        (_set(STROBO_CFG, "echo-after-step", "0"), "stroboscopic", "echo-after-step"),
+        (_set(STROBO_CFG, "echo-after-step", "4"), "stroboscopic", "echo-after-step"),
+        (STROBO_CFG.replace("time-points = 5", "time-points = 9"), "scenario", "time grid"),
+    ])
+    def test_out_of_range_is_one_config_error(self, tmp_path, capsys, text, section, key):
+        path = tmp_path / "scenario.cfg"
+        path.write_text(text, encoding="utf-8")
+        assert main(["simulate", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith(f"config error: [{section}] ") and key in err
+
+
+class TestOutputFiles:
+    def write(self, tmp_path, text):
+        path = tmp_path / "scenario.cfg"
+        path.write_text(text, encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("command", [
+        ["simulate"], ["sweep", "--param", "g", "--values", "0.5,5"],
+    ])
+    def test_missing_output_directory_is_a_config_error(self, tmp_path, capsys, monkeypatch, command):
+        ran = []
+        monkeypatch.setattr(cli, "run_scenario", lambda *a, **k: ran.append(1))
+        monkeypatch.setattr(cli, "sweep", lambda *a, **k: ran.append(1))
+        out = tmp_path / "nodir" / "x.csv"
+        argv = command + ["--config", self.write(tmp_path, RTN_CFG), "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot write output file")
+        assert len(err.strip().splitlines()) == 1
+        assert not ran  # refused before anything ran
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.cfg"]
+
+    @pytest.mark.parametrize("command", [["simulate"], ["sweep", "--param", "g", "--values", "5"]])
+    def test_unwritable_output_is_a_config_error(self, tmp_path, capsys, command):
+        # a directory where the output file should go makes open() fail
+        out = tmp_path / "taken.csv"
+        (tmp_path / ("taken__g=5.csv" if command[0] == "sweep" else "taken.csv")).mkdir()
+        argv = command + ["--config", self.write(tmp_path, RTN_CFG), "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot write output file")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_sweep_rejects_non_integer_value_of_integer_key(self, tmp_path, capsys):
+        out = tmp_path / "strobo.csv"
+        argv = ["sweep", "--config", self.write(tmp_path, STROBO_CFG), "--param", "echo-after-step",
+                "--values", "2,2.5", "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [stroboscopic] echo-after-step:")
+        assert len(err.strip().splitlines()) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.cfg"]  # nothing written
+
+    def test_sweep_integer_key_values_run(self, tmp_path):
+        out = tmp_path / "strobo.csv"
+        argv = ["sweep", "--config", self.write(tmp_path, STROBO_CFG), "--param", "echo-after-step",
+                "--values", "1,3", "--out", str(out)]
+        assert main(argv) == 0
+        one = (tmp_path / "strobo__echo-after-step=1.csv").read_text()
+        three = (tmp_path / "strobo__echo-after-step=3.csv").read_text()
+        assert "# config.stroboscopic.echo-after-step = 1\n" in one
+        assert "# sweep.value = 3\n" in three
+        body = lambda t: [l for l in t.splitlines() if not l.startswith("#")]
+        assert body(one) != body(three)

@@ -1,0 +1,57 @@
+"""Golden regression pins: every model's CLI output against CSVs recorded by the
+per-point runner (commit 201b920), before the models moved into one table.
+
+Each ``tests/golden/<name>.cfg`` was run with ``qrevivals simulate --config
+<name>.cfg --out <name>.csv``; the two sweeps with the arguments in SWEEPS.
+Deterministic rows must agree within 1e-12, Monte-Carlo files byte for byte,
+and the metadata (config echo and ``config-hash`` included) line for line;
+only the ``version.*`` lines may differ.
+"""
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from qrevivals.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+MC_MODELS = ("ou-noise", "stroboscopic")
+
+SWEEPS = {
+    "sweep-stroboscopic": ("stroboscopic.cfg", "echo-after-step", "1,3"),
+    "sweep-rtn": ("rtn.cfg", "coupling", "0.5,4"),
+}
+
+
+def _cases():
+    cases = [(cfg.stem, ["simulate", "--config", str(cfg)], cfg.stem) for cfg in sorted(GOLDEN.glob("*.cfg"))]
+    for base, (cfg, param, values) in SWEEPS.items():
+        argv = ["sweep", "--config", str(GOLDEN / cfg), "--param", param, "--values", values]
+        cases += [(f"{base}__{param}={v}", argv, base) for v in values.split(",")]
+    return cases
+
+
+def _split(text):
+    lines = text.splitlines()
+    meta = [l for l in lines if l.startswith("#") and not l.startswith("# version.")]
+    body = [l for l in lines if not l.startswith("#")]
+    return meta, body
+
+
+@pytest.mark.parametrize("name, argv, out_stem", _cases(), ids=[c[0] for c in _cases()])
+def test_output_matches_golden(tmp_path, name, argv, out_stem):
+    assert main(argv + ["--out", str(tmp_path / f"{out_stem}.csv")]) == 0
+    golden = (GOLDEN / f"{name}.csv").read_text(encoding="utf-8")
+    got = (tmp_path / f"{name}.csv").read_text(encoding="utf-8")
+    meta_g, body_g = _split(golden)
+    meta, body = _split(got)
+    assert meta == meta_g
+    assert body[0] == body_g[0]
+    model = dict(l[2:].split(" = ", 1) for l in meta)["config.scenario.model"]
+    if model in MC_MODELS:
+        assert body == body_g
+    else:
+        rows = np.array([[float(x) for x in l.split(",")] for l in body[1:]])
+        rows_g = np.array([[float(x) for x in l.split(",")] for l in body_g[1:]])
+        assert rows.shape == rows_g.shape
+        assert np.max(np.abs(rows - rows_g)) <= 1e-12

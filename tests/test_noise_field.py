@@ -8,6 +8,7 @@ from qrevivals.noise import (
     RandomFieldParams,
     RandomUnitaryChannel,
     _gh_nodes,
+    field_mixture_grid,
     field_unitary,
     gaussian_averaged_map,
     random_field_map,
@@ -173,6 +174,26 @@ class TestGaussianAveragedMap:
         p = RandomFieldParams(rabi=1.0, width=0.1)
         peaks = [concurrence(gaussian_averaged_map(rho0, p, k * np.pi)) for k in range(5)]
         assert all(a > b for a, b in zip(peaks, peaks[1:]))
+
+    @pytest.mark.parametrize("width", [0.0, 0.15])
+    def test_grid_matches_channel_oracle(self, width):
+        # the (T, 2, 4, 4) register stack against RandomUnitaryChannel point by point
+        rho0 = fig2_state()
+        p = RandomFieldParams(1.0, width)
+        times = np.linspace(0.0, 9.0, 37)
+        blocks = field_mixture_grid(0.5 * rho0.matrix, p, times, 32)
+        summed = field_mixture_grid(0.5 * rho0.matrix, p, times, 32, summed=True)
+        assert blocks.shape == (37, 2, 4, 4) and summed.shape == (37, 4, 4)
+        for k, t in enumerate(times):
+            if width == 0.0:
+                ch = RandomUnitaryChannel.two_phase(1.0, t)
+            else:
+                ch = RandomUnitaryChannel.gaussian_field(1.0, width, t, 32)
+            assert np.max(np.abs(summed[k] - ch.apply(rho0).matrix)) < 1e-14
+            for e in (0, 1):  # members alternate between the two phases
+                member = RandomUnitaryChannel(2 * ch.weights[e::2], ch.unitaries[e::2])
+                assert np.max(np.abs(blocks[k, e] - 0.5 * member.apply(rho0).matrix)) < 1e-14
+        assert np.max(np.abs(blocks.sum(axis=1) - summed)) < 1e-15
 
     def test_trace_preserved(self):
         out = gaussian_averaged_map(fig2_state(), RandomFieldParams(1.0, 0.2), 3.0)

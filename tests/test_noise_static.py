@@ -10,6 +10,7 @@ from qrevivals.noise import (
     ou_noise_state,
     ou_phase_variance,
     static_dephasing_factor,
+    static_dephasing_factors,
     static_noise_state,
 )
 from qrevivals.states import bell_state
@@ -100,6 +101,28 @@ class TestStaticNoise:
 
         with pytest.raises(ConvergenceError):
             static_dephasing_factor(StaticNoiseParams(sigma=1.0), 8.0, order=16)
+
+    def test_grid_factors_match_closed_form_and_single_times(self):
+        # <exp(-i eps u)> = exp(-sigma^2 u^2 / 2), u = 2 tbar - t after the echo
+        p = StaticNoiseParams(sigma=1.3, echo_time=2.0)
+        times = np.linspace(0.0, 4.0, 37)
+        factors = static_dephasing_factors(p, times)
+        u = np.where(times > 2.0, 4.0 - times, times)
+        assert np.max(np.abs(factors - np.exp(-0.5 * (1.3 * u) ** 2))) < 1e-12
+        assert [complex(f) for f in factors] == [static_dephasing_factor(p, t) for t in times]
+
+    def test_grid_drift_names_the_first_failing_time(self):
+        from qrevivals.noise import ConvergenceError
+
+        def factor(n, t):  # Gauss-Hermite average of exp(-i sqrt(2) x t), sigma = 1
+            x, w = np.polynomial.hermite.hermgauss(n)
+            return np.sum(w * np.exp(-1j * np.sqrt(2.0) * x * t)) / np.sqrt(np.pi)
+
+        times = np.linspace(0.0, 8.0, 17)
+        first = next(t for t in times if abs(factor(16, t) - factor(32, t)) > 1e-8)
+        assert first > 0.0
+        with pytest.raises(ConvergenceError, match=f"at t={first:g}:"):
+            static_dephasing_factors(StaticNoiseParams(sigma=1.0), times, order=16)
 
     def test_requires_static_regime(self):
         p = StaticNoiseParams(sigma=1.0, correlation_time=5.0)

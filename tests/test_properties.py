@@ -1,0 +1,139 @@
+"""Property test of the CLI contract: every config, however extreme, ends with
+exit 0 and a finite CSV whose concurrences lie in [0, 1], or with a documented
+exit code (1 config, 2 convergence, 3 numerical) and one line on stderr."""
+import contextlib
+import io
+import math
+import tempfile
+import warnings
+from pathlib import Path
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
+
+from qrevivals.cli import main
+
+MEASURES = {
+    "random-field": ("concurrence", "eof", "hidden-entanglement", "average-entanglement"),
+    "random-field-gaussian": ("concurrence", "eof", "hidden-entanglement", "average-entanglement"),
+    "static-noise": ("concurrence", "eof", "hidden-entanglement", "average-entanglement"),
+    "ou-noise": ("concurrence", "eof"),
+    "rtn": ("concurrence", "eof"),
+    "stroboscopic": ("concurrence", "eof"),
+    "tripartite-flows": ("concurrence", "eof", "tripartite", "info-decomposition"),
+}
+
+# extreme magnitudes next to ordinary ones
+POSITIVE = st.sampled_from([1e-9, 1e-3, 0.3, 1.0, 2.5, 40.0, 1e4, 1e9])
+UNIT = st.sampled_from([0.0, 1e-6, 0.25, 0.5, 0.9, 1.0])
+# what one broken value of a config may be
+BAD = st.sampled_from(["-1.0", "0.0", "1.2", "2.5", "nan", "1e400", "x"])
+INITIAL_KINDS = {"static-noise": ["bell"], "ou-noise": ["bell"], "stroboscopic": ["bell"], "rtn": ["ewl"]}
+
+
+def _fmt(v):
+    return v if isinstance(v, str) else repr(float(v))
+
+
+@st.composite
+def model_section(draw, model):
+    """A valid parameter section of ``model`` and the end of a grid it can run."""
+    stop = draw(st.sampled_from([1e-9, 0.5, 6.0, 100.0, 1e4]))
+    if model in ("random-field", "random-field-gaussian", "tripartite-flows"):
+        keys = {"rabi": draw(POSITIVE)}
+        if model != "random-field":
+            keys["width"] = draw(st.sampled_from([0.0, 1e-6, 0.05, 0.3, 2.0]))
+    elif model in ("static-noise", "ou-noise"):
+        keys = {"sigma": draw(POSITIVE)}
+        if draw(st.booleans()):
+            keys["echo-time"] = draw(POSITIVE)
+        if model == "ou-noise":
+            # the OU partition steps at most 0.05 sigma-units and tau/20, so the
+            # grid end and the correlation time bound the work
+            keys["correlation-time"] = draw(st.sampled_from([0.5, 3.0, 1e3, 1e9]))
+            stop = draw(st.sampled_from([1e-6, 0.5, 4.0, 20.0]))
+    elif model == "rtn":
+        keys = {"rate": draw(POSITIVE), draw(st.sampled_from(["g", "coupling"])): draw(POSITIVE)}
+    else:
+        keys = {"phase-sigma": draw(POSITIVE), "autocorrelation": draw(UNIT)}
+        if draw(st.booleans()):
+            keys["echo-after-step"] = draw(st.sampled_from(["1", "2", "3"]))
+        stop = 4.0
+    return keys, stop
+
+
+@st.composite
+def configs(draw):
+    model = draw(st.sampled_from(sorted(MEASURES)))
+    keys, stop = draw(model_section(model))
+    allowed = MEASURES[model]
+    measures = draw(st.lists(st.sampled_from(allowed), min_size=1, max_size=len(allowed)))
+    scenario = {
+        "model": model,
+        "measures": ", ".join(measures),
+        "time-start": 0.0,
+        "time-stop": stop,
+        "time-points": "5" if model == "stroboscopic" else draw(st.sampled_from(["2", "3", "9"])),
+        "seed": str(draw(st.integers(0, 2**64 - 1))),
+        "quadrature-order": str(draw(st.sampled_from([1, 4, 16, 64, 400]))),
+    }
+    if model in ("ou-noise", "stroboscopic"):
+        scenario["trajectories"] = str(draw(st.sampled_from([1, 2, 999, 1000, 2500])))
+    kind = draw(st.sampled_from(INITIAL_KINDS.get(model, ["bell", "xyz", "ewl"])))
+    if kind == "bell":
+        initial = {"kind": kind, "label": draw(st.sampled_from(["1+", "1-", "2+", "2-"]))}
+    elif kind == "xyz":
+        initial = {"kind": kind, "x": draw(UNIT), "y": draw(UNIT), "z": draw(UNIT)}
+    else:
+        a = draw(UNIT) * complex(draw(st.sampled_from([1.0, 1j, (0.6 + 0.8j)])))
+        initial = {"kind": kind, "r": draw(UNIT), "a": f"{a.real!r}+{a.imag!r}j",
+                   "excitation": draw(st.sampled_from(["one", "two"]))}
+    sections = {"scenario": scenario, "initial-state": initial, model: keys}
+    if draw(st.integers(0, 5)) == 0:  # one value out of range or unparsable
+        section = draw(st.sampled_from(sorted(sections)))
+        sections[section][draw(st.sampled_from(sorted(sections[section])))] = draw(BAD)
+    lines = []
+    for name, section in sections.items():
+        lines.append(f"[{name}]")
+        lines += [f"{k} = {_fmt(v)}" for k, v in section.items()]
+    return "\n".join(lines) + "\n"
+
+
+def test_every_config_ends_in_a_documented_way(tmp_path):
+    # hypothesis caches source constants in its home directory; keep it out of the repo
+    set_hypothesis_home_dir(tmp_path / "hypothesis")
+    try:
+        _check_every_config()
+    finally:
+        set_hypothesis_home_dir(None)
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(configs())
+def _check_every_config(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "scenario.cfg", Path(tmp) / "out.csv"
+        cfg.write_text(text, encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["simulate", "--config", str(cfg), "--out", str(out)])
+        lines = err.getvalue().splitlines()
+        assert not caught, [str(w.message) for w in caught]
+        assert code in (0, 1, 2, 3)
+        if code != 0:
+            assert len(lines) == 1 and "Traceback" not in lines[0]
+            assert not out.exists()
+            return
+        assert lines == []
+        body = [l for l in out.read_text(encoding="utf-8").splitlines() if not l.startswith("#")]
+        columns = body[0].split(",")
+        rows = np.array([[float(x) for x in l.split(",")] for l in body[1:]])
+        assert rows.shape[1] == len(columns) and np.all(np.isfinite(rows))
+        if "concurrence" in columns:
+            c = rows[:, columns.index("concurrence")]
+            assert np.all((c >= 0.0) & (c <= 1.0))
+        assert math.isclose(rows[0, 0], 0.0)

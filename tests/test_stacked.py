@@ -4,7 +4,7 @@ against per-point evaluation with single matrices."""
 import numpy as np
 import pytest
 
-from qrevivals import tripartite
+from qrevivals import noise
 from qrevivals.linalg import (
     DensityOperator,
     EYE2,
@@ -20,6 +20,7 @@ from qrevivals.noise import (
     ConvergenceError,
     RTNParams,
     RandomFieldParams,
+    _GRID_BLOCK,
     _gh_nodes,
     field_unitary,
     rtn_evolved_state,
@@ -27,7 +28,6 @@ from qrevivals.noise import (
 from qrevivals.scenarios import parse_config_text, run_scenario
 from qrevivals.states import EWLParams, XYZParams, bell_state, xyz_state
 from qrevivals.tripartite import (
-    _GRID_BLOCK,
     embed_initial,
     evolve_abe,
     evolve_abe_grid,
@@ -203,7 +203,7 @@ class TestFlowPipeline:
             x, w = _gh_nodes(order)
             return x, np.full_like(w, np.nan) if order == 128 else w
 
-        monkeypatch.setattr(tripartite, "_gh_nodes", nan_rule)
+        monkeypatch.setattr(noise, "_gh_nodes", nan_rule)
         s0 = embed_initial(bell_density("2+"))
         with pytest.raises(ConvergenceError, match="at t=0:"):
             evolve_abe_grid(s0, RandomFieldParams(1.0, 0.1), [0.0, 1.0], order=64)

@@ -3,7 +3,7 @@ import pytest
 
 from qrevivals.linalg import DensityOperator, EYE2, SIGMA_X, partial_trace, von_neumann_entropy
 from qrevivals.measures import concurrence, mutual_information, tripartite_correlations
-from qrevivals.noise import RandomFieldParams, gaussian_averaged_map, random_field_map
+from qrevivals.noise import FIELD_PHASES, RandomFieldParams, _field_unitaries, gaussian_averaged_map, random_field_map
 from qrevivals.states import XYZParams, bell_state, xyz_state
 from qrevivals.tripartite import (
     FlowRecord,
@@ -68,18 +68,17 @@ class TestUbeUnitary:
         assert np.max(np.abs(u @ mixed @ u.conj().T - mixed)) < 1e-12
 
     def test_batched_construction_matches_scalar(self):
-        from qrevivals.tripartite import _register_unitaries
-
+        # the grid evaluator's per-register propagators are the blocks of ube_unitary
         omegas = np.array([0.7, 1.0, 1.8])
         times = np.array([0.4, 1.3])
-        batch = _register_unitaries(omegas, times)
-        assert batch.shape == (2, 3, 2, 2, 2)
-        for j, t in enumerate(times):
-            for k, om in enumerate(omegas):
-                direct = ube_unitary(RandomFieldParams(om), t)
-                for e in (0, 1):  # register state e owns the rows/columns 2b + e
-                    block = direct[e::2, e::2]
-                    assert np.max(np.abs(batch[j, k, e] - block)) < 1e-15
+        for e, ph in enumerate(FIELD_PHASES):
+            batch = _field_unitaries(ph, omegas, times[:, None])
+            assert batch.shape == (2, 3, 2, 2)
+            for j, t in enumerate(times):
+                for k, om in enumerate(omegas):
+                    # register state e owns the rows/columns 2b + e
+                    block = ube_unitary(RandomFieldParams(om), t)[e::2, e::2]
+                    assert np.max(np.abs(batch[j, k] - block)) < 1e-15
 
 
 class TestEvolveAbe:
