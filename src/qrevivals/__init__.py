@@ -29,7 +29,6 @@ from .measures import (
     tripartite_correlations,
 )
 from .noise import (
-    ConvergenceError,
     RTNParams,
     RandomFieldParams,
     RandomUnitaryChannel,
@@ -59,7 +58,6 @@ from .tripartite import (
 __all__ = [
     "BELL_LABELS",
     "ConfigError",
-    "ConvergenceError",
     "DensityOperator",
     "EWLParams",
     "FlowRecord",

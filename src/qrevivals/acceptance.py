@@ -81,7 +81,7 @@ def criterion_1(threads: int = 1) -> CriterionResult:
 
 
 def criterion_2(threads: int = 1) -> CriterionResult:
-    """Rabi-broadened field: quadrature matches the characteristic-function
+    """Rabi-broadened field: the averaged map matches the characteristic-function
     oracle entrywise, and revival maxima decay strictly."""
     t0 = _time.perf_counter()
     p = RandomFieldParams(rabi=1.0, width=0.1)
@@ -102,7 +102,7 @@ def criterion_2(threads: int = 1) -> CriterionResult:
     peak_vals = cs[peaks]
     decreasing = bool(np.all(np.diff(peak_vals) < 0.0)) and len(peak_vals) >= 3
     checks = [
-        (worst <= 1e-8, f"max entrywise quadrature-vs-oracle deviation {worst:.3e} (<=1e-8)"),
+        (worst <= 1e-8, f"max entrywise map-vs-oracle deviation {worst:.3e} (<=1e-8)"),
         (decreasing, f"revival maxima strictly decreasing: {np.round(peak_vals, 6).tolist()}"),
     ]
     return _result("2 random-field decoherent dynamics", checks, t0)
@@ -324,7 +324,7 @@ def criterion_9(threads: int = 1) -> CriterionResult:
     channels = {
         "random-field": lambda m: random_field_map(DensityOperator(m, (2, 2)), RandomFieldParams(1.0), 1.3).matrix,
         "gaussian-field": lambda m: gaussian_averaged_map(
-            DensityOperator(m, (2, 2)), RandomFieldParams(1.0, 0.1), 1.3, 32
+            DensityOperator(m, (2, 2)), RandomFieldParams(1.0, 0.1), 1.3
         ).matrix,
         "static-dephasing": lambda m: apply_b_dephasing(m, static_factor, True),
         "ou-dephasing": lambda m: apply_b_dephasing(m, ou_factor, True),

@@ -1,9 +1,8 @@
 """Command-line interface: ``simulate``, ``sweep`` and ``selftest``.
 
 Exit codes: 0 success, 1 configuration error (an output file that cannot be
-written included), 2 numerical-convergence failure, 3 any other numerical
-failure (a state that fails its validity checks, or a LAPACK error). Every
-failure prints one line on stderr.
+written included), 3 numerical failure (a state that fails its validity
+checks, or a LAPACK error). Every failure prints one line on stderr.
 """
 from __future__ import annotations
 
@@ -17,7 +16,6 @@ import numpy as np
 from . import __version__
 from .acceptance import run_all
 from .linalg import NumericalError
-from .noise import ConvergenceError
 from .scenarios import ConfigError, parse_config, parse_sweep_values, run_scenario, sweep
 
 
@@ -139,8 +137,6 @@ def main(argv=None) -> int:
         return _cmd_selftest(args)
     except ConfigError as exc:
         return _fail("config error", exc, 1)
-    except ConvergenceError as exc:
-        return _fail("numerical convergence error", exc, 2)
     except (NumericalError, np.linalg.LinAlgError) as exc:
         return _fail("numerical error", exc, 3)
 

@@ -37,10 +37,6 @@ RNG_DESCRIPTION = "numpy-pcg64; SeedSequence.spawn per fixed-size trajectory bat
 FIELD_PHASES = (np.pi / 2.0, -np.pi / 2.0)
 
 
-class ConvergenceError(RuntimeError):
-    """Doubling the quadrature order moved some matrix entry by more than the threshold."""
-
-
 # ---------------------------------------------------------------------------
 # parameter types
 # ---------------------------------------------------------------------------
@@ -64,9 +60,9 @@ class RandomFieldParams:
 class StaticNoiseParams:
     """Longitudinal Gaussian dephasing noise of strength sigma.
 
-    ``correlation_time`` = inf selects the quasi-static regime (quadrature
-    averaging); a finite value selects the Ornstein-Uhlenbeck Monte-Carlo
-    path. ``echo_time`` schedules an instantaneous sigma_x pulse.
+    ``correlation_time`` = inf selects the quasi-static regime (closed-form
+    Gaussian average); a finite value selects the Ornstein-Uhlenbeck
+    Monte-Carlo path. ``echo_time`` schedules an instantaneous sigma_x pulse.
     """
 
     sigma: float
@@ -174,18 +170,18 @@ def _field_unitaries(phase: float, rabi_values, t) -> np.ndarray:
 def _gh_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Hermite nodes and weights normalized against exp(-x^2)/sqrt(pi).
 
-    Computed once per order and process; the arrays are read-only because
-    every caller shares them. numpy's rule turns non-finite at high orders
-    (from 372 with numpy 2.4), which raises ConvergenceError.
+    Only the discrete ensembles (RandomUnitaryChannel.gaussian_field,
+    random_field_ensemble, static_noise_state) use them; the averaged channels
+    are closed forms. Computed once per order and process; the arrays are
+    read-only because every caller shares them. numpy's rule turns non-finite
+    at high orders (from 372 with numpy 2.4), which raises ValueError.
     """
     if order < 1:
         raise ValueError(f"quadrature order {order} must be >= 1")
     with np.errstate(all="ignore"):  # a non-finite rule raises below
         x, w = np.polynomial.hermite.hermgauss(order)
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(w))):
-        raise ConvergenceError(
-            f"Gauss-Hermite rule of order {order} is not finite; lower quadrature-order"
-        )
+        raise ValueError(f"Gauss-Hermite rule of order {order} is not finite; lower the order")
     w = w / np.sqrt(np.pi)
     x.setflags(write=False)
     w.setflags(write=False)
@@ -262,62 +258,33 @@ class RandomUnitaryChannel:
         return RandomUnitaryChannel(weights, us)
 
 
-def _check_drift(what: str, times: np.ndarray, drift: np.ndarray, order: int, moved: str):
-    """Raise ConvergenceError naming the first time whose order-doubling drift
-    exceeds 1e-8 (negated test: a NaN drift fails)."""
-    bad = np.flatnonzero(~(drift <= 1e-8))
-    if bad.size:
-        raise ConvergenceError(
-            f"{what} quadrature not converged at t={times[bad[0]]:g}: order {order} -> "
-            f"{2 * order} moved {moved} by {drift[bad[0]]:.3e}"
-        )
+def field_mixture_grid(blocks0, p: RandomFieldParams, times, summed: bool = False) -> np.ndarray:
+    """The two-phase field on qubit B over a time grid, averaged over the Rabi
+    frequency Omega ~ N(rabi, 2 width^2), resolved by the register state e of the
+    phase FIELD_PHASES[e]: out[t, e] = E[(1 (x) U_e(Omega t)) blocks0[e] (1 (x)
+    U_e(Omega t))^dag], shape (T, 2, 4, 4); ``blocks0`` is (2, 4, 4) or one (4, 4)
+    matrix for both. With blocks0 = rho0 / 2 the sum over e, returned (T, 4, 4)
+    when ``summed``, is the two-qubit channel; the blocks of an A-B-E state give
+    its dilation.
 
-
-# Grid points evaluated together by field_mixture_grid: the (points, 2, nodes, 4)
-# propagator working set stays small at any grid size.
-_GRID_BLOCK = 16
-
-
-def _register_maps(blocks0: np.ndarray, omegas, weights, times: np.ndarray) -> np.ndarray:
-    """The node average folded into the per-register superoperator
-    K[t, e, b, c, b', c'] = sum_n w_n U_e(n, t)[b, c] conj(U_e(n, t)[b', c']) (one
-    batched matmul), then applied to blocks0[e] indexed [a, c, a', c']."""
-    u = np.stack([_field_unitaries(ph, omegas, times[:, None]) for ph in FIELD_PHASES], axis=1)
-    u = u.reshape(times.size, 2, weights.size, 4)
-    k = np.swapaxes(u * weights[:, None], 2, 3) @ u.conj()
-    out = np.einsum(
-        "tebcBC,eacAC->teabAB", k.reshape((times.size,) + (2,) * 5), blocks0.reshape((2,) * 5)
-    )
-    return out.reshape(times.size, 2, 4, 4)
-
-
-def field_mixture_grid(blocks0, p: RandomFieldParams, times, order: int = 64,
-                       summed: bool = False) -> np.ndarray:
-    """The two-phase field on qubit B over a time grid, Gauss-Hermite-averaged
-    over the Rabi frequency when the width is nonzero, resolved by the register
-    state e of the phase FIELD_PHASES[e]: out[t, e] = sum_n w_n (1 (x) U_e(n, t))
-    blocks0[e] (1 (x) U_e(n, t))^dag, shape (T, 2, 4, 4); ``blocks0`` is (2, 4, 4)
-    or one (4, 4) matrix for both. With blocks0 = rho0 / 2 the sum over e, returned
-    (T, 4, 4) when ``summed``, is the two-qubit channel; the blocks of an A-B-E
-    state give its dilation. The order-doubling drift of the returned entries
-    raises ConvergenceError at the first time it exceeds 1e-8."""
+    U_e has half-angle entries, so each conjugated block is affine in cos and sin
+    of theta = Omega t: F(theta) = M0 + cos(theta) Mc + sin(theta) Ms, read off
+    from F(0) = blocks0, F(pi) and F(pi/2). The Gaussian average is then exact:
+    E[exp(i Omega t)] = exp(-width^2 t^2) exp(i rabi t)."""
     times = np.asarray(times, dtype=float).reshape(-1)
     blocks0 = np.broadcast_to(np.asarray(blocks0, dtype=complex), (2, 4, 4))
-    out = np.empty((times.size,) + ((4, 4) if summed else (2, 4, 4)), dtype=complex)
-    for lo in range(0, times.size, _GRID_BLOCK):
-        t = times[lo:lo + _GRID_BLOCK]
-        if p.width == 0.0:
-            rules = [(np.zeros(1), np.ones(1))]
-        else:
-            rules = [_gh_nodes(order), _gh_nodes(2 * order)]
-        stacks = [_register_maps(blocks0, p.rabi + 2.0 * p.width * x, w, t) for x, w in rules]
-        if summed:
-            stacks = [s.sum(axis=1) for s in stacks]
-        if len(stacks) == 2:
-            drift = np.max(np.abs(stacks[0] - stacks[1]).reshape(t.size, -1), axis=1)
-            _check_drift("Rabi-average", t, drift, order, "an entry")
-        out[lo:lo + t.size] = stacks[0]
-    return out
+    u = np.stack([_field_unitaries(ph, [np.pi, np.pi / 2.0], 1.0) for ph in FIELD_PHASES])
+    turned = np.einsum("ekbc,eacAC,ekBC->keabAB", u, blocks0.reshape((2,) * 5), u.conj())
+    turned = turned.reshape(2, 2, 4, 4)  # F(pi), F(pi/2)
+    m0 = 0.5 * (blocks0 + turned[0])
+    mc = 0.5 * (blocks0 - turned[0])
+    ms = turned[1] - m0
+    if summed:
+        m0, mc, ms = m0.sum(axis=0), mc.sum(axis=0), ms.sum(axis=0)
+    with np.errstate(over="ignore"):  # exp(-inf) = 0 is the limit
+        damp = np.exp(-((p.width * times) ** 2))
+    theta = p.rabi * times
+    return m0 + np.multiply.outer(damp * np.cos(theta), mc) + np.multiply.outer(damp * np.sin(theta), ms)
 
 
 def random_field_map(rho0: DensityOperator, p: RandomFieldParams, t: float) -> DensityOperator:
@@ -327,21 +294,21 @@ def random_field_map(rho0: DensityOperator, p: RandomFieldParams, t: float) -> D
     return DensityOperator(field_mixture_grid(0.5 * rho0.matrix, p, [t], summed=True)[0], (2, 2))
 
 
-def gaussian_averaged_map(
-    rho0: DensityOperator, p: RandomFieldParams, t: float, order: int = 64
-) -> DensityOperator:
-    """Rabi-broadened field channel, checked for quadrature convergence by
-    order doubling (any entry moving by more than 1e-8 raises)."""
+def gaussian_averaged_map(rho0: DensityOperator, p: RandomFieldParams, t: float) -> DensityOperator:
+    """Rabi-broadened field channel at a single time t (field_mixture_grid's
+    closed-form average)."""
     if p.width <= 0.0:
         raise ValueError("gaussian_averaged_map requires width > 0")
-    m = field_mixture_grid(0.5 * rho0.matrix, p, [t], order, summed=True)[0]
+    m = field_mixture_grid(0.5 * rho0.matrix, p, [t], summed=True)[0]
     return DensityOperator(m, (2, 2))
 
 
 def random_field_ensemble(
     psi0: np.ndarray, p: RandomFieldParams, t: float, order: int = 64
 ) -> WeightedPureEnsemble:
-    """Pure-state ensemble generated by the field channel from a pure input."""
+    """Pure-state ensemble generated by the field channel from a pure input,
+    over ``order`` Gauss-Hermite nodes of the Rabi frequency when the width is
+    nonzero; its mixture approximates field_mixture_grid's closed form."""
     if p.width == 0.0:
         ch = RandomUnitaryChannel.two_phase(p.rabi, t)
     else:
@@ -450,39 +417,32 @@ def _echo_effective_duration(p: StaticNoiseParams, t):
     return np.where(echoed, 2.0 * p.echo_time - t, t), echoed
 
 
-def static_dephasing_factors(p: StaticNoiseParams, times, order: int = 64) -> np.ndarray:
-    """<exp(-i eps u)> over the Gaussian noise amplitude at every time of
-    ``times``, u the effective (echo-refocused) duration; checked by order
-    doubling like field_mixture_grid."""
-    times = np.asarray(times, dtype=float).reshape(-1)
-    u, _ = _echo_effective_duration(p, times)
-
-    def factors(n):
-        x, w = _gh_nodes(n)
-        eps = np.sqrt(2.0) * p.sigma * x
-        return np.sum(w * np.exp(-1j * eps * u[:, None]), axis=1)
-
-    base = factors(order)
-    _check_drift("static-noise", times, np.abs(base - factors(2 * order)), order, "the dephasing factor")
-    return base
+def static_dephasing_factors(p: StaticNoiseParams, times) -> np.ndarray:
+    """<exp(-i eps u)> = exp(-sigma^2 u^2 / 2) over the Gaussian noise amplitude
+    eps ~ N(0, sigma^2) at every time of ``times``, u the effective
+    (echo-refocused) duration."""
+    u, _ = _echo_effective_duration(p, np.asarray(times, dtype=float).reshape(-1))
+    with np.errstate(over="ignore"):  # exp(-inf) = 0 is the limit
+        return np.exp(-0.5 * (p.sigma * u) ** 2)
 
 
-def static_dephasing_factor(p: StaticNoiseParams, t: float, order: int = 64) -> complex:
+def static_dephasing_factor(p: StaticNoiseParams, t: float) -> complex:
     """static_dephasing_factors at a single time t."""
-    return complex(static_dephasing_factors(p, [t], order)[0])
+    return complex(static_dephasing_factors(p, [t])[0])
 
 
 def static_noise_state(
     bell_input: str, p: StaticNoiseParams, t: float, order: int = 64
 ) -> tuple[DensityOperator, WeightedPureEnsemble]:
-    """Quadrature-averaged state and the node ensemble for a Bell input under
+    """Averaged state (closed-form dephasing factor) and the ensemble over
+    ``order`` Gauss-Hermite nodes of the noise amplitude for a Bell input under
     quasi-static dephasing (with the echo pulse applied at echo_time if set)."""
     if not p.is_static:
         raise ValueError("static_noise_state requires correlation_time = inf; use ou_noise_state")
     psi0 = bell_state(bell_input)
     u, echoed = _echo_effective_duration(p, t)
     rho = dephased_state(DensityOperator(np.outer(psi0, psi0.conj()), (2, 2)),
-                         static_dephasing_factor(p, t, order), echoed)
+                         static_dephasing_factor(p, t), echoed)
     x, w = _gh_nodes(order)
     thetas = np.sqrt(2.0) * p.sigma * x * u
     members = np.empty((order, 4), dtype=complex)

@@ -11,7 +11,8 @@ sigma*t, rate*t, or the step index for the stroboscopic channel)::
     time-stop = 6.2831853071795865
     time-points = 512
     seed = 12345
-    quadrature-order = 64         ; optional (default 64)
+    quadrature-order = 64         ; optional (default 64), >= 1; echoed only:
+                                  ; the Gaussian averages are closed forms
     trajectories = 10000          ; required iff the model is Monte-Carlo
 
     [initial-state]
@@ -106,7 +107,7 @@ class ScenarioConfig:
     time_stop: float
     time_points: int
     seed: int
-    quadrature_order: int
+    quadrature_order: int  # echoed into the metadata only
     trajectories: int | None
     initial_kind: str  # bell | xyz | ewl
     initial_bell: str | None
@@ -519,7 +520,13 @@ def _rtn_params(cfg: ScenarioConfig) -> RTNParams:
     coupling, g, rate = cfg.param("coupling"), cfg.param("g"), cfg.param("rate")
     if (coupling is None) == (g is None):
         raise ConfigError("[rtn] exactly one of 'coupling' and 'g' must be given")
-    return RTNParams(rate=rate, coupling=coupling if g is None else g * rate)
+    if g is None:
+        return RTNParams(rate=rate, coupling=coupling)
+    try:  # checked as written, g in the coupling's place, so a range error quotes g
+        RTNParams(rate=rate, coupling=g)
+    except ValueError as exc:
+        raise ValueError(str(exc).replace("coupling=", "g=")) from exc
+    return RTNParams(rate=rate, coupling=g * rate)
 
 
 def _strobo_params(cfg: ScenarioConfig) -> StroboscopicParams:
@@ -543,7 +550,7 @@ def _field_columns(cfg: ScenarioConfig, p: RandomFieldParams, threads: int) -> d
     times = _grid_values(cfg) / p.rabi
 
     def evolve(rho):
-        m = field_mixture_grid(0.5 * rho.matrix, p, times, cfg.quadrature_order, summed=True)
+        m = field_mixture_grid(0.5 * rho.matrix, p, times, summed=True)
         return DensityOperator(m, (2, 2))
 
     return _mixture_columns(cfg, evolve)
@@ -551,7 +558,7 @@ def _field_columns(cfg: ScenarioConfig, p: RandomFieldParams, threads: int) -> d
 
 def _static_columns(cfg: ScenarioConfig, p: StaticNoiseParams, threads: int) -> dict:
     times = _grid_values(cfg) / p.sigma
-    factors = static_dephasing_factors(p, times, cfg.quadrature_order)
+    factors = static_dephasing_factors(p, times)
     echoed = _echo_effective_duration(p, times)[1]
     return _mixture_columns(cfg, lambda rho: dephased_state(rho, factors, echoed))
 
@@ -579,7 +586,7 @@ def _strobo_columns(cfg: ScenarioConfig, p: StroboscopicParams, threads: int) ->
 
 def _flow_columns(cfg: ScenarioConfig, p: RandomFieldParams, threads: int) -> dict:
     grid = _grid_values(cfg) / p.rabi
-    conc, dec = flow_measures(cfg.initial_density(), p, grid, cfg.quadrature_order)
+    conc, dec = flow_measures(cfg.initial_density(), p, grid)
     return {
         "concurrence": [conc],
         "eof": [_eof(conc)],

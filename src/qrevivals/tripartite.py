@@ -69,18 +69,15 @@ def ube_unitary(p: RandomFieldParams, t: float, rabi: float | None = None) -> np
     return out
 
 
-def evolve_abe_grid(
-    s0: HybridTripartiteState, p: RandomFieldParams, times, order: int = 64
-) -> np.ndarray:
+def evolve_abe_grid(s0: HybridTripartiteState, p: RandomFieldParams, times) -> np.ndarray:
     """(1_A (x) U_BE) rho (1_A (x) U_BE)^dag at every time of ``times``, as a
-    (T, 8, 8) array, Gauss-Hermite-averaged over the Rabi frequency when the
-    field width is nonzero. The state has no register coherences, so each
-    register block evolves under its own field phase: the blocks of
-    noise.field_mixture_grid, placed on the E diagonal (its order-doubling
-    check raises ConvergenceError at the first time that fails)."""
+    (T, 8, 8) array, averaged over the Gaussian Rabi frequency when the field
+    width is nonzero. The state has no register coherences, so each register
+    block evolves under its own field phase: the closed-form blocks of
+    noise.field_mixture_grid, placed on the E diagonal."""
     m0 = s0.rho.matrix.reshape((2,) * 6)  # [a, b, e, a', b', e']
     blocks = field_mixture_grid(
-        [m0[:, :, e, :, :, e].reshape(4, 4) for e in (0, 1)], p, times, order
+        [m0[:, :, e, :, :, e].reshape(4, 4) for e in (0, 1)], p, times
     ).reshape((-1, 2) + (2,) * 4)
     out = np.zeros((blocks.shape[0],) + (2,) * 6, dtype=complex)
     for e in (0, 1):
@@ -88,16 +85,14 @@ def evolve_abe_grid(
     return out.reshape(-1, 8, 8)
 
 
-def evolve_abe(
-    s0: HybridTripartiteState, p: RandomFieldParams, t: float, order: int = 64
-) -> HybridTripartiteState:
+def evolve_abe(s0: HybridTripartiteState, p: RandomFieldParams, t: float) -> HybridTripartiteState:
     """The evolved dilation at a single time t (evolve_abe_grid on the grid [t])."""
-    m = evolve_abe_grid(s0, p, [t], order)[0]
+    m = evolve_abe_grid(s0, p, [t])[0]
     return HybridTripartiteState(DensityOperator(m, (2, 2, 2)))
 
 
 def flow_measures(
-    rho_ab0: DensityOperator, p: RandomFieldParams, grid, order: int = 64
+    rho_ab0: DensityOperator, p: RandomFieldParams, grid
 ) -> tuple[np.ndarray, InformationDecomposition]:
     """Concurrence of rho_AB and the information decomposition of rho_ABE at
     every point of a strictly increasing time grid, as (T,) arrays. The whole
@@ -107,17 +102,15 @@ def flow_measures(
     if grid.size == 0 or np.any(np.diff(grid) <= 0.0):
         raise ValueError("grid must be nonempty and strictly increasing")
     st = HybridTripartiteState(
-        DensityOperator(evolve_abe_grid(embed_initial(rho_ab0), p, grid, order), (2, 2, 2))
+        DensityOperator(evolve_abe_grid(embed_initial(rho_ab0), p, grid), (2, 2, 2))
     )
     return concurrence(partial_trace(st.rho, (0, 1))), information_decomposition(st.rho)
 
 
-def flow_timeseries(
-    rho_ab0: DensityOperator, p: RandomFieldParams, grid, order: int = 64
-) -> list[FlowRecord]:
+def flow_timeseries(rho_ab0: DensityOperator, p: RandomFieldParams, grid) -> list[FlowRecord]:
     """Concurrence, genuine tripartite correlations and the information
     decomposition along a strictly increasing time grid, one record per point."""
-    conc, dec = flow_measures(rho_ab0, p, grid, order)
+    conc, dec = flow_measures(rho_ab0, p, grid)
     names = [f.name for f in fields(InformationDecomposition)]
     return [
         FlowRecord(

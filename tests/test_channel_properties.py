@@ -44,7 +44,7 @@ def channel_cases():
         ("random-field", lambda m: random_field_map(DensityOperator(m, (2, 2)), RandomFieldParams(1.0), 0.9).matrix),
         (
             "gaussian-field",
-            lambda m: gaussian_averaged_map(DensityOperator(m, (2, 2)), RandomFieldParams(1.0, 0.15), 0.9, 32).matrix,
+            lambda m: gaussian_averaged_map(DensityOperator(m, (2, 2)), RandomFieldParams(1.0, 0.15), 0.9).matrix,
         ),
         ("static-dephasing-echoed", lambda m: apply_b_dephasing(m, static_factor, True)),
         ("ou-dephasing-echoed", lambda m: apply_b_dephasing(m, ou_factor, True)),

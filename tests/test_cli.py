@@ -459,15 +459,18 @@ class TestCLI:
         assert main(["simulate", "--config", cfg]) == 1
         assert "config error" in capsys.readouterr().err
 
-    def test_convergence_error_exit_code(self, tmp_path, capsys):
-        bad = FIELD_CFG.replace("model = random-field", "model = random-field-gaussian")
-        bad = bad.replace("[random-field]", "[random-field-gaussian]")
-        bad = bad.replace("width = 0.0", "width = 0.3")
-        bad = bad.replace("time-stop = 6.2831853071795865", "time-stop = 60.0")
-        bad = bad.replace("seed = 4242", "seed = 4242\nquadrature-order = 8")
-        cfg = self.write(tmp_path, bad)
-        assert main(["simulate", "--config", cfg]) == 2
-        assert "convergence" in capsys.readouterr().err
+    def test_static_echo_beyond_former_quadrature_limit(self, tmp_path, capsys):
+        # sigma = 3, echo at sigma*t = 6 (t = 2), to sigma*t = 30 (t = 10): order
+        # doubling used to stop this run at t = 7.5 with exit 2
+        text = STATIC_CFG.replace("time-stop = 8.0", "time-stop = 30.0").replace("time-points = 5", "time-points = 41")
+        text = text.replace("sigma = 1.0", "sigma = 3.0").replace("echo-time = 4.0", "echo-time = 6.0")
+        out = tmp_path / "static.csv"
+        assert main(["simulate", "--config", self.write(tmp_path, text), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        body = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        rows = np.array([[float(x) for x in l.split(",")] for l in body[1:]])
+        u = np.where(rows[:, 0] > 6.0, 12.0 - rows[:, 0], rows[:, 0])  # sigma * u, echo-refocused
+        assert np.max(np.abs(rows[:, 1] - np.exp(-0.5 * u**2))) <= 1e-12
 
     def test_sweep_files(self, tmp_path):
         cfg = self.write(tmp_path, RTN_CFG)
@@ -559,18 +562,24 @@ class TestNumericalExitCodes:
         return str(path)
 
     @pytest.mark.parametrize("model", ["static-noise", "random-field-gaussian", "tripartite-flows"])
-    def test_non_finite_gauss_hermite_rule_exits_2(self, tmp_path, capsys, model):
-        # numpy's Gauss-Hermite rule is not finite at order 400
+    def test_quadrature_order_has_no_effect(self, tmp_path, capsys, model):
+        # the averages are closed forms: the key is range-checked and echoed only,
+        # even at order 400, where numpy's Gauss-Hermite rule is not finite
         if model == "static-noise":
             text = STATIC_CFG
         else:
             text = FIELD_CFG.replace("model = random-field", f"model = {model}")
             text = text.replace("[random-field]", f"[{model}]").replace("width = 0.0", "width = 0.1")
-        text = text.replace("seed = ", "quadrature-order = 400\nseed = ", 1)
-        assert main(["simulate", "--config", self.write(tmp_path, text)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("numerical convergence error:") and "not finite" in err
-        assert len(err.strip().splitlines()) == 1
+        bodies = []
+        for order in (1, 64, 400):
+            out = tmp_path / f"order{order}.csv"
+            cfg = self.write(tmp_path, text.replace("seed = ", f"quadrature-order = {order}\nseed = ", 1))
+            assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+            lines = out.read_text().splitlines()
+            assert f"# config.scenario.quadrature-order = {order}" in lines
+            bodies.append([l for l in lines if not l.startswith("#")])
+        assert capsys.readouterr().err == ""
+        assert bodies[0] == bodies[1] == bodies[2]
 
     @pytest.mark.parametrize("exc", [
         PositivityError("negative eigenvalue -1e-3 below the -1e-10 dust window"),
@@ -656,6 +665,13 @@ class TestModelParameterRanges:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert err.startswith(f"config error: [{section}] ") and key in err
+
+    def test_negative_g_names_g_as_written(self, tmp_path, capsys):
+        # the coupling built from g (g * rate = -2) is not a key of the config
+        path = tmp_path / "scenario.cfg"
+        path.write_text(_set(_set(RTN_CFG, "rate", "2.0"), "g", "-1.0"), encoding="utf-8")
+        assert main(["simulate", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == "config error: [rtn] g=-1.0 must be >= 0\n"
 
 
 class TestOutputFiles:

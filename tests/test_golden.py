@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qrevivals import noise
 from qrevivals.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -38,8 +39,7 @@ def _split(text):
     return meta, body
 
 
-@pytest.mark.parametrize("name, argv, out_stem", _cases(), ids=[c[0] for c in _cases()])
-def test_output_matches_golden(tmp_path, name, argv, out_stem):
+def _check_golden(tmp_path, name, argv, out_stem):
     assert main(argv + ["--out", str(tmp_path / f"{out_stem}.csv")]) == 0
     golden = (GOLDEN / f"{name}.csv").read_text(encoding="utf-8")
     got = (tmp_path / f"{name}.csv").read_text(encoding="utf-8")
@@ -55,3 +55,19 @@ def test_output_matches_golden(tmp_path, name, argv, out_stem):
         rows_g = np.array([[float(x) for x in l.split(",")] for l in body_g[1:]])
         assert rows.shape == rows_g.shape
         assert np.max(np.abs(rows - rows_g)) <= 1e-12
+
+
+@pytest.mark.parametrize("name, argv, out_stem", _cases(), ids=[c[0] for c in _cases()])
+def test_output_matches_golden(tmp_path, name, argv, out_stem):
+    _check_golden(tmp_path, name, argv, out_stem)
+
+
+@pytest.mark.parametrize("name", ["random-field-gaussian", "static-noise", "tripartite-flows"])
+def test_closed_form_models_need_no_gauss_hermite_rule(tmp_path, monkeypatch, name):
+    # the Gaussian averages are closed forms: no run may compute a quadrature rule
+    def no_rule(order):
+        raise AssertionError(f"hermgauss({order}) called")
+
+    monkeypatch.setattr(np.polynomial.hermite, "hermgauss", no_rule)
+    noise._gh_nodes.cache_clear()  # a cached rule would hide a call
+    _check_golden(tmp_path, name, ["simulate", "--config", str(GOLDEN / f"{name}.cfg")], name)

@@ -1,6 +1,6 @@
 """Property test of the CLI contract: every config, however extreme, ends with
 exit 0 and a finite CSV whose concurrences lie in [0, 1], or with a documented
-exit code (1 config, 2 convergence, 3 numerical) and one line on stderr."""
+exit code (1 config, 3 numerical) and one line on stderr."""
 import contextlib
 import io
 import math
@@ -123,7 +123,7 @@ def _check_every_config(text):
             code = main(["simulate", "--config", str(cfg), "--out", str(out)])
         lines = err.getvalue().splitlines()
         assert not caught, [str(w.message) for w in caught]
-        assert code in (0, 1, 2, 3)
+        assert code in (0, 1, 3)
         if code != 0:
             assert len(lines) == 1 and "Traceback" not in lines[0]
             assert not out.exists()
