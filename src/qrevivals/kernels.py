@@ -1,90 +1,80 @@
-"""Hot Monte-Carlo inner loops with numba-compiled and pure-numpy implementations.
+"""Monte-Carlo inner loops, in numpy.
 
-The numba path is used when numba imports successfully; set the environment
-variable ``QREVIVALS_DISABLE_NUMBA=1`` before import to force the numpy
-fallback. Both paths consume identical pre-generated random arrays, so they
-agree to floating-point roundoff; all random number generation stays outside
-the kernels.
+Both kernels consume pre-generated random arrays; all random number
+generation stays outside them. Each kernel keeps the floating-point
+operations, and their order, of the reference formula it replaces, so its
+output is bit-for-bit that formula's and Monte-Carlo files stay byte-identical.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_DISABLE = os.environ.get("QREVIVALS_DISABLE_NUMBA", "") not in ("", "0")
-
-try:  # pragma: no cover - import probe
-    if _DISABLE:
-        raise ImportError("numba disabled by QREVIVALS_DISABLE_NUMBA")
-    import numba
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _HAVE_NUMBA = False
+BACKEND = "numpy"
 
 
-def _rtn_integrals_loop(switch_cumsum, times):
-    """Per-trajectory time integral of a +/-1 telegraph signal starting at +1.
+def rtn_integrals(switch_cumsum, times):
+    """Per-trajectory time integral int_0^t xi(s) ds of a +/-1 telegraph signal
+    starting at +1.
 
-    ``switch_cumsum[b, k]`` is the time of the k-th sign flip of trajectory b
-    (strictly increasing, last entry beyond times[-1]); ``times`` is ascending.
-    Returns the (B, T) array of integrals int_0^t xi(s) ds.
+    ``switch_cumsum[b, k]`` is the time of the (k+1)-th sign flip of trajectory
+    b (nondecreasing, last entry beyond times[-1]); ``times`` is ascending.
+    Returns the (B, T) array of integrals.
+
+    The reference formula is d @ signs with d = diff(min([0, s_1, ..., s_cap], t))
+    per row: the signed lengths of the intervals between flips, clipped at t.
+    Row b's d at time t is [s_1 - 0, ..., s_m - s_{m-1}, t - s_m, 0, ...], m the
+    number of flips at or before t. It is built in place in one (B, cap) buffer:
+    each full interval is written once, at the first output time at or after
+    its end, the one straddling interval per row is rewritten at every time,
+    and the cells to its right stay +0.0 (what t - t gives). The buffer then goes
+    through the same (B, cap) @ (cap,) product, so the result is bit-for-bit
+    the reference's, at O(B) element writes per time instead of the O(B * cap)
+    min and diff passes.
     """
     n_traj, n_switch = switch_cumsum.shape
     n_t = times.shape[0]
-    out = np.empty((n_traj, n_t))
-    for b in range(n_traj):
-        k = 0
-        prev = 0.0
-        sign = 1.0
-        acc = 0.0
-        for j in range(n_t):
-            t = times[j]
-            while k < n_switch and switch_cumsum[b, k] < t:
-                acc += sign * (switch_cumsum[b, k] - prev)
-                prev = switch_cumsum[b, k]
-                sign = -sign
-                k += 1
-            out[b, j] = acc + sign * (t - prev)
-    return out
+    if not switch_cumsum[:, -1].min() > times[-1]:
+        raise ValueError("the last switch of every trajectory must lie beyond times[-1]")
+    hi = switch_cumsum.ravel()
+    lo = np.zeros((n_traj, n_switch))
+    lo[:, 1:] = switch_cumsum[:, :-1]
+    lo = lo.ravel()
+    # flat cells that turn full within the grid, grouped by the time index at
+    # which they do; a small unsigned key lets the stable sort use radix sort
+    cells = np.flatnonzero(hi <= times[-1])
+    turns_full = np.searchsorted(times, hi[cells], side="left").astype(np.min_scalar_type(n_t))
+    stops = np.cumsum(np.bincount(turns_full, minlength=n_t))
+    cells = cells[np.argsort(turns_full, kind="stable")]
+    del turns_full
+    full = hi[cells] - lo[cells]
 
-
-def _rtn_integrals_numpy(switch_cumsum, times):
-    n_traj, n_switch = switch_cumsum.shape
-    padded = np.concatenate([np.zeros((n_traj, 1)), switch_cumsum], axis=1)
     signs = (-1.0) ** np.arange(n_switch)
-    out = np.empty((n_traj, times.shape[0]))
+    row_start = np.arange(n_traj) * n_switch
+    n_full = np.zeros(n_traj, dtype=np.intp)
+    d = np.zeros(n_traj * n_switch)
+    rows = d.reshape(n_traj, n_switch)
+    out = np.empty((n_traj, n_t))
+    start = 0
     for j, t in enumerate(times):
-        clipped = np.minimum(padded, t)
-        out[:, j] = np.diff(clipped, axis=1) @ signs
+        now = cells[start:stops[j]]
+        d[now] = full[start:stops[j]]
+        n_full += np.bincount(now // n_switch, minlength=n_traj)
+        start = stops[j]
+        at = row_start + n_full
+        d[at] = t - lo[at]
+        out[:, j] = rows @ signs
     return out
 
 
-def _ou_phases_loop(normals, decay, diffuse, dur_sign, write_idx, n_out):
+def ou_phases(normals, decay, diffuse, dur_sign, write_idx, n_out):
     """Accumulated dephasing phase along exact-update Ornstein-Uhlenbeck paths.
 
     The chain is sampled at fine-interval midpoints: at step k the value is
-    eps <- eps * decay[k] + diffuse[k] * normals[b, k] (decay[0] = 0 encodes the
+    eps <- eps * decay[k] + diffuse[k] * normals[:, k] (decay[0] = 0 encodes the
     stationary initial draw). The phase advances by dur_sign[k] * eps, where
     dur_sign carries the interval duration and the echo sign flip. Whenever
     write_idx[k] >= 0 the running phase is recorded in that output column.
     """
-    n_traj, n_steps = normals.shape
-    out = np.empty((n_traj, n_out))
-    for b in range(n_traj):
-        eps = 0.0
-        theta = 0.0
-        for k in range(n_steps):
-            eps = eps * decay[k] + diffuse[k] * normals[b, k]
-            theta += dur_sign[k] * eps
-            j = write_idx[k]
-            if j >= 0:
-                out[b, j] = theta
-    return out
-
-
-def _ou_phases_numpy(normals, decay, diffuse, dur_sign, write_idx, n_out):
     n_traj, n_steps = normals.shape
     out = np.empty((n_traj, n_out))
     eps = np.zeros(n_traj)
@@ -96,18 +86,6 @@ def _ou_phases_numpy(normals, decay, diffuse, dur_sign, write_idx, n_out):
         if j >= 0:
             out[:, j] = theta
     return out
-
-
-if _HAVE_NUMBA:
-    _rtn_integrals_numba = numba.njit(cache=True, nogil=True)(_rtn_integrals_loop)
-    _ou_phases_numba = numba.njit(cache=True, nogil=True)(_ou_phases_loop)
-    rtn_integrals = _rtn_integrals_numba
-    ou_phases = _ou_phases_numba
-    BACKEND = "numba"
-else:
-    rtn_integrals = _rtn_integrals_numpy
-    ou_phases = _ou_phases_numpy
-    BACKEND = "numpy"
 
 
 def backend_name() -> str:

@@ -66,18 +66,22 @@ def concurrence_pure(psi) -> float:
     return float(2.0 * abs(psi[0] * psi[3] - psi[1] * psi[2]))
 
 
-def binary_entropy(x: float) -> float:
-    """h(x) = -x log2 x - (1-x) log2(1-x), with h(0)=h(1)=0."""
-    if x <= 0.0 or x >= 1.0:
-        return 0.0
-    return float(-x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x))
+def binary_entropy(x):
+    """h(x) = -x log2 x - (1-x) log2(1-x), with h(0)=h(1)=0 (elementwise on an array)."""
+    x = np.asarray(x, dtype=float)
+    edge = (x <= 0.0) | (x >= 1.0)
+    x = np.where(edge, 0.5, x)
+    return _value(np.where(edge, 0.0, -x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x)))
 
 
-def eof_from_concurrence(c: float) -> float:
-    """Entanglement of formation h((1 + sqrt(1-c^2))/2) from a concurrence c."""
-    if not -1e-9 <= c <= 1.0 + 1e-9:
-        raise ValueError(f"concurrence {c} outside [0, 1]")
-    c = min(max(c, 0.0), 1.0)
+def eof_from_concurrence(c):
+    """Entanglement of formation h((1 + sqrt(1-c^2))/2) from a concurrence c
+    (elementwise on an array)."""
+    c = np.asarray(c, dtype=float)
+    bad = ~((c >= -1e-9) & (c <= 1.0 + 1e-9))
+    if bad.any():
+        raise ValueError(f"concurrence {c[bad][0]} outside [0, 1]")
+    c = np.clip(c, 0.0, 1.0)
     return binary_entropy((1.0 + np.sqrt(1.0 - c * c)) / 2.0)
 
 

@@ -395,11 +395,16 @@ def _batch_sizes(n: int) -> list[int]:
     return sizes
 
 
+@functools.cache
+def _pool(threads: int) -> ThreadPoolExecutor:
+    """One worker pool per thread count, kept for the life of the process."""
+    return ThreadPoolExecutor(max_workers=threads)
+
+
 def _map_ordered(fn, n_batches: int, threads: int) -> list:
     if threads <= 1 or n_batches <= 1:
         return [fn(i) for i in range(n_batches)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(n_batches)))
+    return list(_pool(threads).map(fn, range(n_batches)))
 
 
 # ---------------------------------------------------------------------------
@@ -609,19 +614,23 @@ def rtn_coherence(p: RTNParams, t):
     The hyperbolic form overflows (inf * 0 = NaN) once d t passes ~710, so it
     is evaluated as 1/2 (1 + gamma/d) e^{-(gamma-d)t} + 1/2 (1 - gamma/d) e^{-(gamma+d)t}
     = e^{-(gamma-d)t} [1 + 1/2 (1 - gamma/d) expm1(-2 d t)], gamma - d = v^2/(gamma + d),
-    which stays finite and does not cancel as d -> 0 near the crossover.
+    which stays finite and does not cancel as d -> 0 near the crossover. No rate
+    or coupling is squared: d = gamma sqrt((gamma-v)/gamma (1 + v/gamma)) and
+    v^2/(gamma + d) = v (v/gamma) / (1 + d/gamma) stay finite for any finite
+    gamma and v (likewise mu), where gamma^2 overflows beyond ~1e154.
     """
     t = np.asarray(t, dtype=float)
     gamma, v = p.rate, p.coupling
     if np.isclose(v, gamma, rtol=1e-12, atol=0.0):
         q = np.exp(-gamma * t) * (1.0 + gamma * t)
     elif v < gamma:
-        d = math.sqrt(gamma * gamma - v * v)
-        q = np.exp(-(v * v / (gamma + d)) * t) * (
-            1.0 + 0.5 * (1.0 - gamma / d) * np.expm1(-2.0 * d * t)
-        )
+        x = v / gamma
+        r = math.sqrt((gamma - v) / gamma * (1.0 + x))  # d / gamma
+        d = gamma * r
+        q = np.exp(-(v * x / (1.0 + r)) * t) * (1.0 + 0.5 * (1.0 - 1.0 / r) * np.expm1(-2.0 * d * t))
     else:
-        mu = math.sqrt(v * v - gamma * gamma)
+        r = math.sqrt((v - gamma) / v * (1.0 + gamma / v))  # mu / v
+        mu = v * r
         q = np.exp(-gamma * t) * (np.cos(mu * t) + (gamma / mu) * np.sin(mu * t))
     return float(q) if q.ndim == 0 else q
 

@@ -402,16 +402,11 @@ def _metadata(cfg: ScenarioConfig, columns, sweep_info=None) -> tuple[tuple[str,
     return tuple(meta)
 
 
-def _eof_se(c: float, se_c: float) -> float:
-    if se_c == 0.0:
-        return 0.0
-    hi = eof_from_concurrence(min(1.0, c + se_c))
-    lo = eof_from_concurrence(max(0.0, c - se_c))
-    return 0.5 * (hi - lo)
-
-
-def _eof(conc: np.ndarray) -> np.ndarray:
-    return np.array([eof_from_concurrence(float(c)) for c in conc])
+def _eof_se(conc: np.ndarray, se_c: np.ndarray) -> np.ndarray:
+    """Half the spread of E_f over conc -/+ se_c, 0 where se_c is 0."""
+    hi = eof_from_concurrence(np.minimum(1.0, conc + se_c))
+    lo = eof_from_concurrence(np.maximum(0.0, conc - se_c))
+    return np.where(se_c == 0.0, 0.0, 0.5 * (hi - lo))
 
 
 def _columns_for(cfg: ScenarioConfig) -> tuple[str, ...]:
@@ -450,11 +445,10 @@ def _two_qubit_columns(rho: DensityOperator, se_c: np.ndarray | None = None) -> 
     """Concurrence and eof columns of a (T, 4, 4) stack of evolved states,
     with their standard errors for a Monte-Carlo model."""
     conc = concurrence(rho)
-    eof = _eof(conc)
+    eof = eof_from_concurrence(conc)
     if se_c is None:
         return {"concurrence": [conc], "eof": [eof]}
-    eof_se = np.array([_eof_se(float(c), float(se)) for c, se in zip(conc, se_c)])
-    return {"concurrence": [conc, se_c], "eof": [eof, eof_se]}
+    return {"concurrence": [conc, se_c], "eof": [eof, _eof_se(conc, se_c)]}
 
 
 def _mixture_columns(cfg: ScenarioConfig, evolve) -> dict:
@@ -526,7 +520,10 @@ def _rtn_params(cfg: ScenarioConfig) -> RTNParams:
         RTNParams(rate=rate, coupling=g)
     except ValueError as exc:
         raise ValueError(str(exc).replace("coupling=", "g=")) from exc
-    return RTNParams(rate=rate, coupling=g * rate)
+    coupling = g * rate
+    if not math.isfinite(coupling):
+        raise ValueError(f"g={g} times rate={rate} overflows the coupling")
+    return RTNParams(rate=rate, coupling=coupling)
 
 
 def _strobo_params(cfg: ScenarioConfig) -> StroboscopicParams:
@@ -589,7 +586,7 @@ def _flow_columns(cfg: ScenarioConfig, p: RandomFieldParams, threads: int) -> di
     conc, dec = flow_measures(cfg.initial_density(), p, grid)
     return {
         "concurrence": [conc],
-        "eof": [_eof(conc)],
+        "eof": [eof_from_concurrence(conc)],
         "tripartite": [dec.tripartite],
         "info-decomposition": [dec.total, dec.local, dec.tripartite, dec.bipartite_max, dec.residual],
     }

@@ -673,6 +673,28 @@ class TestModelParameterRanges:
         assert main(["simulate", "--config", str(path)]) == 1
         assert capsys.readouterr().err == "config error: [rtn] g=-1.0 must be >= 0\n"
 
+    def test_overflowing_coupling_names_g(self, tmp_path, capsys):
+        # every value is finite as written, but g * rate is not
+        path = tmp_path / "scenario.cfg"
+        path.write_text(_set(_set(RTN_CFG, "rate", "1e200"), "g", "1e200"), encoding="utf-8")
+        assert main(["simulate", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == "config error: [rtn] g=1e+200 times rate=1e+200 overflows the coupling\n"
+
+    @pytest.mark.parametrize("g", ["1e-200", "0.5", "5.0"])
+    def test_huge_rate_runs_as_rate_one(self, tmp_path, capsys, g):
+        # q depends on g and rate * t only, and the grid is in units of 1/rate;
+        # rate * rate overflows, so the coherence must not square the rate
+        rows = []
+        for rate in ("1.0", "1e200"):
+            path = tmp_path / "scenario.cfg"
+            path.write_text(_set(_set(RTN_CFG, "rate", rate), "g", g), encoding="utf-8")
+            out = tmp_path / f"rtn-{rate}.csv"
+            assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+            body = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
+            rows.append(np.array([[float(x) for x in l.split(",")] for l in body]))
+        assert capsys.readouterr().err == ""
+        assert np.all(np.isfinite(rows[1])) and np.max(np.abs(rows[1] - rows[0])) < 1e-12
+
 
 class TestOutputFiles:
     def write(self, tmp_path, text):

@@ -104,11 +104,23 @@ class TestEntanglementOfFormation:
         efs = [eof_from_concurrence(c) for c in cs]
         assert np.all(np.diff(efs) >= 0.0)
 
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            eof_from_concurrence(1.1)
-        with pytest.raises(ValueError):
-            eof_from_concurrence(-0.1)
+    @pytest.mark.parametrize("bad", [1.1, -0.1, np.nan])
+    def test_out_of_range_rejected(self, bad):
+        with pytest.raises(ValueError, match="outside"):
+            eof_from_concurrence(bad)
+        with pytest.raises(ValueError, match="outside"):
+            eof_from_concurrence(np.array([0.2, bad, 0.5]))
+
+    def test_array_matches_elementwise(self):
+        # the scenario runner takes E_f of a whole column at once; every
+        # element must equal the single-value call bit for bit
+        rng = np.random.default_rng(4)
+        cs = np.concatenate([rng.uniform(0.0, 1.0, 2000), rng.uniform(0.0, 1e-7, 200),
+                             1.0 - rng.uniform(0.0, 1e-7, 200), [-1e-9, 0.0, 1.0, 1.0 + 1e-9]])
+        efs = eof_from_concurrence(cs)
+        assert efs.shape == cs.shape and isinstance(eof_from_concurrence(0.3), float)
+        one_by_one = np.array([eof_from_concurrence(float(c)) for c in cs])
+        assert np.array_equal(efs.view(np.int64), one_by_one.view(np.int64))
 
     def test_binary_entropy_symmetry(self):
         assert abs(binary_entropy(0.3) - binary_entropy(0.7)) < 1e-15

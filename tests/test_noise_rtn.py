@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,19 @@ class TestMonteCarloOracle:
         a = rtn_mc_coherence_grid(p, [1.0, 5.0], 10_000, 31, threads=1)
         b = rtn_mc_coherence_grid(p, [1.0, 5.0], 10_000, 31, threads=8)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+    @pytest.mark.parametrize("trajectories, digest", [
+        (10_001, "3a4cab784deef6cccf3eb79f8f199f18b73f73e4f4e60b2bcec4a655c835b0b7"),
+        (12_000, "c815c9526c262eec98667917086fe68b695e4e269a764a494af40ce30273827a"),
+    ])
+    @pytest.mark.parametrize("threads", [1, 2, 8])
+    def test_bytes_pinned(self, trajectories, digest, threads):
+        # SHA-256 of the means and standard errors as recorded with the
+        # min/diff/gemv integral kernel (numpy 2.4, OpenBLAS, x86-64): a kernel
+        # rewrite must not move a bit; 10 001 ends on a batch of 1809 rows
+        p = RTNParams(rate=1.0, coupling=2.5)
+        mean, se = rtn_mc_coherence_grid(p, np.linspace(0.0, 12.0, 49), trajectories, 7, threads)
+        assert hashlib.sha256(mean.tobytes() + se.tobytes()).hexdigest() == digest
 
     def test_trajectory_floor(self):
         with pytest.raises(ValueError):
