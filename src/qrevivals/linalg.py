@@ -23,7 +23,15 @@ HERM_TOL = 1e-10
 
 class NumericalError(ValueError):
     """A matrix failed a numerical validity check (trace, Hermiticity,
-    positivity, finiteness) that valid inputs cannot fail."""
+    positivity, finiteness) that valid inputs cannot fail.
+
+    ``index`` is the stack index of the first failing matrix, the one the
+    message names; it is empty for a single matrix or where none applies.
+    """
+
+    def __init__(self, message="", index=()):
+        super().__init__(message)
+        self.index = tuple(index)
 
 
 class PositivityError(NumericalError):
@@ -52,14 +60,19 @@ def _as_stack(m) -> np.ndarray:
     return m
 
 
+def _stack_where(idx: tuple) -> str:
+    """The " at stack index ..." suffix that names ``idx`` in a message (empty
+    for a single matrix)."""
+    return f" at stack index {idx[0] if len(idx) == 1 else idx}" if idx else ""
+
+
 def _first_failure(ok: np.ndarray):
     """Index of the first False entry of ``ok`` (None if all hold), and its
-    " at stack index ..." suffix for messages (empty for a single matrix)."""
+    " at stack index ..." suffix for messages."""
     if ok.all():
         return None, ""
-    idx = np.unravel_index(int(np.argmin(ok)), ok.shape)
-    suffix = f" at stack index {idx[0] if len(idx) == 1 else idx}" if idx else ""
-    return idx, suffix
+    idx = tuple(int(i) for i in np.unravel_index(int(np.argmin(ok)), ok.shape))
+    return idx, _stack_where(idx)
 
 
 def tensor_product(a, b) -> np.ndarray:
@@ -80,7 +93,8 @@ def hermitian_eigenvalues(m, herm_tol: float = 1e-8) -> np.ndarray:
     idx, where = _first_failure(dev <= herm_tol)  # negated: a NaN deviation fails
     if idx is not None:
         raise NumericalError(
-            f"matrix is not Hermitian within {herm_tol:g}{where} (max deviation {dev[idx]:.3e})"
+            f"matrix is not Hermitian within {herm_tol:g}{where} (max deviation {dev[idx]:.3e})",
+            idx,
         )
     vals = np.linalg.eigvalsh(m)[..., ::-1]
     return np.where((vals < 0.0) & (vals > -EIG_DUST), 0.0, vals)
@@ -110,13 +124,13 @@ def _density_spectrum(m) -> np.ndarray:
     tr = np.trace(m, axis1=-2, axis2=-1)
     idx, where = _first_failure(np.abs(tr - 1.0) <= TRACE_TOL)
     if idx is not None:
-        raise NumericalError(f"trace {tr[idx]:.12g}{where} differs from 1 by more than {TRACE_TOL:g}")
+        raise NumericalError(f"trace {tr[idx]:.12g}{where} differs from 1 by more than {TRACE_TOL:g}", idx)
     vals = hermitian_eigenvalues(m, HERM_TOL)
     low = vals[..., -1]
     idx, where = _first_failure(low >= 0.0)  # dust is already 0
     if idx is not None:
         raise PositivityError(
-            f"negative eigenvalue {low[idx]:.3e}{where} below the -{EIG_DUST:g} dust window"
+            f"negative eigenvalue {low[idx]:.3e}{where} below the -{EIG_DUST:g} dust window", idx
         )
     return vals
 

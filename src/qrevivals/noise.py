@@ -704,28 +704,46 @@ def rtn_evolved_state(ewl: EWLParams, p: RTNParams, t) -> DensityOperator:
 # ---------------------------------------------------------------------------
 
 
-def stroboscopic_coherences(p: StroboscopicParams, threads: int = 1) -> DephasingEstimate:
+def stroboscopic_coherences(p, threads: int = 1):
     """Per-step dephasing factors <exp(-i Theta_k)> averaged over AR(1) phase
-    sequences, Theta_k the accumulated (echo-sign-corrected) phase after step k."""
-    mu, sigma = p.autocorrelation, p.phase_sigma
-    signs = np.ones(p.steps)
-    if p.echo_after_step is not None:
-        signs[p.echo_after_step:] = -1.0
-    sizes = _batch_sizes(p.sequences)
-    streams = np.random.SeedSequence(p.seed).spawn(len(sizes))
-    innov = sigma * np.sqrt(1.0 - mu * mu)
+    sequences, Theta_k the accumulated (echo-sign-corrected) phase after step k.
+
+    ``p`` is one StroboscopicParams (returns its DephasingEstimate) or a
+    sequence of them sharing seed, sequences and steps (returns a list, one
+    estimate per set). Each batch draws its normals once and runs every set's
+    chain on them, so each estimate equals that of its set alone, bit for bit.
+    """
+    ps = [p] if isinstance(p, StroboscopicParams) else list(p)
+    if not ps:
+        raise ValueError("need at least one parameter set")
+    first = ps[0]
+    if any((q.seed, q.sequences, q.steps) != (first.seed, first.sequences, first.steps) for q in ps):
+        raise ValueError("parameter sets must share seed, sequences and steps")
+    chains = []
+    for q in ps:
+        mu, sigma = q.autocorrelation, q.phase_sigma
+        signs = np.ones(q.steps)
+        if q.echo_after_step is not None:
+            signs[q.echo_after_step:] = -1.0
+        chains.append((mu, sigma, sigma * np.sqrt(1.0 - mu * mu), signs))
+    sizes = _batch_sizes(first.sequences)
+    streams = np.random.SeedSequence(first.seed).spawn(len(sizes))
 
     def work(i):
         rng = np.random.default_rng(streams[i])
-        z = rng.standard_normal((sizes[i], p.steps))
-        x = np.empty_like(z)
-        x[:, 0] = sigma * z[:, 0]
-        for k in range(1, p.steps):
-            x[:, k] = mu * x[:, k - 1] + innov * z[:, k]
-        theta = np.cumsum(x * signs, axis=1)
-        return _phase_partials(theta)
+        z = rng.standard_normal((sizes[i], first.steps))
+        partials = []
+        for mu, sigma, innov, signs in chains:
+            x = np.empty_like(z)
+            x[:, 0] = sigma * z[:, 0]
+            for k in range(1, first.steps):
+                x[:, k] = mu * x[:, k - 1] + innov * z[:, k]
+            partials.append(_phase_partials(np.cumsum(x * signs, axis=1)))
+        return partials
 
-    return _combine_phase_partials(_map_ordered(work, len(sizes), threads))
+    batches = _map_ordered(work, len(sizes), threads)
+    estimates = [_combine_phase_partials([b[v] for b in batches]) for v in range(len(ps))]
+    return estimates[0] if isinstance(p, StroboscopicParams) else estimates
 
 
 def stroboscopic_state(bell_input: str, p: StroboscopicParams, step: int) -> DensityOperator:

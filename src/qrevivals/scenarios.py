@@ -42,7 +42,7 @@ import numpy as np
 
 from . import __version__ as _pkg_version
 from . import kernels
-from .linalg import DensityOperator
+from .linalg import DensityOperator, NumericalError, _stack_where
 from .measures import concurrence, concurrence_pure, eof_from_concurrence
 from .noise import (
     MC_BATCH,
@@ -56,7 +56,7 @@ from .noise import (
     dephased_state,
     field_mixture_grid,
     ou_dephasing_factors,
-    rtn_evolved_state,
+    rtn_coherence,
     static_dephasing_factors,
     stroboscopic_coherences,
 )
@@ -346,7 +346,7 @@ class ScenarioResult:
         for k, v in self.metadata:
             buf.write(f"# {k} = {v}\n")
         buf.write(",".join(self.columns) + "\n")
-        for row in self.rows:
+        for row in self.rows.tolist():  # Python floats format faster than numpy scalars
             buf.write(",".join(format(v, ".17g") for v in row) + "\n")
         return buf.getvalue()
 
@@ -433,16 +433,24 @@ def _columns_for(cfg: ScenarioConfig) -> tuple[str, ...]:
 
 
 def _rows(cfg: ScenarioConfig, values: np.ndarray, columns: dict) -> np.ndarray:
-    """The grid values, then the columns of each requested measure in config
-    order; ``columns`` maps a measure to its list of (T,) arrays."""
-    cols = [values]
+    """(V, T, n_cols): the grid values, then the columns of each requested
+    measure in config order; ``columns`` maps a measure to its list of (V, T)
+    arrays."""
+    cols = [np.broadcast_to(values, columns[cfg.measures[0]][0].shape)]
     for m in cfg.measures:
         cols += columns[m]
-    return np.column_stack(cols)
+    return np.stack(cols, axis=-1)
+
+
+def _joined(parts: list[dict]) -> dict:
+    """Column dicts of consecutive values joined along the value axis; a (T,)
+    column is one value."""
+    return {m: [np.concatenate([np.atleast_2d(p[m][k]) for p in parts]) for k in range(len(cols))]
+            for m, cols in parts[0].items()}
 
 
 def _two_qubit_columns(rho: DensityOperator, se_c: np.ndarray | None = None) -> dict:
-    """Concurrence and eof columns of a (T, 4, 4) stack of evolved states,
+    """Concurrence and eof columns of a (..., 4, 4) stack of evolved states,
     with their standard errors for a Monte-Carlo model."""
     conc = concurrence(rho)
     eof = eof_from_concurrence(conc)
@@ -451,10 +459,36 @@ def _two_qubit_columns(rho: DensityOperator, se_c: np.ndarray | None = None) -> 
     return {"concurrence": [conc, se_c], "eof": [eof, _eof_se(conc, se_c)]}
 
 
-def _mixture_columns(cfg: ScenarioConfig, evolve) -> dict:
+# grid points (values x times) per dephased-state stack: a (V, T) evaluation
+# runs in blocks of whole values, so its memory does not grow with V
+_BLOCK_POINTS = 512
+
+
+def _dephased_columns(rho0: DensityOperator, factors: np.ndarray, echoed, se_c=None) -> dict:
+    """Two-qubit columns of the dephasing channel, (V, T) factors and echo
+    flags (and standard errors), one dephased_state stack per block of values.
+    The stack index (value, time) of a NumericalError counts values from the
+    first, not from the block's."""
+    echoed = np.broadcast_to(echoed, factors.shape)
+    size = max(1, _BLOCK_POINTS // factors.shape[1])
+    parts = []
+    for start in range(0, factors.shape[0], size):
+        block = slice(start, start + size)
+        try:
+            rho = dephased_state(rho0, factors[block], echoed[block])
+            parts.append(_two_qubit_columns(rho, None if se_c is None else se_c[block]))
+        except NumericalError as exc:
+            if start == 0 or not exc.index:
+                raise
+            moved = (start + exc.index[0],) + exc.index[1:]
+            raise type(exc)(str(exc).replace(_stack_where(exc.index), _stack_where(moved)), moved) from exc
+    return _joined(parts)
+
+
+def _mixture_columns(cfg: ScenarioConfig, columns_of) -> dict:
     """Columns of a mixture of local unitaries on qubit B (the field and static
-    channels); ``evolve(rho)`` maps a two-qubit input state to its stack of
-    evolved states over the grid.
+    channels); ``columns_of(rho)`` maps a two-qubit input state to the (V, T)
+    two-qubit columns of its evolved states.
 
     Such a channel keeps the entanglement of every member of the pure ensemble
     it generates from |psi0>: the average entanglement is E_f(psi0) at every
@@ -462,7 +496,7 @@ def _mixture_columns(cfg: ScenarioConfig, evolve) -> dict:
     rho_psi0(t) the channel applied to |psi0><psi0| (the mixture of that ensemble).
     """
     rho0 = cfg.initial_density()
-    columns = _two_qubit_columns(evolve(rho0))
+    columns = columns_of(rho0)
     if any(m in cfg.measures for m in _ENSEMBLE_MEASURES):
         psi0 = cfg.initial_pure_vector()
         e0 = eof_from_concurrence(concurrence_pure(psi0))
@@ -471,9 +505,9 @@ def _mixture_columns(cfg: ScenarioConfig, evolve) -> dict:
         if np.array_equal(pure0, rho0.matrix):
             eof_pure = columns["eof"][0]
         else:
-            eof_pure = _two_qubit_columns(evolve(DensityOperator(pure0, (2, 2))))["eof"][0]
+            eof_pure = columns_of(DensityOperator(pure0, (2, 2)))["eof"][0]
         columns["hidden-entanglement"] = [e0 - eof_pure]
-        columns["average-entanglement"] = [np.full(eof_pure.size, e0)]
+        columns["average-entanglement"] = [np.full(eof_pure.shape, e0)]
     return columns
 
 
@@ -543,53 +577,59 @@ def _strobo_params(cfg: ScenarioConfig) -> StroboscopicParams:
     )
 
 
-def _field_columns(cfg: ScenarioConfig, p: RandomFieldParams, threads: int) -> dict:
-    times = _grid_values(cfg) / p.rabi
+def _field_columns(cfg: ScenarioConfig, ps: list[RandomFieldParams], threads: int) -> dict:
+    grid = _grid_values(cfg)
 
-    def evolve(rho):
-        m = field_mixture_grid(0.5 * rho.matrix, p, times, summed=True)
-        return DensityOperator(m, (2, 2))
+    def columns_of(rho):
+        stacks = [field_mixture_grid(0.5 * rho.matrix, p, grid / p.rabi, summed=True) for p in ps]
+        return _joined([_two_qubit_columns(DensityOperator(m, (2, 2))) for m in stacks])
 
-    return _mixture_columns(cfg, evolve)
-
-
-def _static_columns(cfg: ScenarioConfig, p: StaticNoiseParams, threads: int) -> dict:
-    times = _grid_values(cfg) / p.sigma
-    factors = static_dephasing_factors(p, times)
-    echoed = _echo_effective_duration(p, times)[1]
-    return _mixture_columns(cfg, lambda rho: dephased_state(rho, factors, echoed))
+    return _mixture_columns(cfg, columns_of)
 
 
-def _ou_columns(cfg: ScenarioConfig, p: StaticNoiseParams, threads: int) -> dict:
-    times = _grid_values(cfg) / p.sigma
-    est = ou_dephasing_factors(p, times, cfg.trajectories, cfg.seed, threads)
-    rho = dephased_state(cfg.initial_density(), est.factors, _echo_effective_duration(p, times)[1])
-    return _two_qubit_columns(rho, est.se_abs)
+def _static_columns(cfg: ScenarioConfig, ps: list[StaticNoiseParams], threads: int) -> dict:
+    grid = _grid_values(cfg)
+    factors = np.stack([static_dephasing_factors(p, grid / p.sigma) for p in ps])
+    echoed = np.stack([_echo_effective_duration(p, grid / p.sigma)[1] for p in ps])
+    return _mixture_columns(cfg, lambda rho: _dephased_columns(rho, factors, echoed))
 
 
-def _rtn_columns(cfg: ScenarioConfig, p: RTNParams, threads: int) -> dict:
-    return _two_qubit_columns(rtn_evolved_state(cfg.initial_ewl, p, _grid_values(cfg) / p.rate))
+def _ou_columns(cfg: ScenarioConfig, ps: list[StaticNoiseParams], threads: int) -> dict:
+    grid = _grid_values(cfg)
+    ests = [ou_dephasing_factors(p, grid / p.sigma, cfg.trajectories, cfg.seed, threads) for p in ps]
+    echoed = np.stack([_echo_effective_duration(p, grid / p.sigma)[1] for p in ps])
+    return _dephased_columns(cfg.initial_density(), np.stack([e.factors for e in ests]), echoed,
+                             np.stack([e.se_abs for e in ests]))
 
 
-def _strobo_columns(cfg: ScenarioConfig, p: StroboscopicParams, threads: int) -> dict:
-    est = stroboscopic_coherences(p, threads)
+def _rtn_columns(cfg: ScenarioConfig, ps: list[RTNParams], threads: int) -> dict:
+    grid = _grid_values(cfg)
+    factors = np.stack([rtn_coherence(p, grid / p.rate) for p in ps])
+    return _dephased_columns(cfg.initial_density(), factors, False)
+
+
+def _strobo_columns(cfg: ScenarioConfig, ps: list[StroboscopicParams], threads: int) -> dict:
+    ests = stroboscopic_coherences(ps, threads)  # one set of draws for every value
     steps = np.rint(_grid_values(cfg)).astype(int)
     # step 0 is the undephased input: factor 1, standard error 0
-    factors = np.concatenate([[1.0 + 0.0j], est.factors])[steps]
-    se_c = np.concatenate([[0.0], est.se_abs])[steps]
-    echoed = p.echo_after_step is not None and steps > p.echo_after_step
-    return _two_qubit_columns(dephased_state(cfg.initial_density(), factors, echoed), se_c)
+    factors = np.stack([np.concatenate([[1.0 + 0.0j], e.factors])[steps] for e in ests])
+    se_c = np.stack([np.concatenate([[0.0], e.se_abs])[steps] for e in ests])
+    echoed = np.stack([steps > (math.inf if p.echo_after_step is None else p.echo_after_step) for p in ps])
+    return _dephased_columns(cfg.initial_density(), factors, echoed, se_c)
 
 
-def _flow_columns(cfg: ScenarioConfig, p: RandomFieldParams, threads: int) -> dict:
-    grid = _grid_values(cfg) / p.rabi
-    conc, dec = flow_measures(cfg.initial_density(), p, grid)
-    return {
-        "concurrence": [conc],
-        "eof": [eof_from_concurrence(conc)],
-        "tripartite": [dec.tripartite],
-        "info-decomposition": [dec.total, dec.local, dec.tripartite, dec.bipartite_max, dec.residual],
-    }
+def _flow_columns(cfg: ScenarioConfig, ps: list[RandomFieldParams], threads: int) -> dict:
+    grid = _grid_values(cfg)
+    parts = []
+    for p in ps:
+        conc, dec = flow_measures(cfg.initial_density(), p, grid / p.rabi)
+        parts.append({
+            "concurrence": [conc],
+            "eof": [eof_from_concurrence(conc)],
+            "tripartite": [dec.tripartite],
+            "info-decomposition": [dec.total, dec.local, dec.tripartite, dec.bipartite_max, dec.residual],
+        })
+    return _joined(parts)
 
 
 @dataclass(frozen=True)
@@ -599,7 +639,9 @@ class _Model:
     initial_kinds: tuple[str, ...]
     monte_carlo: bool
     params: Callable  # ScenarioConfig -> params dataclass; may raise ValueError
-    evaluate: Callable  # (ScenarioConfig, params, threads) -> {measure: [(T,) arrays]}
+    # (ScenarioConfig, [params of V values], threads) -> {measure: [(V, T) arrays]}; the
+    # config gives what the values share: grid, initial state, seed, trajectories
+    evaluate: Callable
 
 
 _FIELD_KEYS = {"rabi": (float, True), "width": (float, False)}
@@ -639,13 +681,25 @@ def _model_params(cfg: ScenarioConfig):
         raise ConfigError(f"[{cfg.model}] {str(exc).replace('_', '-')}") from exc
 
 
-def run_scenario(cfg: ScenarioConfig, threads: int = 1, sweep_info=None) -> ScenarioResult:
+def _run(configs: list[ScenarioConfig], params: list, threads: int, parameter=None) -> list[ScenarioResult]:
+    """One stacked evaluation of V >= 1 configs that differ only in the value
+    of the model-section key ``parameter`` (None for a single scenario), with
+    their params dataclasses; one result per config."""
+    cfg = configs[0]
+    columns = _columns_for(cfg)
+    data = _MODEL_TABLE[cfg.model].evaluate(cfg, params, max(1, int(threads)))
+    rows = _rows(cfg, _grid_values(cfg), data)
+    results = []
+    for c, r in zip(configs, rows):
+        sweep_info = None if parameter is None else (parameter, c.param(parameter))
+        results.append(ScenarioResult(metadata=_metadata(c, columns, sweep_info), columns=columns, rows=r))
+    return results
+
+
+def run_scenario(cfg: ScenarioConfig, threads: int = 1) -> ScenarioResult:
     """Execute a scenario; identical (cfg, seed) pairs produce byte-identical
     CSV irrespective of ``threads``."""
-    columns = _columns_for(cfg)
-    data = _MODEL_TABLE[cfg.model].evaluate(cfg, _model_params(cfg), max(1, int(threads)))
-    rows = _rows(cfg, _grid_values(cfg), data)
-    return ScenarioResult(metadata=_metadata(cfg, columns, sweep_info), columns=columns, rows=rows)
+    return _run([cfg], [_model_params(cfg)], threads)[0]
 
 
 def sweepable_parameters(model: str) -> tuple[str, ...]:
@@ -665,25 +719,26 @@ def parse_sweep_values(cfg: ScenarioConfig, parameter: str, values) -> list:
 
 
 def sweep(cfg: ScenarioConfig, parameter: str, values, threads: int = 1):
-    """Run the scenario once per parameter value; returns [(value, result), ...].
+    """Run the scenario at every parameter value, as one stacked evaluation
+    that shares the Monte-Carlo draws; returns [(value, result), ...], each
+    result equal to run_scenario on the config with that value written in.
 
     ``parameter`` must name a key of the model's parameter section (for 'rtn',
     'g' and 'coupling' displace each other). Every value is parsed and
     validated before any runs.
     """
-    configs = []
-    for value in parse_sweep_values(cfg, parameter, values):
-        params = dict(cfg.model_params)
-        params[parameter] = value
+    values = parse_sweep_values(cfg, parameter, values)
+    configs, params = [], []
+    for value in values:
+        model_params = dict(cfg.model_params)
+        model_params[parameter] = value
         if cfg.model == "rtn":
             if parameter == "g":
-                params.pop("coupling", None)
+                model_params.pop("coupling", None)
             elif parameter == "coupling":
-                params.pop("g", None)
-        new_cfg = dataclasses.replace(cfg, model_params=tuple(sorted(params.items())))
-        _model_params(new_cfg)
-        configs.append((value, new_cfg))
-    return [
-        (value, run_scenario(new_cfg, threads, sweep_info=(parameter, value)))
-        for value, new_cfg in configs
-    ]
+                model_params.pop("g", None)
+        configs.append(dataclasses.replace(cfg, model_params=tuple(sorted(model_params.items()))))
+        params.append(_model_params(configs[-1]))
+    if not configs:
+        return []
+    return list(zip(values, _run(configs, params, threads, parameter)))

@@ -2,7 +2,9 @@
 per-point runner (commit 201b920), before the models moved into one table.
 
 Each ``tests/golden/<name>.cfg`` was run with ``qrevivals simulate --config
-<name>.cfg --out <name>.csv``; the two sweeps with the arguments in SWEEPS.
+<name>.cfg --out <name>.csv``; the sweeps with the arguments in SWEEPS (the
+``autocorrelation`` and ``g`` sweeps recorded at commit 58e9be0, before a sweep
+ran as one stacked evaluation).
 Deterministic rows must agree within 1e-12, Monte-Carlo files byte for byte,
 and the metadata (config echo and ``config-hash`` included) line for line;
 only the ``version.*`` lines may differ.
@@ -21,6 +23,8 @@ MC_MODELS = ("ou-noise", "stroboscopic")
 SWEEPS = {
     "sweep-stroboscopic": ("stroboscopic.cfg", "echo-after-step", "1,3"),
     "sweep-rtn": ("rtn.cfg", "coupling", "0.5,4"),
+    "sweep-stroboscopic-mu": ("stroboscopic.cfg", "autocorrelation", "0,0.5,1"),
+    "sweep-rtn-g": ("rtn.cfg", "g", "0.5,1,2"),
 }
 
 

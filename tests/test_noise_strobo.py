@@ -114,3 +114,36 @@ def test_state_is_valid_density_operator():
     rho = stroboscopic_state("2+", params(autocorrelation=0.3, echo_after_step=1), 3)
     assert isinstance(rho, DensityOperator)
     assert abs(np.trace(rho.matrix) - 1.0) < 1e-12
+
+
+class TestParameterSetSequence:
+    """One call over V parameter sets draws each batch's normals once and must
+    equal V single-set calls bit for bit."""
+
+    SETS = (
+        dict(autocorrelation=0.0),
+        dict(autocorrelation=1.0),
+        dict(autocorrelation=0.5, echo_after_step=2),
+        dict(autocorrelation=1.0, echo_after_step=1),
+        dict(autocorrelation=0.0, phase_sigma=0.0, echo_after_step=3),
+    )
+
+    @pytest.mark.parametrize("threads", [1, 2, 8])
+    def test_equals_single_set_calls(self, threads):
+        ps = [params(sequences=5000, **kw) for kw in self.SETS]  # the last batch is partial
+        stacked = stroboscopic_coherences(ps, threads)
+        assert len(stacked) == len(ps)
+        for p, est in zip(ps, stacked):
+            single = stroboscopic_coherences(p, threads)
+            assert np.array_equal(est.factors.view(np.int64), single.factors.view(np.int64))
+            assert np.array_equal(est.se_abs.view(np.int64), single.se_abs.view(np.int64))
+            assert est.trajectories == single.trajectories == 5000
+
+    @pytest.mark.parametrize("other", [dict(seed=405), dict(sequences=4096)])
+    def test_sets_must_share_seed_and_sequences(self, other):
+        with pytest.raises(ValueError, match="share seed, sequences and steps"):
+            stroboscopic_coherences([params(sequences=5000), params(**{"sequences": 5000, **other})])
+
+    def test_empty_sequence_rejected(self):
+        with pytest.raises(ValueError, match="at least one"):
+            stroboscopic_coherences([])
