@@ -7,6 +7,7 @@ checks, or a LAPACK error). Every failure prints one line on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -47,14 +48,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args):
-    import dataclasses
-
     cfg = parse_config(args.config)
-    if args.seed is not None:
-        if not 0 <= args.seed < 2**64:
-            raise ConfigError(f"--seed must fit in 64 bits, got {args.seed}")
-        cfg = dataclasses.replace(cfg, seed=args.seed)
-    return cfg
+    # the config checks itself on replace, so an out-of-range seed is a config error
+    return cfg if args.seed is None else dataclasses.replace(cfg, seed=args.seed)
 
 
 def _check_out_dir(out: str | None):

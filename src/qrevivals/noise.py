@@ -32,6 +32,9 @@ from .states import EWLParams, bell_state, ewl_state
 
 MC_BATCH = 2048
 OU_MIN_TRAJECTORIES = 1000
+# most steps of one OU fine partition: each trajectory batch draws MC_BATCH
+# normals per step, 512 MiB at the cap
+OU_MAX_STEPS = 2**15
 RNG_DESCRIPTION = "numpy-pcg64; SeedSequence.spawn per fixed-size trajectory batch"
 
 FIELD_PHASES = (np.pi / 2.0, -np.pi / 2.0)
@@ -512,9 +515,9 @@ def ou_phase_variance(p: StaticNoiseParams, t):
     return float(var) if var.ndim == 0 else var
 
 
-def _ou_partition(p: StaticNoiseParams, times: np.ndarray):
-    """Fine time partition (exact-update midpoint scheme) covering all
-    requested times, with the echo time inserted as a boundary."""
+def _ou_steps(p: StaticNoiseParams, times: np.ndarray):
+    """Anchors of the fine partition (0, the grid times and the echo time) and
+    the number of equal steps between each pair of them (a float array)."""
     t_max = float(times[-1])
     anchors = [0.0] + [float(t) for t in times]
     if p.echo_time is not None and p.echo_time < t_max:
@@ -523,10 +526,26 @@ def _ou_partition(p: StaticNoiseParams, times: np.ndarray):
     dt_max = p.correlation_time / 20.0
     if p.sigma > 0.0:
         dt_max = min(dt_max, 0.05 / p.sigma)
+    return anchors, np.maximum(1.0, np.ceil(np.diff(anchors) / dt_max - 1e-12))
+
+
+def ou_partition_steps(p: StaticNoiseParams, times) -> float:
+    """Number of steps of the OU fine partition over the ascending grid
+    ``times`` (inf when it overflows a float)."""
+    return float(_ou_steps(p, np.asarray(times, dtype=float).reshape(-1))[1].sum())
+
+
+def _ou_partition(p: StaticNoiseParams, times: np.ndarray):
+    """Fine time partition (exact-update midpoint scheme) covering all
+    requested times, with the echo time inserted as a boundary; refused above
+    OU_MAX_STEPS steps, before it is built."""
+    anchors, nsub = _ou_steps(p, times)
+    if nsub.sum() > OU_MAX_STEPS:
+        raise ValueError(f"correlation_time={p.correlation_time} needs {nsub.sum():.3g} OU steps, "
+                         f"above the cap of {OU_MAX_STEPS}")
     fine = [anchors[0]]
-    for b0, b1 in zip(anchors[:-1], anchors[1:]):
-        nsub = max(1, int(np.ceil((b1 - b0) / dt_max - 1e-12)))
-        fine.extend(np.linspace(b0, b1, nsub + 1)[1:].tolist())
+    for b0, b1, n in zip(anchors[:-1], anchors[1:], nsub.astype(np.int64).tolist()):
+        fine.extend(np.linspace(b0, b1, n + 1)[1:].tolist())
     fine = np.asarray(fine)
     durations = np.diff(fine)
     midpoints = 0.5 * (fine[:-1] + fine[1:])

@@ -30,6 +30,7 @@ printed with 17 significant digits so determinism is byte-checkable.
 """
 from __future__ import annotations
 
+import cmath
 import configparser
 import dataclasses
 import hashlib
@@ -46,6 +47,7 @@ from .linalg import DensityOperator, NumericalError, _stack_where
 from .measures import concurrence, concurrence_pure, eof_from_concurrence
 from .noise import (
     MC_BATCH,
+    OU_MAX_STEPS,
     OU_MIN_TRAJECTORIES,
     RNG_DESCRIPTION,
     RTNParams,
@@ -56,6 +58,7 @@ from .noise import (
     dephased_state,
     field_mixture_grid,
     ou_dephasing_factors,
+    ou_partition_steps,
     rtn_coherence,
     static_dephasing_factors,
     stroboscopic_coherences,
@@ -94,12 +97,86 @@ def _fmt(value) -> str:
         return format(value, ".17g")
     if isinstance(value, complex):
         return f"{format(value.real, '.17g')}{'+' if value.imag >= 0 else '-'}{format(abs(value.imag), '.17g')}j"
+    if isinstance(value, tuple):
+        return ",".join(value)
     return str(value)
+
+
+# ---------------------------------------------------------------------------
+# the section tables: key -> (parser, default) in echo order; the default is
+# _REQUIRED, _OMITTED (the config leaves the key out when absent) or the value
+# of an absent key
+# ---------------------------------------------------------------------------
+
+_REQUIRED, _OMITTED = object(), object()
+
+
+def _measures(raw: str) -> tuple[str, ...]:
+    """The comma-separated measures, each once, in the order first given."""
+    return tuple(dict.fromkeys(m.strip() for m in raw.split(",") if m.strip()))
+
+
+_SCENARIO_KEYS = {
+    "model": (str.strip, _REQUIRED),
+    "measures": (_measures, _REQUIRED),
+    "time-start": (float, _REQUIRED),
+    "time-stop": (float, _REQUIRED),
+    "time-points": (int, _REQUIRED),
+    "seed": (int, _REQUIRED),
+    "quadrature-order": (int, 64),
+    "trajectories": (int, _OMITTED),
+}
+
+
+def _one_of(section: str, key: str, value, options):
+    if value not in options:
+        raise ConfigError(f"[{section}] {key}: expected one of {tuple(options)}, got {value!r}")
+    return value
+
+
+def _bell_density(label: str) -> DensityOperator:
+    psi = bell_state(label)
+    return DensityOperator(np.outer(psi, psi.conj()), (2, 2))
+
+
+def _ewl_params(r: float, a: complex, excitation: str) -> EWLParams:
+    _one_of("initial-state", "excitation", excitation, ("one", "two"))
+    return EWLParams(r=r, a=a, kind=f"{excitation}-excitation")
+
+
+@dataclass(frozen=True)
+class _InitialKind:
+    keys: dict  # the keys of [initial-state] after 'kind'
+    params: Callable  # (**section values) -> params of the state; may raise ValueError
+    state: Callable  # params -> DensityOperator
+
+
+_INITIAL_KINDS = {
+    "bell": _InitialKind({"label": (str.strip, _REQUIRED)},
+                         lambda label: _one_of("initial-state", "label", label, BELL_LABELS), _bell_density),
+    "xyz": _InitialKind({key: (float, _REQUIRED) for key in ("x", "y", "z")}, XYZParams, xyz_state),
+    "ewl": _InitialKind({"r": (float, _REQUIRED), "a": (complex, _REQUIRED), "excitation": (str.strip, "one")},
+                        _ewl_params, ewl_state),
+}
+
+
+def _build(section: str, builder, *args, **kwargs):
+    """``builder(*args, **kwargs)``, a ValueError of it a ConfigError naming ``section``."""
+    try:
+        return builder(*args, **kwargs)
+    except ConfigError:
+        raise
+    except ValueError as exc:  # the dataclasses name a key by its field, echo_time for echo-time
+        raise ConfigError(f"[{section}] {str(exc).replace('_', '-')}") from exc
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Validated scenario description; times are in the model's dimensionless unit."""
+    """A scenario, checked whenever one is made (by dataclasses.replace too);
+    times are in the model's dimensionless unit. ``initial_params`` and
+    ``model_params`` are the (key, value) pairs of the [initial-state] and
+    model sections, and ``params`` the model's params dataclass built from
+    the whole config."""
 
     model: str
     measures: tuple[str, ...]
@@ -110,10 +187,46 @@ class ScenarioConfig:
     quadrature_order: int  # echoed into the metadata only
     trajectories: int | None
     initial_kind: str  # bell | xyz | ewl
-    initial_bell: str | None
-    initial_xyz: XYZParams | None
-    initial_ewl: EWLParams | None
+    initial_params: tuple[tuple[str, object], ...]
     model_params: tuple[tuple[str, float], ...]
+    params: object = dataclasses.field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        row = _MODEL_TABLE[_one_of("scenario", "model", self.model, MODELS)]
+        if not self.measures:
+            raise ConfigError("[scenario] measures: at least one measure is required")
+        for m in self.measures:
+            if m not in MEASURES:
+                raise ConfigError(f"[scenario] measures: unknown measure {m!r}; expected from {MEASURES}")
+            if m not in row.measures:
+                raise ConfigError(
+                    f"[scenario] measures: {m!r} is not available for model {self.model!r} "
+                    f"(allowed: {row.measures})"
+                )
+        if self.time_points < 2:
+            raise ConfigError(f"[scenario] time-points: need at least 2, got {self.time_points}")
+        if not self.time_stop > self.time_start:
+            raise ConfigError(f"[scenario] time-stop ({self.time_stop}) must exceed time-start ({self.time_start})")
+        if self.time_start < 0.0:
+            raise ConfigError(f"[scenario] time-start: must be >= 0, got {self.time_start}")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"[scenario] seed: must fit in 64 bits, got {self.seed}")
+        if self.quadrature_order < 1:
+            raise ConfigError(f"[scenario] quadrature-order: must be >= 1, got {self.quadrature_order}")
+        if self.trajectories is None and row.monte_carlo:
+            raise ConfigError(f"[scenario] trajectories: required for Monte-Carlo model {self.model!r}")
+        if self.trajectories is not None and not row.monte_carlo:
+            raise ConfigError(f"[scenario] trajectories: not accepted for non-Monte-Carlo model {self.model!r}")
+        if self.trajectories is not None and self.trajectories < 1:
+            raise ConfigError(f"[scenario] trajectories: must be >= 1, got {self.trajectories}")
+        kind = _INITIAL_KINDS[_one_of("initial-state", "kind", self.initial_kind, _INITIAL_KINDS)]
+        if self.initial_kind not in row.initial_kinds:
+            names = " or ".join(_INPUT_NAMES[k] for k in row.initial_kinds)
+            raise ConfigError(f"[initial-state] kind: model {self.model!r} requires {names} input")
+        _build("initial-state", kind.params, **dict(self.initial_params))
+        object.__setattr__(self, "params", _build(self.model, row.params, self))
+        if any(m in self.measures for m in _ENSEMBLE_MEASURES):
+            self.initial_pure_vector()  # raises ConfigError when impure
 
     def param(self, key: str, default=None):
         for k, v in self.model_params:
@@ -122,17 +235,13 @@ class ScenarioConfig:
         return default
 
     def initial_density(self) -> DensityOperator:
-        if self.initial_kind == "bell":
-            psi = bell_state(self.initial_bell)
-            return DensityOperator(np.outer(psi, psi.conj()), (2, 2))
-        if self.initial_kind == "xyz":
-            return xyz_state(self.initial_xyz)
-        return ewl_state(self.initial_ewl)
+        kind = _INITIAL_KINDS[self.initial_kind]
+        return kind.state(kind.params(**dict(self.initial_params)))
 
     def initial_pure_vector(self) -> np.ndarray:
         """State vector of a pure initial state (top eigenvector)."""
         if self.initial_kind == "bell":
-            return bell_state(self.initial_bell)
+            return bell_state(dict(self.initial_params)["label"])
         rho = self.initial_density()
         vals, vecs = np.linalg.eigh(rho.matrix)
         if vals[-1] < 1.0 - 1e-10:
@@ -143,21 +252,36 @@ class ScenarioConfig:
         return vecs[:, -1]
 
 
-def _parse_scalar(section: str, key: str, raw: str, caster):
+def _parse_scalar(section: str, key: str, raw: str, parser):
     try:
-        if caster is int:
-            v = int(raw)
-        elif caster is float:
-            v = float(raw)
-        elif caster is complex:
-            v = complex(raw.replace(" ", ""))
-        else:
-            v = raw
+        value = parser(raw.replace(" ", "") if parser is complex else raw)
     except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} as {caster.__name__}") from exc
-    if caster in (int, float) and isinstance(v, (int, float)) and not math.isfinite(float(v)):
+        raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} as {parser.__name__}") from exc
+    if isinstance(value, (float, complex)) and not cmath.isfinite(value):
         raise ConfigError(f"[{section}] {key}: value must be finite, got {raw!r}")
-    return v
+    if isinstance(value, int) and abs(value) >= 2**64:
+        raise ConfigError(f"[{section}] {key}: value must fit in 64 bits, got {raw!r}")
+    return value
+
+
+def _read_section(cp: configparser.ConfigParser, section: str, keys: dict) -> tuple[tuple[str, object], ...]:
+    """The (key, value) pairs of ``section`` read with the table ``keys``, in
+    table order; an absent key takes its default."""
+    if not cp.has_section(section):
+        raise ConfigError(f"missing [{section}] section")
+    raw = dict(cp.items(section))
+    for key in raw:
+        if key not in keys:
+            raise ConfigError(f"[{section}] unknown key {key!r}; expected from {list(keys)}")
+    items = []
+    for key, (parser, default) in keys.items():
+        if key in raw:
+            items.append((key, _parse_scalar(section, key, raw[key], parser)))
+        elif default is _REQUIRED:
+            raise ConfigError(f"[{section}] missing required key {key!r}")
+        elif default is not _OMITTED:
+            items.append((key, default))
+    return tuple(items)
 
 
 def parse_config_text(text: str) -> ScenarioConfig:
@@ -167,151 +291,22 @@ def parse_config_text(text: str) -> ScenarioConfig:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"config syntax error: {exc}") from exc
-
-    sections = set(cp.sections())
-    if "scenario" not in sections:
-        raise ConfigError("missing [scenario] section")
-    if "initial-state" not in sections:
+    scenario = dict(_read_section(cp, "scenario", _SCENARIO_KEYS))
+    model = scenario["model"]
+    row = _MODEL_TABLE[_one_of("scenario", "model", model, MODELS)]
+    if not cp.has_section("initial-state"):
         raise ConfigError("missing [initial-state] section")
-
-    scen = dict(cp.items("scenario"))
-    known_scen = {
-        "model", "measures", "time-start", "time-stop", "time-points",
-        "seed", "quadrature-order", "trajectories",
-    }
-    for key in scen:
-        if key not in known_scen:
-            raise ConfigError(f"[scenario] unknown key {key!r}")
-    for key in ("model", "measures", "time-start", "time-stop", "time-points", "seed"):
-        if key not in scen:
-            raise ConfigError(f"[scenario] missing required key {key!r}")
-
-    model = scen["model"].strip()
-    if model not in MODELS:
-        raise ConfigError(f"[scenario] model: unknown model {model!r}; expected one of {MODELS}")
-    row = _MODEL_TABLE[model]
-
-    measures = tuple(m.strip() for m in scen["measures"].split(",") if m.strip())
-    if not measures:
-        raise ConfigError("[scenario] measures: at least one measure is required")
-    seen = []
-    for m in measures:
-        if m not in MEASURES:
-            raise ConfigError(f"[scenario] measures: unknown measure {m!r}; expected from {MEASURES}")
-        if m not in row.measures:
-            raise ConfigError(
-                f"[scenario] measures: {m!r} is not available for model {model!r} "
-                f"(allowed: {row.measures})"
-            )
-        if m not in seen:
-            seen.append(m)
-    measures = tuple(seen)
-
-    time_start = _parse_scalar("scenario", "time-start", scen["time-start"], float)
-    time_stop = _parse_scalar("scenario", "time-stop", scen["time-stop"], float)
-    time_points = _parse_scalar("scenario", "time-points", scen["time-points"], int)
-    if time_points < 2:
-        raise ConfigError(f"[scenario] time-points: need at least 2, got {time_points}")
-    if not time_stop > time_start:
-        raise ConfigError(f"[scenario] time-stop ({time_stop}) must exceed time-start ({time_start})")
-    if time_start < 0.0:
-        raise ConfigError(f"[scenario] time-start: must be >= 0, got {time_start}")
-    seed = _parse_scalar("scenario", "seed", scen["seed"], int)
-    if not 0 <= seed < 2**64:
-        raise ConfigError(f"[scenario] seed: must fit in 64 bits, got {seed}")
-    order = _parse_scalar("scenario", "quadrature-order", scen.get("quadrature-order", "64"), int)
-    if order < 1:
-        raise ConfigError(f"[scenario] quadrature-order: must be >= 1, got {order}")
-
-    trajectories = None
-    if "trajectories" in scen:
-        if not row.monte_carlo:
-            raise ConfigError(f"[scenario] trajectories: not accepted for non-Monte-Carlo model {model!r}")
-        trajectories = _parse_scalar("scenario", "trajectories", scen["trajectories"], int)
-        if trajectories < 1:
-            raise ConfigError(f"[scenario] trajectories: must be >= 1, got {trajectories}")
-    elif row.monte_carlo:
-        raise ConfigError(f"[scenario] trajectories: required for Monte-Carlo model {model!r}")
-
-    # --- initial state ---
-    init = dict(cp.items("initial-state"))
-    kind = init.get("kind", "").strip()
-    initial_bell = initial_xyz = initial_ewl = None
-    if kind == "bell":
-        allowed = {"kind", "label"}
-        label = init.get("label", "").strip()
-        if label not in BELL_LABELS:
-            raise ConfigError(f"[initial-state] label: expected one of {BELL_LABELS}, got {label!r}")
-        initial_bell = label
-    elif kind == "xyz":
-        allowed = {"kind", "x", "y", "z"}
-        try:
-            initial_xyz = XYZParams(
-                x=_parse_scalar("initial-state", "x", init.get("x", "missing"), float),
-                y=_parse_scalar("initial-state", "y", init.get("y", "missing"), float),
-                z=_parse_scalar("initial-state", "z", init.get("z", "missing"), float),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"[initial-state] {exc}") from exc
-    elif kind == "ewl":
-        allowed = {"kind", "r", "a", "excitation"}
-        exc_kind = init.get("excitation", "one").strip()
-        if exc_kind not in ("one", "two"):
-            raise ConfigError(f"[initial-state] excitation: expected 'one' or 'two', got {exc_kind!r}")
-        try:
-            initial_ewl = EWLParams(
-                r=_parse_scalar("initial-state", "r", init.get("r", "missing"), float),
-                a=_parse_scalar("initial-state", "a", init.get("a", "missing"), complex),
-                kind=f"{exc_kind}-excitation",
-            )
-        except ValueError as exc:
-            raise ConfigError(f"[initial-state] {exc}") from exc
-    else:
-        raise ConfigError(f"[initial-state] kind: expected bell, xyz or ewl, got {kind!r}")
-    for key in init:
-        if key not in allowed:
-            raise ConfigError(f"[initial-state] unknown key {key!r} for kind {kind!r}")
-
-    # --- model params ---
-    expected_sections = {"scenario", "initial-state", model}
-    extra = sections - expected_sections
+    kind = _one_of("initial-state", "kind", cp["initial-state"].get("kind", "").strip(), _INITIAL_KINDS)
+    initial = _read_section(cp, "initial-state", {"kind": (str.strip, _REQUIRED), **_INITIAL_KINDS[kind].keys})
+    extra = set(cp.sections()) - {"scenario", "initial-state", model}
     if extra:
         raise ConfigError(f"unknown section(s): {sorted(extra)}")
-    if model not in sections:
-        raise ConfigError(f"missing [{model}] section")
-    raw = dict(cp.items(model))
-    for key in raw:
-        if key not in row.keys:
-            raise ConfigError(f"[{model}] unknown key {key!r}; expected from {sorted(row.keys)}")
-    params = {}
-    for key, (parser, required) in row.keys.items():
-        if key in raw:
-            params[key] = _parse_scalar(model, key, raw[key], parser)
-        elif required:
-            raise ConfigError(f"[{model}] missing required key {key!r}")
-
-    cfg = ScenarioConfig(
-        model=model,
-        measures=measures,
-        time_start=time_start,
-        time_stop=time_stop,
-        time_points=time_points,
-        seed=seed,
-        quadrature_order=order,
-        trajectories=trajectories,
+    return ScenarioConfig(
+        **{key.replace("-", "_"): scenario.get(key) for key in _SCENARIO_KEYS},
         initial_kind=kind,
-        initial_bell=initial_bell,
-        initial_xyz=initial_xyz,
-        initial_ewl=initial_ewl,
-        model_params=tuple(sorted(params.items())),
+        initial_params=initial[1:],
+        model_params=_read_section(cp, model, row.keys),
     )
-    if kind not in row.initial_kinds:
-        names = " or ".join(_INPUT_NAMES[k] for k in row.initial_kinds)
-        raise ConfigError(f"[initial-state] kind: model {model!r} requires {names} input")
-    _model_params(cfg)
-    if any(m in measures for m in _ENSEMBLE_MEASURES):
-        cfg.initial_pure_vector()  # raises ConfigError when impure
-    return cfg
 
 
 def parse_config(path) -> ScenarioConfig:
@@ -352,35 +347,14 @@ class ScenarioResult:
 
 
 def _config_echo_lines(cfg: ScenarioConfig) -> list[tuple[str, str]]:
-    lines = [
-        ("config.scenario.model", cfg.model),
-        ("config.scenario.measures", ",".join(cfg.measures)),
-        ("config.scenario.time-start", _fmt(cfg.time_start)),
-        ("config.scenario.time-stop", _fmt(cfg.time_stop)),
-        ("config.scenario.time-points", _fmt(cfg.time_points)),
-        ("config.scenario.seed", _fmt(cfg.seed)),
-        ("config.scenario.quadrature-order", _fmt(cfg.quadrature_order)),
-    ]
-    if cfg.trajectories is not None:
-        lines.append(("config.scenario.trajectories", _fmt(cfg.trajectories)))
-    lines.append(("config.initial-state.kind", cfg.initial_kind))
-    if cfg.initial_kind == "bell":
-        lines.append(("config.initial-state.label", cfg.initial_bell))
-    elif cfg.initial_kind == "xyz":
-        lines += [
-            ("config.initial-state.x", _fmt(cfg.initial_xyz.x)),
-            ("config.initial-state.y", _fmt(cfg.initial_xyz.y)),
-            ("config.initial-state.z", _fmt(cfg.initial_xyz.z)),
-        ]
-    else:
-        lines += [
-            ("config.initial-state.r", _fmt(cfg.initial_ewl.r)),
-            ("config.initial-state.a", _fmt(cfg.initial_ewl.a)),
-            ("config.initial-state.excitation", cfg.initial_ewl.kind.split("-")[0]),
-        ]
-    for key, value in cfg.model_params:
-        lines.append((f"config.{cfg.model}.{key}", _fmt(value)))
-    return lines
+    """The config as ``config.<section>.<key>`` lines, each section in table order."""
+    sections = (
+        ("scenario", [(key, getattr(cfg, key.replace("-", "_"))) for key in _SCENARIO_KEYS]),
+        ("initial-state", (("kind", cfg.initial_kind),) + cfg.initial_params),
+        (cfg.model, cfg.model_params),
+    )
+    return [(f"config.{name}.{key}", _fmt(value))
+            for name, items in sections for key, value in items if value is not None]
 
 
 def _metadata(cfg: ScenarioConfig, columns, sweep_info=None) -> tuple[tuple[str, str], ...]:
@@ -517,12 +491,23 @@ def _mixture_columns(cfg: ScenarioConfig, columns_of) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _check_time_unit(cfg: ScenarioConfig, key: str, scale: float, *times):
+    """Refuse a unit scale (the value of ``key``) by which a time of the config,
+    the grid end first, does not divide to a finite time: the runner converts
+    each as time / scale."""
+    for t in (cfg.time_stop, *times):
+        if t is not None and not math.isfinite(t / scale):
+            raise ConfigError(f"[{cfg.model}] {key}: {t!r} / {key} overflows at {key} = {scale!r}")
+
+
 def _field_params(cfg: ScenarioConfig) -> RandomFieldParams:
     # width = 0 on the gaussian model degenerates to the sharp two-phase map,
     # which keeps width sweeps down to zero expressible
     if cfg.model == "random-field" and cfg.param("width", 0.0) != 0.0:
         raise ConfigError("[random-field] width: must be 0 (use random-field-gaussian)")
-    return RandomFieldParams(rabi=cfg.param("rabi"), width=cfg.param("width", 0.0))
+    p = RandomFieldParams(rabi=cfg.param("rabi"), width=cfg.param("width", 0.0))
+    _check_time_unit(cfg, "rabi", p.rabi)
+    return p
 
 
 def _dephasing_params(cfg: ScenarioConfig) -> StaticNoiseParams:
@@ -532,6 +517,7 @@ def _dephasing_params(cfg: ScenarioConfig) -> StaticNoiseParams:
     echo, tau = cfg.param("echo-time"), cfg.param("correlation-time")
     # checked in the config's sigma*t units first, so a range error quotes the value as written
     p = StaticNoiseParams(sigma=sigma, echo_time=echo, correlation_time=math.inf if tau is None else tau)
+    _check_time_unit(cfg, "sigma", sigma, echo, tau)
     return dataclasses.replace(
         p, echo_time=None if echo is None else echo / sigma, correlation_time=p.correlation_time / sigma
     )
@@ -541,23 +527,30 @@ def _ou_params(cfg: ScenarioConfig) -> StaticNoiseParams:
     if cfg.trajectories < OU_MIN_TRAJECTORIES:
         raise ConfigError(f"[scenario] trajectories: model 'ou-noise' needs at least {OU_MIN_TRAJECTORIES}, "
                           f"got {cfg.trajectories}")
-    return _dephasing_params(cfg)
+    p = _dephasing_params(cfg)
+    steps = ou_partition_steps(p, _grid_values(cfg) / p.sigma)
+    if steps > OU_MAX_STEPS:
+        raise ConfigError(f"[ou-noise] correlation-time: {cfg.param('correlation-time')!r} to time-stop "
+                          f"{cfg.time_stop!r} needs {steps:.3g} fine steps (each at most correlation-time/20 "
+                          f"and 0.05), above the cap of {OU_MAX_STEPS}")
+    return p
 
 
 def _rtn_params(cfg: ScenarioConfig) -> RTNParams:
     coupling, g, rate = cfg.param("coupling"), cfg.param("g"), cfg.param("rate")
     if (coupling is None) == (g is None):
         raise ConfigError("[rtn] exactly one of 'coupling' and 'g' must be given")
-    if g is None:
-        return RTNParams(rate=rate, coupling=coupling)
-    try:  # checked as written, g in the coupling's place, so a range error quotes g
-        RTNParams(rate=rate, coupling=g)
-    except ValueError as exc:
-        raise ValueError(str(exc).replace("coupling=", "g=")) from exc
-    coupling = g * rate
-    if not math.isfinite(coupling):
-        raise ValueError(f"g={g} times rate={rate} overflows the coupling")
-    return RTNParams(rate=rate, coupling=coupling)
+    if g is not None:
+        try:  # checked as written, g in the coupling's place, so a range error quotes g
+            RTNParams(rate=rate, coupling=g)
+        except ValueError as exc:
+            raise ValueError(str(exc).replace("coupling=", "g=")) from exc
+        coupling = g * rate
+        if not math.isfinite(coupling):
+            raise ValueError(f"g={g} times rate={rate} overflows the coupling")
+    p = RTNParams(rate=rate, coupling=coupling)
+    _check_time_unit(cfg, "rate", rate)
+    return p
 
 
 def _strobo_params(cfg: ScenarioConfig) -> StroboscopicParams:
@@ -634,7 +627,7 @@ def _flow_columns(cfg: ScenarioConfig, ps: list[RandomFieldParams], threads: int
 
 @dataclass(frozen=True)
 class _Model:
-    keys: dict  # section key -> (parser, required)
+    keys: dict  # the model section's table, in sorted (echo) order
     measures: tuple[str, ...]
     initial_kinds: tuple[str, ...]
     monte_carlo: bool
@@ -644,8 +637,8 @@ class _Model:
     evaluate: Callable
 
 
-_FIELD_KEYS = {"rabi": (float, True), "width": (float, False)}
-_DEPHASING_KEYS = {"sigma": (float, True), "echo-time": (float, False)}
+_FIELD_KEYS = {"rabi": (float, _REQUIRED), "width": (float, _OMITTED)}
+_DEPHASING_KEYS = {"echo-time": (float, _OMITTED), "sigma": (float, _REQUIRED)}
 _MIXTURE_MEASURES = ("concurrence", "eof", "hidden-entanglement", "average-entanglement")
 _TWO_QUBIT = ("concurrence", "eof")
 _ANY_INPUT = ("bell", "xyz", "ewl")
@@ -653,16 +646,16 @@ _INPUT_NAMES = {"bell": "a Bell-state", "ewl": "an extended Werner-like"}  # of 
 
 _MODEL_TABLE = {
     "random-field": _Model(_FIELD_KEYS, _MIXTURE_MEASURES, _ANY_INPUT, False, _field_params, _field_columns),
-    "random-field-gaussian": _Model({"rabi": (float, True), "width": (float, True)}, _MIXTURE_MEASURES,
+    "random-field-gaussian": _Model({"rabi": (float, _REQUIRED), "width": (float, _REQUIRED)}, _MIXTURE_MEASURES,
                                     _ANY_INPUT, False, _field_params, _field_columns),
     "static-noise": _Model(_DEPHASING_KEYS, _MIXTURE_MEASURES, ("bell",), False, _dephasing_params,
                            _static_columns),
-    "ou-noise": _Model({**_DEPHASING_KEYS, "correlation-time": (float, True)}, _TWO_QUBIT, ("bell",), True,
+    "ou-noise": _Model({"correlation-time": (float, _REQUIRED), **_DEPHASING_KEYS}, _TWO_QUBIT, ("bell",), True,
                        _ou_params, _ou_columns),
-    "rtn": _Model({"rate": (float, True), "coupling": (float, False), "g": (float, False)}, _TWO_QUBIT,
+    "rtn": _Model({"coupling": (float, _OMITTED), "g": (float, _OMITTED), "rate": (float, _REQUIRED)}, _TWO_QUBIT,
                   ("ewl",), False, _rtn_params, _rtn_columns),
-    "stroboscopic": _Model({"phase-sigma": (float, True), "autocorrelation": (float, True),
-                            "echo-after-step": (int, False)}, _TWO_QUBIT, ("bell",), True, _strobo_params,
+    "stroboscopic": _Model({"autocorrelation": (float, _REQUIRED), "echo-after-step": (int, _OMITTED),
+                            "phase-sigma": (float, _REQUIRED)}, _TWO_QUBIT, ("bell",), True, _strobo_params,
                            _strobo_columns),
     "tripartite-flows": _Model(_FIELD_KEYS, ("concurrence", "eof", "tripartite", "info-decomposition"),
                                _ANY_INPUT, False, _field_params, _flow_columns),
@@ -670,24 +663,13 @@ _MODEL_TABLE = {
 MODELS = tuple(_MODEL_TABLE)
 
 
-def _model_params(cfg: ScenarioConfig):
-    """The model's params dataclass, built from the final config; its ValueError
-    becomes a ConfigError naming the model's section."""
-    try:
-        return _MODEL_TABLE[cfg.model].params(cfg)
-    except ConfigError:
-        raise
-    except ValueError as exc:  # the dataclasses name a key by its field, echo_time for echo-time
-        raise ConfigError(f"[{cfg.model}] {str(exc).replace('_', '-')}") from exc
-
-
-def _run(configs: list[ScenarioConfig], params: list, threads: int, parameter=None) -> list[ScenarioResult]:
+def _run(configs: list[ScenarioConfig], threads: int, parameter=None) -> list[ScenarioResult]:
     """One stacked evaluation of V >= 1 configs that differ only in the value
-    of the model-section key ``parameter`` (None for a single scenario), with
-    their params dataclasses; one result per config."""
+    of the model-section key ``parameter`` (None for a single scenario); one
+    result per config."""
     cfg = configs[0]
     columns = _columns_for(cfg)
-    data = _MODEL_TABLE[cfg.model].evaluate(cfg, params, max(1, int(threads)))
+    data = _MODEL_TABLE[cfg.model].evaluate(cfg, [c.params for c in configs], max(1, int(threads)))
     rows = _rows(cfg, _grid_values(cfg), data)
     results = []
     for c, r in zip(configs, rows):
@@ -699,7 +681,7 @@ def _run(configs: list[ScenarioConfig], params: list, threads: int, parameter=No
 def run_scenario(cfg: ScenarioConfig, threads: int = 1) -> ScenarioResult:
     """Execute a scenario; identical (cfg, seed) pairs produce byte-identical
     CSV irrespective of ``threads``."""
-    return _run([cfg], [_model_params(cfg)], threads)[0]
+    return _run([cfg], threads)[0]
 
 
 def sweepable_parameters(model: str) -> tuple[str, ...]:
@@ -728,7 +710,7 @@ def sweep(cfg: ScenarioConfig, parameter: str, values, threads: int = 1):
     validated before any runs.
     """
     values = parse_sweep_values(cfg, parameter, values)
-    configs, params = [], []
+    configs = []
     for value in values:
         model_params = dict(cfg.model_params)
         model_params[parameter] = value
@@ -738,7 +720,6 @@ def sweep(cfg: ScenarioConfig, parameter: str, values, threads: int = 1):
             elif parameter == "coupling":
                 model_params.pop("g", None)
         configs.append(dataclasses.replace(cfg, model_params=tuple(sorted(model_params.items()))))
-        params.append(_model_params(configs[-1]))
     if not configs:
         return []
-    return list(zip(values, _run(configs, params, threads, parameter)))
+    return list(zip(values, _run(configs, threads, parameter)))

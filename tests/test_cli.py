@@ -1,11 +1,15 @@
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from qrevivals import cli
+from qrevivals import cli, scenarios
 from qrevivals.cli import main
 from qrevivals.linalg import NumericalError, PositivityError
 from qrevivals.measures import average_entanglement, eof_from_concurrence, hidden_entanglement
 from qrevivals.noise import (
+    OU_MAX_STEPS,
     RandomFieldParams,
     StaticNoiseParams,
     random_field_ensemble,
@@ -294,7 +298,7 @@ def _ensemble_oracle(cfg):
         sigma, echo = cfg.param("sigma"), cfg.param("echo-time")
         p = StaticNoiseParams(sigma=sigma, echo_time=None if echo is None else echo / sigma)
         ensembles = [
-            static_noise_state(cfg.initial_bell, p, v / sigma, cfg.quadrature_order)[1]
+            static_noise_state(dict(cfg.initial_params)["label"], p, v / sigma, cfg.quadrature_order)[1]
             for v in values
         ]
     else:
@@ -750,3 +754,135 @@ class TestOutputFiles:
         assert "# sweep.value = 3\n" in three
         body = lambda t: [l for l in t.splitlines() if not l.startswith("#")]
         assert body(one) != body(three)
+
+
+def _cli_error(tmp_path, capsys, text, *args):
+    """Exit code and stderr (checked to be one line) of the command ``args``,
+    ``simulate`` by default, on a config file holding ``text``."""
+    path = tmp_path / "scenario.cfg"
+    path.write_text(text, encoding="utf-8")
+    code = main(list(args or ["simulate"]) + ["--config", str(path)])
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    return code, err
+
+
+HUGE = "1" * 400  # an integer literal too large for a float
+
+
+def _case(text, section, key):
+    return pytest.param(text, section, key, id=f"{section}-{key}")
+
+
+class TestValuesBeyondFloats:
+    """Values that overflow a float, or a time when divided by a unit scale,
+    are one config error naming their key."""
+
+    @pytest.mark.parametrize("text, section, key", [
+        _case(OU_CFG.replace("seed = 31337", f"seed = {HUGE}"), "scenario", "seed"),
+        _case(OU_CFG.replace("time-points = 9", f"time-points = {HUGE}"), "scenario", "time-points"),
+        _case(OU_CFG.replace("trajectories = 2048", f"trajectories = {HUGE}"), "scenario", "trajectories"),
+        _case(OU_CFG.replace("seed = 31337", f"seed = 31337\nquadrature-order = {HUGE}"), "scenario",
+              "quadrature-order"),
+        _case(_set(STROBO_CFG, "echo-after-step", HUGE), "stroboscopic", "echo-after-step"),
+    ])
+    def test_huge_integer_is_one_config_error(self, tmp_path, capsys, text, section, key):
+        code, err = _cli_error(tmp_path, capsys, text)
+        assert code == 1 and err.startswith(f"config error: [{section}] {key}:")
+
+    def test_huge_integer_sweep_value_is_one_config_error(self, tmp_path, capsys):
+        code, err = _cli_error(tmp_path, capsys, STROBO_CFG, "sweep", "--param", "echo-after-step",
+                               "--values", f"1,{HUGE}")
+        assert code == 1 and err.startswith("config error: [stroboscopic] echo-after-step:")
+
+    @pytest.mark.parametrize("value", ["nan", "nanj", "nan+1j"])
+    def test_complex_nan_is_one_config_error(self, tmp_path, capsys, value):
+        code, err = _cli_error(tmp_path, capsys, RTN_CFG.replace("a = 0.7071067811865476", f"a = {value}"))
+        assert code == 1 and err.startswith("config error: [initial-state] a: value must be finite")
+
+    @pytest.mark.parametrize("text, section, key", [
+        _case(_set(RTN_CFG, "rate", "1e-310"), "rtn", "rate"),
+        _case(_set(FIELD_CFG, "rabi", "1e-310"), "random-field", "rabi"),
+        _case(_set(GAUSSIAN_CFG, "rabi", "1e-310"), "random-field-gaussian", "rabi"),
+        _case(_set(FLOWS_CFG, "rabi", "1e-310"), "tripartite-flows", "rabi"),
+        _case(_set(STATIC_CFG, "sigma", "1e-310"), "static-noise", "sigma"),
+        _case(_set(OU_CFG, "sigma", "1e-310"), "ou-noise", "sigma"),
+        # the grid end divides, the echo time does not
+        pytest.param(_set(_set(STATIC_CFG.replace("time-stop = 8.0", "time-stop = 1e-9"), "sigma", "1e-300"),
+                          "echo-time", "1e10"), "static-noise", "sigma", id="static-noise-echo-time"),
+    ])
+    def test_subnormal_unit_scale_is_one_config_error(self, tmp_path, capsys, text, section, key):
+        code, err = _cli_error(tmp_path, capsys, text)
+        assert code == 1 and err.startswith(f"config error: [{section}] {key}:") and "overflows" in err
+
+    def test_ou_partition_beyond_cap_is_one_config_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(scenarios, "ou_dephasing_factors", lambda *a, **k: pytest.fail("ran"))
+        code, err = _cli_error(tmp_path, capsys, _set(OU_CFG, "correlation-time", "1e-300"))
+        assert code == 1 and err.startswith("config error: [ou-noise] correlation-time:")
+        assert f"above the cap of {OU_MAX_STEPS}" in err
+
+    def test_seed_override_is_checked_as_the_config_seed(self, tmp_path, capsys):
+        code, err = _cli_error(tmp_path, capsys, OU_CFG, "simulate", "--seed", "-1")
+        assert (code, err) == (1, "config error: [scenario] seed: must fit in 64 bits, got -1\n")
+
+
+GOLDEN_CONFIGS = sorted((Path(__file__).parent / "golden").glob("*.cfg"))
+
+
+def _echo_text(cfg):
+    """A config file made of ``cfg``'s metadata echo lines."""
+    sections = {}
+    for key, value in scenarios._config_echo_lines(cfg):
+        section, name = key[len("config."):].split(".", 1)
+        sections.setdefault(section, []).append(f"{name} = {value}")
+    return "".join(f"[{s}]\n" + "\n".join(lines) + "\n" for s, lines in sections.items())
+
+
+class TestConfigTables:
+    """The section tables read, check and echo a config alike."""
+
+    @pytest.mark.parametrize("path", GOLDEN_CONFIGS, ids=[p.stem for p in GOLDEN_CONFIGS])
+    def test_echo_parses_back_to_the_same_config(self, path):
+        cfg = scenarios.parse_config(path)
+        again = parse_config_text(_echo_text(cfg))
+        assert again == cfg
+        assert dict(scenarios._metadata(again, ()))["config-hash"] == dict(scenarios._metadata(cfg, ()))["config-hash"]
+
+    def test_model_tables_are_sorted(self):
+        # a sweep writes its value into sorted model_params; a parse reads them in table order
+        for row in scenarios._MODEL_TABLE.values():
+            assert list(row.keys) == sorted(row.keys)
+
+    @pytest.mark.parametrize("text, key", [
+        (FIELD_CFG.replace("y = 0.9\n", ""), "y"),
+        (RTN_CFG.replace("r = 0.91\n", ""), "r"),
+        (OU_CFG.replace("label = 2+\n", ""), "label"),
+    ])
+    def test_missing_initial_state_key_is_named(self, text, key):
+        with pytest.raises(ConfigError, match=rf"^\[initial-state\] missing required key '{key}'$"):
+            parse_config_text(text)
+
+    def test_absent_keys_take_their_defaults(self):
+        cfg = parse_config_text(RTN_CFG.replace("excitation = one\n", ""))
+        assert cfg.quadrature_order == 64 and cfg.trajectories is None
+        assert dict(cfg.initial_params)["excitation"] == "one"
+        assert cfg == parse_config_text(RTN_CFG)
+
+    def test_replace_checks_like_a_parse(self):
+        cfg = parse_config_text(RTN_CFG)
+        with pytest.raises(ConfigError, match=r"\[scenario\] seed"):
+            dataclasses.replace(cfg, seed=2**64)
+        with pytest.raises(ConfigError, match=r"\[rtn\] rate"):
+            dataclasses.replace(cfg, model_params=(("g", 5.0), ("rate", -1.0)))
+        with pytest.raises(ConfigError, match=r"\[initial-state\] excitation"):
+            dataclasses.replace(cfg, initial_params=(("r", 0.9), ("a", 0.5 + 0j), ("excitation", "three")))
+
+    def test_model_params_built_once_per_config(self, monkeypatch):
+        calls = []
+        row = scenarios._MODEL_TABLE["rtn"]
+        monkeypatch.setitem(scenarios._MODEL_TABLE, "rtn", dataclasses.replace(
+            row, params=lambda cfg: calls.append(cfg) or row.params(cfg)))
+        run_scenario(parse_config_text(RTN_CFG))
+        assert len(calls) == 1
+        sweep(parse_config_text(RTN_CFG), "g", [0.5, 2.0])
+        assert len(calls) == 4  # the parse, then one per value

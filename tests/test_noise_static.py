@@ -5,9 +5,11 @@ from qrevivals.linalg import NumericalError
 from qrevivals.measures import average_entanglement, concurrence, eof_from_concurrence
 from qrevivals.noise import (
     _OU_SERIES_LIMIT,
+    OU_MAX_STEPS,
     StaticNoiseParams,
     ou_dephasing_factors,
     ou_noise_state,
+    ou_partition_steps,
     ou_phase_variance,
     static_dephasing_factor,
     static_dephasing_factors,
@@ -219,6 +221,19 @@ class TestOUNoise:
     def test_requires_finite_correlation_time(self):
         with pytest.raises(ValueError):
             ou_dephasing_factors(StaticNoiseParams(sigma=1.0), [1.0], 2000, 1)
+
+    def test_partition_steps(self):
+        # steps of at most 0.05 sigma-units (tau/20 = 50 is longer) on [0, 1] and [1, 2]
+        p = StaticNoiseParams(sigma=1.0, correlation_time=1e3)
+        assert ou_partition_steps(p, [1.0, 2.0]) == 40.0
+
+    def test_partition_above_cap_refused_before_it_is_built(self, monkeypatch):
+        # tau = 1e-300 asks for ~1e302 fine steps: refused before any partition or draw
+        monkeypatch.setattr(np, "linspace", lambda *a, **k: pytest.fail("partition built"))
+        p = StaticNoiseParams(sigma=1.0, correlation_time=1e-300)
+        assert ou_partition_steps(p, [1.0]) > OU_MAX_STEPS
+        with pytest.raises(ValueError, match="above the cap"):
+            ou_dephasing_factors(p, [1.0], 2000, 1)
 
     def test_recovery_improves_with_correlation_time(self):
         sigma, tbar = 1.0, 4.0

@@ -26,10 +26,11 @@ MEASURES = {
 }
 
 # extreme magnitudes next to ordinary ones
-POSITIVE = st.sampled_from([1e-9, 1e-3, 0.3, 1.0, 2.5, 40.0, 1e4, 1e9])
+POSITIVE = st.sampled_from([1e-310, 1e-9, 1e-3, 0.3, 1.0, 2.5, 40.0, 1e4, 1e9])
 UNIT = st.sampled_from([0.0, 1e-6, 0.25, 0.5, 0.9, 1.0])
-# what one broken value of a config may be
-BAD = st.sampled_from(["-1.0", "0.0", "1.2", "2.5", "nan", "1e400", "x"])
+# what one broken value of a config may be: out of range, not finite (1e400 as
+# a float, nan+1j as a complex), unparsable, or an integer too large for a float
+BAD = st.sampled_from(["-1.0", "0.0", "1.2", "2.5", "nan", "1e400", "nan+1j", "x", "1" * 400])
 INITIAL_KINDS = {"static-noise": ["bell"], "ou-noise": ["bell"], "stroboscopic": ["bell"], "rtn": ["ewl"]}
 
 
