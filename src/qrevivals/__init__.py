@@ -34,24 +34,24 @@ from .noise import (
     RandomUnitaryChannel,
     StaticNoiseParams,
     StroboscopicParams,
+    dephased_state,
+    field_channel,
     field_unitary,
-    gaussian_averaged_map,
-    ou_noise_state,
-    random_field_map,
+    ou_dephasing_factors,
     rtn_coherence,
     rtn_concurrence,
-    rtn_mc_coherence,
-    static_noise_state,
-    stroboscopic_state,
+    rtn_mc_coherence_grid,
+    static_dephasing_factors,
+    static_noise_ensemble,
+    stroboscopic_coherences,
 )
 from .scenarios import ConfigError, ScenarioConfig, parse_config, parse_config_text, run_scenario, sweep
 from .states import BELL_LABELS, EWLParams, XYZParams, bell_state, ewl_state, xyz_state
 from .tripartite import (
-    FlowRecord,
     HybridTripartiteState,
     embed_initial,
-    evolve_abe,
-    flow_timeseries,
+    evolve_abe_grid,
+    flow_measures,
     ube_unitary,
 )
 
@@ -60,7 +60,6 @@ __all__ = [
     "ConfigError",
     "DensityOperator",
     "EWLParams",
-    "FlowRecord",
     "HybridTripartiteState",
     "InformationDecomposition",
     "PositivityError",
@@ -75,28 +74,29 @@ __all__ = [
     "average_entanglement",
     "bell_state",
     "concurrence",
+    "dephased_state",
     "embed_initial",
     "eof_from_concurrence",
-    "evolve_abe",
+    "evolve_abe_grid",
     "ewl_state",
+    "field_channel",
     "field_unitary",
-    "flow_timeseries",
-    "gaussian_averaged_map",
+    "flow_measures",
     "hermitian_eigenvalues",
     "hidden_entanglement",
     "information_decomposition",
     "mutual_information",
-    "ou_noise_state",
+    "ou_dephasing_factors",
     "parse_config",
     "parse_config_text",
     "partial_trace",
-    "random_field_map",
     "rtn_coherence",
     "rtn_concurrence",
-    "rtn_mc_coherence",
+    "rtn_mc_coherence_grid",
     "run_scenario",
-    "static_noise_state",
-    "stroboscopic_state",
+    "static_dephasing_factors",
+    "static_noise_ensemble",
+    "stroboscopic_coherences",
     "sweep",
     "tensor_product",
     "tripartite_correlations",

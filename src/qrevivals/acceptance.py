@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DensityOperator
-from .measures import average_entanglement, concurrence, eof_from_concurrence, hidden_entanglement
+from .measures import average_entanglement, concurrence, eof_from_concurrence, eof_stderr, hidden_entanglement
 from .noise import (
     RTNParams,
     RandomFieldParams,
@@ -20,21 +20,20 @@ from .noise import (
     StroboscopicParams,
     apply_b_dephasing,
     dephased_state,
-    gaussian_averaged_map,
+    field_channel,
     ou_dephasing_factors,
     ou_phase_variance,
     random_field_ensemble,
-    random_field_map,
     rtn_coherence,
     rtn_concurrence,
     rtn_mc_coherence_grid,
-    static_dephasing_factor,
-    static_noise_state,
+    static_dephasing_factors,
+    static_noise_ensemble,
     stroboscopic_coherences,
 )
 from .scenarios import parse_config_text, run_scenario
 from .states import EWLParams, XYZParams, bell_state, xyz_state
-from .tripartite import find_local_extrema, flow_timeseries
+from .tripartite import find_local_extrema, flow_measures
 
 DEFAULT_SEED = 20240817
 
@@ -63,14 +62,10 @@ def criterion_1(threads: int = 1) -> CriterionResult:
     t0 = _time.perf_counter()
     p = RandomFieldParams(rabi=1.0)
     rho0 = _fig2_state()
-    c0 = concurrence(random_field_map(rho0, p, 0.0))
-    c_half = concurrence(random_field_map(rho0, p, np.pi / 2))
-    c_pi = concurrence(random_field_map(rho0, p, np.pi))
+    c0, c_half, c_pi = concurrence(field_channel(rho0, p, [0.0, np.pi / 2, np.pi]))
     sample = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
-    period_dev = max(
-        np.max(np.abs(random_field_map(rho0, p, t).matrix - random_field_map(rho0, p, t + 2 * np.pi).matrix))
-        for t in sample
-    )
+    shifted = field_channel(rho0, p, sample + 2 * np.pi)
+    period_dev = np.max(np.abs(field_channel(rho0, p, sample).matrix - shifted.matrix))
     checks = [
         (abs(c0 - 0.8) <= 1e-9, f"C(0)={c0:.12f} (target 0.8 +-1e-9)"),
         (abs(c_pi - 0.8) <= 1e-9, f"C(pi)={c_pi:.12f} (target 0.8 +-1e-9)"),
@@ -90,14 +85,11 @@ def criterion_2(threads: int = 1) -> CriterionResult:
     sym = 0.5 * (rho0.matrix + x4 @ rho0.matrix @ x4)
     anti = 0.5 * (rho0.matrix - x4 @ rho0.matrix @ x4)
     grid = np.linspace(0.0, 8 * np.pi, 1024)
-    worst = 0.0
-    cs = np.empty(grid.size)
-    for j, t in enumerate(grid):
-        evolved = gaussian_averaged_map(rho0, p, t)
-        # independent oracle: Gaussian characteristic function exp(i w t - s^2 t^2)
-        oracle = sym + np.exp(-(p.width * t) ** 2) * np.cos(p.rabi * t) * anti
-        worst = max(worst, float(np.max(np.abs(evolved.matrix - oracle))))
-        cs[j] = concurrence(evolved)
+    evolved = field_channel(rho0, p, grid)
+    # independent oracle: Gaussian characteristic function exp(i w t - s^2 t^2)
+    oracle = sym + np.multiply.outer(np.exp(-(p.width * grid) ** 2) * np.cos(p.rabi * grid), anti)
+    worst = float(np.max(np.abs(evolved.matrix - oracle)))
+    cs = concurrence(evolved)
     peaks = [i for i in find_local_extrema(cs, "max", include_edges=True) if cs[i] > 1e-6]
     peak_vals = cs[peaks]
     decreasing = bool(np.all(np.diff(peak_vals) < 0.0)) and len(peak_vals) >= 3
@@ -113,20 +105,18 @@ def criterion_3(threads: int = 1) -> CriterionResult:
     unit average entanglement throughout."""
     t0 = _time.perf_counter()
     sigma, tbar = 1.0, 4.0
-    grid = np.linspace(0.0, 8.0, 201)
+    grid = np.linspace(0.0, 2 * tbar, 201)
     p_free = StaticNoiseParams(sigma=sigma)
     p_echo = StaticNoiseParams(sigma=sigma, echo_time=tbar)
-    worst_free = worst_echo = 0.0
-    worst_eav = 0.0
-    for t in grid:
-        rho_f, _ = static_noise_state("2+", p_free, t)
-        worst_free = max(worst_free, abs(concurrence(rho_f) - np.exp(-0.5 * (sigma * t) ** 2)))
-        rho_e, ens = static_noise_state("2+", p_echo, t)
-        target = np.exp(-0.5 * (sigma * t) ** 2) if t <= tbar else np.exp(-0.5 * (sigma * (t - 2 * tbar)) ** 2)
-        worst_echo = max(worst_echo, abs(concurrence(rho_e) - target))
-        worst_eav = max(worst_eav, abs(average_entanglement(ens) - 1.0))
-    rho_end, _ = static_noise_state("2+", p_echo, 2 * tbar)
-    ef_end = eof_from_concurrence(concurrence(rho_end))
+    psi0 = bell_state("2+")
+    rho0 = DensityOperator(np.outer(psi0, psi0.conj()), (2, 2))
+    c_free = concurrence(dephased_state(rho0, static_dephasing_factors(p_free, grid)))
+    worst_free = np.max(np.abs(c_free - np.exp(-0.5 * (sigma * grid) ** 2)))
+    c_echo = concurrence(dephased_state(rho0, static_dephasing_factors(p_echo, grid), grid > tbar))
+    target = np.exp(-0.5 * (sigma * np.where(grid <= tbar, grid, grid - 2 * tbar)) ** 2)
+    worst_echo = np.max(np.abs(c_echo - target))
+    worst_eav = max(abs(average_entanglement(static_noise_ensemble(psi0, p_echo, t)) - 1.0) for t in grid)
+    ef_end = eof_from_concurrence(c_echo[-1])  # the grid ends at 2 tbar
     checks = [
         (worst_free <= 1e-6, f"no-echo concurrence vs exp(-s^2t^2/2): max dev {worst_free:.3e} (<=1e-6)"),
         (worst_echo <= 1e-6, f"echo concurrence vs closed form: max dev {worst_echo:.3e} (<=1e-6)"),
@@ -159,9 +149,7 @@ def criterion_4(threads: int = 1) -> CriterionResult:
         c_exact = float(np.exp(-0.5 * var))
         z_scores.append(abs(c - c_exact) / se_c)
         efs.append(eof_from_concurrence(min(1.0, c)))
-        hi = eof_from_concurrence(min(1.0, c + se_c))
-        lo = eof_from_concurrence(max(0.0, c - se_c))
-        ses.append(0.5 * (hi - lo))
+        ses.append(eof_stderr(c, se_c))
     monotone = efs[0] < efs[1] < efs[2]
     # p, var and c_exact now belong to the last pass, sigma*tau = 1000
     ef_exact = eof_from_concurrence(c_exact)
@@ -221,14 +209,11 @@ def criterion_6(threads: int = 1) -> CriterionResult:
     t0 = _time.perf_counter()
     rho0 = _fig2_state()
     grid = np.linspace(0.0, 2 * np.pi, 512)
-    records = flow_timeseries(rho0, RandomFieldParams(rabi=1.0), grid)
-    local = max(abs(r.decomposition.local) for r in records)
-    totals = np.array([r.decomposition.total for r in records])
-    const_dev = float(np.max(np.abs(totals - totals[0])))
-    residual = max(abs(r.decomposition.residual) for r in records)
-    taus = np.array([r.tripartite for r in records])
-    cs = np.array([r.concurrence for r in records])
-    tau_max = find_local_extrema(taus, "max", plateau_tol=1e-12)
+    cs, dec = flow_measures(rho0, RandomFieldParams(rabi=1.0), grid)
+    local = np.max(np.abs(dec.local))
+    const_dev = np.max(np.abs(dec.total - dec.total[0]))
+    residual = np.max(np.abs(dec.residual))
+    tau_max = find_local_extrema(dec.tripartite, "max", plateau_tol=1e-12)
     c_min = find_local_extrema(cs, "min", plateau_tol=1e-12)
     paired = (
         len(tau_max) > 0
@@ -237,10 +222,9 @@ def criterion_6(threads: int = 1) -> CriterionResult:
         and all(min(abs(i - j) for j in tau_max) <= 1 for i in c_min)
     )
     grid_w = np.linspace(0.0, 4 * np.pi, 1024)
-    records_w = flow_timeseries(rho0, RandomFieldParams(rabi=1.0, width=0.1), grid_w)
-    totals_w = np.array([r.decomposition.total for r in records_w])
+    _, dec_w = flow_measures(rho0, RandomFieldParams(rabi=1.0, width=0.1), grid_w)
     peak_idx = [int(np.argmin(np.abs(grid_w - k * np.pi))) for k in range(5)]
-    peaks_total = totals_w[peak_idx]
+    peaks_total = dec_w.total[peak_idx]
     decaying = bool(np.all(np.diff(peaks_total) <= 1e-12))
     checks = [
         (local <= 1e-9, f"max |I_loc| = {local:.3e} (<=1e-9)"),
@@ -279,18 +263,13 @@ def criterion_8(threads: int = 1) -> CriterionResult:
     rho0 = DensityOperator(np.outer(psi0, psi0.conj()), (2, 2))
     common = dict(phase_sigma=0.6, autocorrelation=1.0, sequences=10_000, seed=DEFAULT_SEED)
     est_free = stroboscopic_coherences(StroboscopicParams(**common), threads)
-    efs_free = [
-        eof_from_concurrence(concurrence(dephased_state(rho0, est_free.factors[k])))
-        for k in range(4)
-    ]
-    decreasing = all(a > b for a, b in zip(efs_free, efs_free[1:]))
+    efs_free = eof_from_concurrence(concurrence(dephased_state(rho0, est_free.factors)))
+    decreasing = bool(np.all(np.diff(efs_free) < 0.0))
     est_echo = stroboscopic_coherences(StroboscopicParams(**common, echo_after_step=2), threads)
     c4 = concurrence(dephased_state(rho0, est_echo.factors[3], echoed=True))
     se4 = float(est_echo.se_abs[3])
     ef4 = eof_from_concurrence(min(1.0, c4))
-    hi = eof_from_concurrence(min(1.0, c4 + se4))
-    lo = eof_from_concurrence(max(0.0, c4 - se4))
-    se_ef4 = 0.5 * (hi - lo)
+    se_ef4 = eof_stderr(c4, se4)
     checks = [
         (decreasing, f"no-pulse E_f strictly decreasing: {np.round(efs_free, 6).tolist()}"),
         (ef4 >= 0.95, f"pulsed E_f(step 4) = {ef4:.9f} (>=0.95)"),
@@ -318,14 +297,14 @@ def criterion_9(threads: int = 1) -> CriterionResult:
     strobo = stroboscopic_coherences(
         StroboscopicParams(phase_sigma=0.7, autocorrelation=0.4, sequences=4096, seed=DEFAULT_SEED, echo_after_step=2)
     )
-    static_factor = static_dephasing_factor(StaticNoiseParams(1.0, echo_time=0.8), 1.7)
+    static_factor = static_dephasing_factors(StaticNoiseParams(1.0, echo_time=0.8), [1.7])[0]
     rtn_factor = rtn_coherence(RTNParams(1.0, 2.0), 1.2)
     # channel name -> matrix-level map on arbitrary two-qubit inputs
     channels = {
-        "random-field": lambda m: random_field_map(DensityOperator(m, (2, 2)), RandomFieldParams(1.0), 1.3).matrix,
-        "gaussian-field": lambda m: gaussian_averaged_map(
-            DensityOperator(m, (2, 2)), RandomFieldParams(1.0, 0.1), 1.3
-        ).matrix,
+        "random-field": lambda m: field_channel(
+            DensityOperator(m, (2, 2)), RandomFieldParams(1.0), [1.3]).matrix[0],
+        "gaussian-field": lambda m: field_channel(
+            DensityOperator(m, (2, 2)), RandomFieldParams(1.0, 0.1), [1.3]).matrix[0],
         "static-dephasing": lambda m: apply_b_dephasing(m, static_factor, True),
         "ou-dephasing": lambda m: apply_b_dephasing(m, ou_factor, True),
         "rtn-dephasing": lambda m: apply_b_dephasing(m, rtn_factor, False),

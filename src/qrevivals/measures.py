@@ -85,6 +85,14 @@ def eof_from_concurrence(c):
     return binary_entropy((1.0 + np.sqrt(1.0 - c * c)) / 2.0)
 
 
+def eof_stderr(c, se_c):
+    """Standard error of E_f(c) from that of a concurrence estimate c: half the
+    spread of E_f over c -/+ se_c, 0 where se_c is 0 (elementwise on arrays)."""
+    hi = eof_from_concurrence(np.minimum(1.0, c + se_c))
+    lo = eof_from_concurrence(np.maximum(0.0, c - se_c))
+    return _value(np.where(se_c == 0.0, 0.0, 0.5 * (hi - lo)))
+
+
 def _validate_bipartition(rho: DensityOperator, bipartition):
     part_i, part_j = (tuple(sorted(int(i) for i in part)) for part in bipartition)
     n = len(rho.dims)

@@ -28,7 +28,7 @@ import numpy as np
 from . import kernels
 from .linalg import DensityOperator, EYE2, SIGMA_X, NumericalError
 from .measures import WeightedPureEnsemble
-from .states import EWLParams, bell_state, ewl_state
+from .states import EWLParams
 
 MC_BATCH = 2048
 OU_MIN_TRAJECTORIES = 1000
@@ -146,22 +146,13 @@ class StroboscopicParams:
 # ---------------------------------------------------------------------------
 
 
-def field_unitary(phase: float, rabi: float, t: float) -> np.ndarray:
+def field_unitary(phase: float, rabi, t) -> np.ndarray:
     """Driving-field propagator [[cos, e^{-i phase} sin], [-e^{i phase} sin, cos]]
-    with half-angle rabi*t/2, in the basis {|0>, |1>}."""
-    half = 0.5 * rabi * t
+    with half-angle rabi*t/2, in the basis {|0>, |1>}; arrays ``rabi`` and ``t``
+    broadcast to a (..., 2, 2) stack, one propagator per pair."""
+    half = 0.5 * np.asarray(rabi, dtype=float) * t
     c, s = np.cos(half), np.sin(half)
-    return np.array(
-        [[c, np.exp(-1j * phase) * s], [-np.exp(1j * phase) * s, c]], dtype=complex
-    )
-
-
-def _field_unitaries(phase: float, rabi_values, t) -> np.ndarray:
-    """field_unitary stacked over an array of Rabi frequencies, shape (n, 2, 2);
-    an array ``t`` broadcasting against them adds its leading axes."""
-    half = 0.5 * np.asarray(rabi_values, dtype=float) * t
-    c, s = np.cos(half), np.sin(half)
-    out = np.empty(half.shape + (2, 2), dtype=complex)
+    out = np.empty(np.shape(half) + (2, 2), dtype=complex)
     out[..., 0, 0] = c
     out[..., 1, 1] = c
     out[..., 0, 1] = np.exp(-1j * phase) * s
@@ -174,7 +165,7 @@ def _gh_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Hermite nodes and weights normalized against exp(-x^2)/sqrt(pi).
 
     Only the discrete ensembles (RandomUnitaryChannel.gaussian_field,
-    random_field_ensemble, static_noise_state) use them; the averaged channels
+    random_field_ensemble, static_noise_ensemble) use them; the averaged channels
     are closed forms. Computed once per order and process; the arrays are
     read-only because every caller shares them. numpy's rule turns non-finite
     at high orders (from 372 with numpy 2.4), which raises ValueError.
@@ -256,7 +247,7 @@ class RandomUnitaryChannel:
         us = np.empty((2 * order, 2, 2), dtype=complex)
         weights = np.empty(2 * order)
         for j, ph in enumerate(FIELD_PHASES):
-            us[j::2] = _field_unitaries(ph, omegas, t)
+            us[j::2] = field_unitary(ph, omegas, t)
             weights[j::2] = 0.5 * w
         return RandomUnitaryChannel(weights, us)
 
@@ -276,7 +267,7 @@ def field_mixture_grid(blocks0, p: RandomFieldParams, times, summed: bool = Fals
     E[exp(i Omega t)] = exp(-width^2 t^2) exp(i rabi t)."""
     times = np.asarray(times, dtype=float).reshape(-1)
     blocks0 = np.broadcast_to(np.asarray(blocks0, dtype=complex), (2, 4, 4))
-    u = np.stack([_field_unitaries(ph, [np.pi, np.pi / 2.0], 1.0) for ph in FIELD_PHASES])
+    u = np.stack([field_unitary(ph, [np.pi, np.pi / 2.0], 1.0) for ph in FIELD_PHASES])
     turned = np.einsum("ekbc,eacAC,ekBC->keabAB", u, blocks0.reshape((2,) * 5), u.conj())
     turned = turned.reshape(2, 2, 4, 4)  # F(pi), F(pi/2)
     m0 = 0.5 * (blocks0 + turned[0])
@@ -290,20 +281,11 @@ def field_mixture_grid(blocks0, p: RandomFieldParams, times, summed: bool = Fals
     return m0 + np.multiply.outer(damp * np.cos(theta), mc) + np.multiply.outer(damp * np.sin(theta), ms)
 
 
-def random_field_map(rho0: DensityOperator, p: RandomFieldParams, t: float) -> DensityOperator:
-    """Evolved two-qubit state under the fixed-Rabi two-phase field."""
-    if p.width != 0.0:
-        raise ValueError("random_field_map requires width = 0; use gaussian_averaged_map")
-    return DensityOperator(field_mixture_grid(0.5 * rho0.matrix, p, [t], summed=True)[0], (2, 2))
-
-
-def gaussian_averaged_map(rho0: DensityOperator, p: RandomFieldParams, t: float) -> DensityOperator:
-    """Rabi-broadened field channel at a single time t (field_mixture_grid's
-    closed-form average)."""
-    if p.width <= 0.0:
-        raise ValueError("gaussian_averaged_map requires width > 0")
-    m = field_mixture_grid(0.5 * rho0.matrix, p, [t], summed=True)[0]
-    return DensityOperator(m, (2, 2))
+def field_channel(rho0: DensityOperator, p: RandomFieldParams, times) -> DensityOperator:
+    """The two-qubit field channel applied to ``rho0`` at every time of
+    ``times``: a (T, 4, 4) DensityOperator stack (field_mixture_grid summed
+    over the register)."""
+    return DensityOperator(field_mixture_grid(0.5 * rho0.matrix, p, times, summed=True), (2, 2))
 
 
 def random_field_ensemble(
@@ -410,6 +392,18 @@ def _map_ordered(fn, n_batches: int, threads: int) -> list:
     return list(_pool(threads).map(fn, range(n_batches)))
 
 
+def _mc_batches(seed: int, trajectories: int, threads: int, draw) -> list:
+    """``draw(rng, size)`` of each fixed-size batch of ``trajectories``, in batch
+    order; batch i draws from the i-th stream spawned from ``seed``."""
+    sizes = _batch_sizes(trajectories)
+    streams = np.random.SeedSequence(seed).spawn(len(sizes))
+
+    def work(i):
+        return draw(np.random.default_rng(streams[i]), sizes[i])
+
+    return _map_ordered(work, len(sizes), threads)
+
+
 # ---------------------------------------------------------------------------
 # quasi-static Gaussian dephasing with echo
 # ---------------------------------------------------------------------------
@@ -434,23 +428,17 @@ def static_dephasing_factors(p: StaticNoiseParams, times) -> np.ndarray:
         return np.exp(-0.5 * (p.sigma * u) ** 2)
 
 
-def static_dephasing_factor(p: StaticNoiseParams, t: float) -> complex:
-    """static_dephasing_factors at a single time t."""
-    return complex(static_dephasing_factors(p, [t])[0])
-
-
-def static_noise_state(
-    bell_input: str, p: StaticNoiseParams, t: float, order: int = 64
-) -> tuple[DensityOperator, WeightedPureEnsemble]:
-    """Averaged state (closed-form dephasing factor) and the ensemble over
-    ``order`` Gauss-Hermite nodes of the noise amplitude for a Bell input under
-    quasi-static dephasing (with the echo pulse applied at echo_time if set)."""
+def static_noise_ensemble(
+    psi0: np.ndarray, p: StaticNoiseParams, t: float, order: int = 64
+) -> WeightedPureEnsemble:
+    """Pure-state ensemble over ``order`` Gauss-Hermite nodes of the noise
+    amplitude generated from a pure input under quasi-static dephasing (with
+    the echo pulse applied at echo_time if set); its mixture approximates the
+    dephased state of the closed-form static_dephasing_factors."""
     if not p.is_static:
-        raise ValueError("static_noise_state requires correlation_time = inf; use ou_noise_state")
-    psi0 = bell_state(bell_input)
+        raise ValueError("static_noise_ensemble requires correlation_time = inf")
+    psi0 = np.asarray(psi0, dtype=complex).reshape(4)
     u, echoed = _echo_effective_duration(p, t)
-    rho = dephased_state(DensityOperator(np.outer(psi0, psi0.conj()), (2, 2)),
-                         static_dephasing_factor(p, t), echoed)
     x, w = _gh_nodes(order)
     thetas = np.sqrt(2.0) * p.sigma * x * u
     members = np.empty((order, 4), dtype=complex)
@@ -459,7 +447,7 @@ def static_noise_state(
         if echoed:
             u2 = SIGMA_X @ u2
         members[k] = np.kron(EYE2, u2) @ psi0
-    return rho, WeightedPureEnsemble(w, members)
+    return WeightedPureEnsemble(w, members)
 
 
 # ---------------------------------------------------------------------------
@@ -589,32 +577,15 @@ def ou_dephasing_factors(
     if times[-1] == 0.0:  # the grid is {0}: no phase accrues and the partition is empty
         return DephasingEstimate(np.ones(1, dtype=complex), np.zeros(1), trajectories)
     decay, diffuse, dur_sign, write_idx, zero_col = _ou_partition(p, times)
-    sizes = _batch_sizes(trajectories)
-    streams = np.random.SeedSequence(seed).spawn(len(sizes))
 
-    def work(i):
-        rng = np.random.default_rng(streams[i])
-        normals = rng.standard_normal((sizes[i], dur_sign.size))
+    def draw(rng, size):
+        normals = rng.standard_normal((size, dur_sign.size))
         theta = kernels.ou_phases(normals, decay, diffuse, dur_sign, write_idx, times.size)
         if zero_col is not None:
             theta[:, zero_col] = 0.0
         return _phase_partials(theta)
 
-    return _combine_phase_partials(_map_ordered(work, len(sizes), threads))
-
-
-def ou_noise_state(
-    bell_input: str, p: StaticNoiseParams, t: float, trajectories: int, seed: int,
-    threads: int = 1,
-) -> DensityOperator:
-    """Trajectory-averaged state for a Bell input under Ornstein-Uhlenbeck
-    dephasing; deterministic for a fixed seed."""
-    est = ou_dephasing_factors(p, [t], trajectories, seed, threads)
-    psi0 = bell_state(bell_input)
-    _, echoed = _echo_effective_duration(p, t)
-    return dephased_state(
-        DensityOperator(np.outer(psi0, psi0.conj()), (2, 2)), est.factors[0], echoed
-    )
+    return _combine_phase_partials(_mc_batches(seed, trajectories, threads, draw))
 
 
 # ---------------------------------------------------------------------------
@@ -668,12 +639,8 @@ def rtn_mc_coherence_grid(
     t_max = float(times[-1])
     mean_flips = p.rate * t_max
     cap = int(np.ceil(mean_flips + 12.0 * np.sqrt(mean_flips) + 25.0))
-    sizes = _batch_sizes(trajectories)
-    streams = np.random.SeedSequence(seed).spawn(len(sizes))
 
-    def work(i):
-        rng = np.random.default_rng(streams[i])
-        b = sizes[i]
+    def draw(rng, b):
         xi0 = rng.integers(0, 2, size=b) * 2.0 - 1.0
         switches = np.cumsum(rng.exponential(1.0 / p.rate, size=(b, cap)), axis=1)
         while switches[:, -1].min() <= t_max:  # pragma: no cover - ~1e-12 probability
@@ -683,23 +650,13 @@ def rtn_mc_coherence_grid(
         c = np.cos(p.coupling * integrals * xi0[:, None])
         return c.sum(axis=0), (c * c).sum(axis=0), b
 
-    parts = _map_ordered(work, len(sizes), threads)
+    parts = _mc_batches(seed, trajectories, threads, draw)
     s1 = sum(q[0] for q in parts)
     s2 = sum(q[1] for q in parts)
     n = sum(q[2] for q in parts)
     mean = s1 / n
     var = np.maximum(0.0, (s2 - n * mean**2) / (n - 1))
     return mean, np.sqrt(var / n)
-
-
-def rtn_mc_coherence(
-    p: RTNParams, t: float, trajectories: int, seed: int, threads: int = 1
-) -> tuple[float, float]:
-    """Monte-Carlo q(t) at a single time, with its standard error."""
-    if t == 0.0:
-        return 1.0, 0.0
-    mean, se = rtn_mc_coherence_grid(p, [t], trajectories, seed, threads)
-    return float(mean[0]), float(se[0])
 
 
 def rtn_concurrence(ewl: EWLParams, p: RTNParams, t):
@@ -710,12 +667,6 @@ def rtn_concurrence(ewl: EWLParams, p: RTNParams, t):
     k = ewl.r * abs(ewl.a) * ewl.b * q - (1.0 - ewl.r) / 4.0
     c = np.maximum(0.0, 2.0 * k)
     return float(c) if np.ndim(c) == 0 else c
-
-
-def rtn_evolved_state(ewl: EWLParams, p: RTNParams, t) -> DensityOperator:
-    """Evolved extended Werner-like state under telegraph dephasing of qubit B
-    (a stack with one state per time when ``t`` is an array)."""
-    return dephased_state(ewl_state(ewl), rtn_coherence(p, t))
 
 
 # ---------------------------------------------------------------------------
@@ -745,12 +696,9 @@ def stroboscopic_coherences(p, threads: int = 1):
         if q.echo_after_step is not None:
             signs[q.echo_after_step:] = -1.0
         chains.append((mu, sigma, sigma * np.sqrt(1.0 - mu * mu), signs))
-    sizes = _batch_sizes(first.sequences)
-    streams = np.random.SeedSequence(first.seed).spawn(len(sizes))
 
-    def work(i):
-        rng = np.random.default_rng(streams[i])
-        z = rng.standard_normal((sizes[i], first.steps))
+    def draw(rng, size):
+        z = rng.standard_normal((size, first.steps))
         partials = []
         for mu, sigma, innov, signs in chains:
             x = np.empty_like(z)
@@ -760,18 +708,6 @@ def stroboscopic_coherences(p, threads: int = 1):
             partials.append(_phase_partials(np.cumsum(x * signs, axis=1)))
         return partials
 
-    batches = _map_ordered(work, len(sizes), threads)
+    batches = _mc_batches(first.seed, first.sequences, threads, draw)
     estimates = [_combine_phase_partials([b[v] for b in batches]) for v in range(len(ps))]
     return estimates[0] if isinstance(p, StroboscopicParams) else estimates
-
-
-def stroboscopic_state(bell_input: str, p: StroboscopicParams, step: int) -> DensityOperator:
-    """Sequence-averaged state after ``step`` dephasing steps (1-based)."""
-    if not 1 <= step <= p.steps:
-        raise ValueError(f"step={step} outside 1..{p.steps}")
-    est = stroboscopic_coherences(p)
-    psi0 = bell_state(bell_input)
-    echoed = p.echo_after_step is not None and step > p.echo_after_step
-    return dephased_state(
-        DensityOperator(np.outer(psi0, psi0.conj()), (2, 2)), est.factors[step - 1], echoed
-    )

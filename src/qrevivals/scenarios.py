@@ -44,7 +44,7 @@ import numpy as np
 from . import __version__ as _pkg_version
 from . import kernels
 from .linalg import DensityOperator, NumericalError, _stack_where
-from .measures import concurrence, concurrence_pure, eof_from_concurrence
+from .measures import concurrence, concurrence_pure, eof_from_concurrence, eof_stderr
 from .noise import (
     MC_BATCH,
     OU_MAX_STEPS,
@@ -56,7 +56,7 @@ from .noise import (
     StroboscopicParams,
     _echo_effective_duration,
     dephased_state,
-    field_mixture_grid,
+    field_channel,
     ou_dephasing_factors,
     ou_partition_steps,
     rtn_coherence,
@@ -170,6 +170,11 @@ def _build(section: str, builder, *args, **kwargs):
         raise ConfigError(f"[{section}] {str(exc).replace('_', '-')}") from exc
 
 
+# most grid points of a scenario: at the cap the (T, 8, 8) complex flows stack
+# takes 64 MiB
+MAX_TIME_POINTS = 2**16
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """A scenario, checked whenever one is made (by dataclasses.replace too);
@@ -205,6 +210,8 @@ class ScenarioConfig:
                 )
         if self.time_points < 2:
             raise ConfigError(f"[scenario] time-points: need at least 2, got {self.time_points}")
+        if self.time_points > MAX_TIME_POINTS:
+            raise ConfigError(f"[scenario] time-points: at most {MAX_TIME_POINTS}, got {self.time_points}")
         if not self.time_stop > self.time_start:
             raise ConfigError(f"[scenario] time-stop ({self.time_stop}) must exceed time-start ({self.time_start})")
         if self.time_start < 0.0:
@@ -376,13 +383,6 @@ def _metadata(cfg: ScenarioConfig, columns, sweep_info=None) -> tuple[tuple[str,
     return tuple(meta)
 
 
-def _eof_se(conc: np.ndarray, se_c: np.ndarray) -> np.ndarray:
-    """Half the spread of E_f over conc -/+ se_c, 0 where se_c is 0."""
-    hi = eof_from_concurrence(np.minimum(1.0, conc + se_c))
-    lo = eof_from_concurrence(np.maximum(0.0, conc - se_c))
-    return np.where(se_c == 0.0, 0.0, 0.5 * (hi - lo))
-
-
 def _columns_for(cfg: ScenarioConfig) -> tuple[str, ...]:
     cols = ["time"]
     mc = _MODEL_TABLE[cfg.model].monte_carlo
@@ -430,7 +430,7 @@ def _two_qubit_columns(rho: DensityOperator, se_c: np.ndarray | None = None) -> 
     eof = eof_from_concurrence(conc)
     if se_c is None:
         return {"concurrence": [conc], "eof": [eof]}
-    return {"concurrence": [conc, se_c], "eof": [eof, _eof_se(conc, se_c)]}
+    return {"concurrence": [conc, se_c], "eof": [eof, eof_stderr(conc, se_c)]}
 
 
 # grid points (values x times) per dephased-state stack: a (V, T) evaluation
@@ -574,8 +574,7 @@ def _field_columns(cfg: ScenarioConfig, ps: list[RandomFieldParams], threads: in
     grid = _grid_values(cfg)
 
     def columns_of(rho):
-        stacks = [field_mixture_grid(0.5 * rho.matrix, p, grid / p.rabi, summed=True) for p in ps]
-        return _joined([_two_qubit_columns(DensityOperator(m, (2, 2))) for m in stacks])
+        return _joined([_two_qubit_columns(field_channel(rho, p, grid / p.rabi)) for p in ps])
 
     return _mixture_columns(cfg, columns_of)
 

@@ -5,7 +5,7 @@ tracing E out reproduces the two-qubit channel exactly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,16 +38,6 @@ class HybridTripartiteState:
         env = partial_trace(self.rho, (2,)).matrix
         if not np.max(np.abs(env - EYE2 / 2.0)) <= 1e-12:
             raise ValueError("environment marginal differs from I/2 beyond 1e-12")
-
-
-@dataclass(frozen=True)
-class FlowRecord:
-    """One time point of the correlation-flow analysis."""
-
-    time: float
-    concurrence: float
-    tripartite: float
-    decomposition: InformationDecomposition
 
 
 def embed_initial(rho_ab: DensityOperator) -> HybridTripartiteState:
@@ -85,12 +75,6 @@ def evolve_abe_grid(s0: HybridTripartiteState, p: RandomFieldParams, times) -> n
     return out.reshape(-1, 8, 8)
 
 
-def evolve_abe(s0: HybridTripartiteState, p: RandomFieldParams, t: float) -> HybridTripartiteState:
-    """The evolved dilation at a single time t (evolve_abe_grid on the grid [t])."""
-    m = evolve_abe_grid(s0, p, [t])[0]
-    return HybridTripartiteState(DensityOperator(m, (2, 2, 2)))
-
-
 def flow_measures(
     rho_ab0: DensityOperator, p: RandomFieldParams, grid
 ) -> tuple[np.ndarray, InformationDecomposition]:
@@ -105,24 +89,6 @@ def flow_measures(
         DensityOperator(evolve_abe_grid(embed_initial(rho_ab0), p, grid), (2, 2, 2))
     )
     return concurrence(partial_trace(st.rho, (0, 1))), information_decomposition(st.rho)
-
-
-def flow_timeseries(rho_ab0: DensityOperator, p: RandomFieldParams, grid) -> list[FlowRecord]:
-    """Concurrence, genuine tripartite correlations and the information
-    decomposition along a strictly increasing time grid, one record per point."""
-    conc, dec = flow_measures(rho_ab0, p, grid)
-    names = [f.name for f in fields(InformationDecomposition)]
-    return [
-        FlowRecord(
-            time=float(t),
-            concurrence=float(conc[i]),
-            tripartite=float(dec.tripartite[i]),
-            decomposition=InformationDecomposition(
-                **{name: float(getattr(dec, name)[i]) for name in names}
-            ),
-        )
-        for i, t in enumerate(np.asarray(grid, dtype=float).reshape(-1))
-    ]
 
 
 def find_local_extrema(

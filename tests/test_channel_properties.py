@@ -10,11 +10,10 @@ from qrevivals.noise import (
     StaticNoiseParams,
     StroboscopicParams,
     apply_b_dephasing,
-    gaussian_averaged_map,
+    field_channel,
     ou_dephasing_factors,
-    random_field_map,
     rtn_coherence,
-    static_dephasing_factor,
+    static_dephasing_factors,
     stroboscopic_coherences,
 )
 
@@ -38,13 +37,16 @@ def channel_cases():
     strobo_factor = stroboscopic_coherences(
         StroboscopicParams(phase_sigma=0.5, autocorrelation=0.6, sequences=2048, seed=9, echo_after_step=1)
     ).factors[2]
-    static_factor = static_dephasing_factor(StaticNoiseParams(sigma=1.0, echo_time=1.0), 1.8)
+    static_factor = static_dephasing_factors(StaticNoiseParams(sigma=1.0, echo_time=1.0), [1.8])[0]
     rtn_factor = rtn_coherence(RTNParams(rate=1.0, coupling=3.0), 0.8)
     return [
-        ("random-field", lambda m: random_field_map(DensityOperator(m, (2, 2)), RandomFieldParams(1.0), 0.9).matrix),
+        (
+            "random-field",
+            lambda m: field_channel(DensityOperator(m, (2, 2)), RandomFieldParams(1.0), [0.9]).matrix[0],
+        ),
         (
             "gaussian-field",
-            lambda m: gaussian_averaged_map(DensityOperator(m, (2, 2)), RandomFieldParams(1.0, 0.15), 0.9).matrix,
+            lambda m: field_channel(DensityOperator(m, (2, 2)), RandomFieldParams(1.0, 0.15), [0.9]).matrix[0],
         ),
         ("static-dephasing-echoed", lambda m: apply_b_dephasing(m, static_factor, True)),
         ("ou-dephasing-echoed", lambda m: apply_b_dephasing(m, ou_factor, True)),
@@ -77,6 +79,6 @@ def test_dephasing_factor_magnitudes_bounded():
     # every averaged coherence factor lies in the closed unit disk
     est = ou_dephasing_factors(StaticNoiseParams(sigma=1.0, correlation_time=2.0), [0.5, 2.0], 2000, 3)
     assert np.all(np.abs(est.factors) <= 1.0 + 1e-12)
-    f = static_dephasing_factor(StaticNoiseParams(sigma=1.0), 2.5)
+    f = static_dephasing_factors(StaticNoiseParams(sigma=1.0), [2.5])[0]
     assert abs(f) <= 1.0 + 1e-12
     assert abs(rtn_coherence(RTNParams(rate=1.0, coupling=5.0), 1.7)) <= 1.0

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qrevivals
 from qrevivals import cli, scenarios
 from qrevivals.cli import main
 from qrevivals.linalg import NumericalError, PositivityError
@@ -13,9 +14,10 @@ from qrevivals.noise import (
     RandomFieldParams,
     StaticNoiseParams,
     random_field_ensemble,
-    static_noise_state,
+    static_noise_ensemble,
 )
 from qrevivals.scenarios import (
+    MAX_TIME_POINTS,
     ConfigError,
     parse_config_text,
     run_scenario,
@@ -294,16 +296,13 @@ def _ensemble_oracle(cfg):
     """Average and hidden entanglement from the pure ensemble each channel
     member makes of |psi0>, one WeightedPureEnsemble per grid value."""
     values = np.linspace(cfg.time_start, cfg.time_stop, cfg.time_points)
+    psi0 = cfg.initial_pure_vector()
     if cfg.model == "static-noise":
         sigma, echo = cfg.param("sigma"), cfg.param("echo-time")
         p = StaticNoiseParams(sigma=sigma, echo_time=None if echo is None else echo / sigma)
-        ensembles = [
-            static_noise_state(dict(cfg.initial_params)["label"], p, v / sigma, cfg.quadrature_order)[1]
-            for v in values
-        ]
+        ensembles = [static_noise_ensemble(psi0, p, v / sigma, cfg.quadrature_order) for v in values]
     else:
         p = RandomFieldParams(rabi=cfg.param("rabi"), width=cfg.param("width", 0.0))
-        psi0 = cfg.initial_pure_vector()
         ensembles = [
             random_field_ensemble(psi0, p, v / p.rabi, cfg.quadrature_order) for v in values
         ]
@@ -821,6 +820,13 @@ class TestValuesBeyondFloats:
         assert code == 1 and err.startswith("config error: [ou-noise] correlation-time:")
         assert f"above the cap of {OU_MAX_STEPS}" in err
 
+    def test_time_points_beyond_cap_is_one_config_error(self, tmp_path, capsys):
+        # 2**62 points fit in 64 bits but not in memory: refused before the grid is built
+        code, err = _cli_error(tmp_path, capsys, RTN_CFG.replace("time-points = 11", f"time-points = {2**62}"))
+        assert (code, err) == (1, f"config error: [scenario] time-points: at most {MAX_TIME_POINTS}, got {2**62}\n")
+        cfg = parse_config_text(RTN_CFG.replace("time-points = 11", f"time-points = {MAX_TIME_POINTS}"))
+        assert cfg.time_points == MAX_TIME_POINTS
+
     def test_seed_override_is_checked_as_the_config_seed(self, tmp_path, capsys):
         code, err = _cli_error(tmp_path, capsys, OU_CFG, "simulate", "--seed", "-1")
         assert (code, err) == (1, "config error: [scenario] seed: must fit in 64 bits, got -1\n")
@@ -886,3 +892,8 @@ class TestConfigTables:
         assert len(calls) == 1
         sweep(parse_config_text(RTN_CFG), "g", [0.5, 2.0])
         assert len(calls) == 4  # the parse, then one per value
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in qrevivals.__all__ if not hasattr(qrevivals, name)]
+    assert missing == [] and len(set(qrevivals.__all__)) == len(qrevivals.__all__)

@@ -10,12 +10,13 @@ from qrevivals.measures import (
     concurrence,
     concurrence_pure,
     eof_from_concurrence,
+    eof_stderr,
     hidden_entanglement,
     information_decomposition,
     mutual_information,
     tripartite_correlations,
 )
-from qrevivals.noise import RandomFieldParams, random_field_ensemble, static_noise_state, StaticNoiseParams
+from qrevivals.noise import RandomFieldParams, random_field_ensemble, static_noise_ensemble, StaticNoiseParams
 from qrevivals.states import BELL_LABELS, EWLParams, XYZParams, bell_basis_matrix, bell_state, ewl_state, xyz_state
 
 LN2 = np.log(2.0)
@@ -121,6 +122,14 @@ class TestEntanglementOfFormation:
         assert efs.shape == cs.shape and isinstance(eof_from_concurrence(0.3), float)
         one_by_one = np.array([eof_from_concurrence(float(c)) for c in cs])
         assert np.array_equal(efs.view(np.int64), one_by_one.view(np.int64))
+
+    def test_stderr_half_spread_clipped_to_unit_interval(self):
+        # half the spread of E_f over c -/+ se, the ends clipped to [0, 1]; exactly 0 at se = 0
+        assert eof_stderr(0.5, 0.0) == 0.0 and isinstance(eof_stderr(0.5, 0.01), float)
+        assert eof_stderr(0.95, 0.1) == 0.5 * (1.0 - eof_from_concurrence(0.85))
+        assert eof_stderr(0.05, 0.1) == 0.5 * eof_from_concurrence(0.15)
+        c, se = np.array([0.05, 0.5, 0.95, 1.0]), np.array([0.1, 0.01, 0.1, 0.0])
+        assert eof_stderr(c, se).tolist() == [eof_stderr(x, s) for x, s in zip(c, se)]
 
     def test_binary_entropy_symmetry(self):
         assert abs(binary_entropy(0.3) - binary_entropy(0.7)) < 1e-15
@@ -238,7 +247,7 @@ class TestEnsembles:
     def test_static_noise_hidden_entanglement_near_one(self):
         # with sigma*tbar = 4 the averaged state carries E_f(exp(-8)) ~ 1e-6
         p = StaticNoiseParams(sigma=1.0, echo_time=4.0)
-        _, ens = static_noise_state("2+", p, 4.0)
+        ens = static_noise_ensemble(bell_state("2+"), p, 4.0)
         eh = hidden_entanglement(ens)
         assert abs(eh - (1.0 - eof_from_concurrence(np.exp(-8.0)))) < 1e-6
         assert eh > 0.999

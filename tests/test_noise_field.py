@@ -7,10 +7,9 @@ from qrevivals.noise import (
     RandomFieldParams,
     RandomUnitaryChannel,
     _gh_nodes,
+    field_channel,
     field_mixture_grid,
     field_unitary,
-    gaussian_averaged_map,
-    random_field_map,
 )
 from qrevivals.states import XYZParams, xyz_state
 
@@ -52,6 +51,17 @@ class TestFieldUnitary:
         for _ in range(20):
             u = field_unitary(rng.uniform(-np.pi, np.pi), rng.uniform(0.1, 3.0), rng.uniform(0, 20))
             assert np.max(np.abs(u @ u.conj().T - EYE2)) < 1e-12
+
+    def test_stack_equals_elementwise_calls(self):
+        # arrays of Rabi frequencies and times broadcast to one propagator per pair, bit for bit
+        omegas = np.array([0.7, 1.0, 1.8])
+        times = np.array([0.0, 0.4, 1.3, 7.9])
+        for ph in (np.pi / 2, -np.pi / 2, 0.3):
+            stack = field_unitary(ph, omegas, times[:, None])
+            assert stack.shape == (4, 3, 2, 2)
+            for j, t in enumerate(times):
+                for k, om in enumerate(omegas):
+                    assert np.array_equal(stack[j, k], field_unitary(ph, om, t))
 
 
 class TestRandomUnitaryChannel:
@@ -113,15 +123,15 @@ class TestGaussHermiteNodes:
 class TestRandomFieldMap:
     def test_identity_at_zero(self):
         rho0 = fig2_state()
-        assert np.allclose(random_field_map(rho0, RandomFieldParams(1.0), 0.0).matrix, rho0.matrix)
+        assert np.allclose(field_channel(rho0, RandomFieldParams(1.0), [0.0]).matrix[0], rho0.matrix)
 
     def test_full_revival_at_pi(self):
         rho0 = fig2_state()
-        assert abs(concurrence(random_field_map(rho0, RandomFieldParams(1.0), np.pi)) - 0.8) < 1e-9
+        assert abs(concurrence(field_channel(rho0, RandomFieldParams(1.0), [np.pi]))[0] - 0.8) < 1e-9
 
     def test_dark_period_at_half_pi(self):
         rho0 = fig2_state()
-        assert concurrence(random_field_map(rho0, RandomFieldParams(1.0), np.pi / 2)) < 1e-9
+        assert concurrence(field_channel(rho0, RandomFieldParams(1.0), [np.pi / 2]))[0] < 1e-9
 
     def test_trace_preserving_and_unital(self):
         p = RandomFieldParams(rabi=1.0)
@@ -129,50 +139,48 @@ class TestRandomFieldMap:
         g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         m = g @ g.conj().T
         rho = DensityOperator(m / np.trace(m).real, (2, 2))
-        out = random_field_map(rho, p, 1.7)
-        assert abs(np.trace(out.matrix) - 1.0) < 1e-12
+        out = field_channel(rho, p, [1.7])
+        assert abs(np.trace(out.matrix[0]) - 1.0) < 1e-12
         mixed = DensityOperator(np.eye(4, dtype=complex) / 4, (2, 2))
-        assert np.max(np.abs(random_field_map(mixed, p, 1.7).matrix - mixed.matrix)) < 1e-12
+        assert np.max(np.abs(field_channel(mixed, p, [1.7]).matrix - mixed.matrix)) < 1e-12
 
     def test_two_pi_periodicity_statewise(self):
         rho0 = fig2_state()
         p = RandomFieldParams(rabi=1.0)
-        for t in (0.0, 0.9, 2.2, np.pi):
-            a = random_field_map(rho0, p, t).matrix
-            b = random_field_map(rho0, p, t + 2 * np.pi).matrix
-            assert np.max(np.abs(a - b)) < 1e-10
+        times = np.array([0.0, 0.9, 2.2, np.pi])
+        a = field_channel(rho0, p, times).matrix
+        b = field_channel(rho0, p, times + 2 * np.pi).matrix
+        assert np.max(np.abs(a - b)) < 1e-10
 
     def test_matches_oracle_closed_form(self):
         rho0 = fig2_state()
         p = RandomFieldParams(rabi=1.3)
-        for t in np.linspace(0, 7, 29):
-            out = random_field_map(rho0, p, t).matrix
-            assert np.max(np.abs(out - characteristic_function_oracle(rho0, p, t))) < 1e-12
-
-    def test_requires_zero_width(self):
-        with pytest.raises(ValueError):
-            random_field_map(fig2_state(), RandomFieldParams(1.0, 0.1), 1.0)
+        times = np.linspace(0, 7, 29)
+        out = field_channel(rho0, p, times).matrix
+        for k, t in enumerate(times):
+            assert np.max(np.abs(out[k] - characteristic_function_oracle(rho0, p, t))) < 1e-12
 
 
 class TestGaussianAveragedMap:
     def test_small_width_approaches_sharp_map(self):
         rho0 = fig2_state()
-        sharp = random_field_map(rho0, RandomFieldParams(1.0), 2.1).matrix
-        soft = gaussian_averaged_map(rho0, RandomFieldParams(1.0, 1e-7), 2.1).matrix
+        sharp = field_channel(rho0, RandomFieldParams(1.0), [2.1]).matrix
+        soft = field_channel(rho0, RandomFieldParams(1.0, 1e-7), [2.1]).matrix
         assert np.max(np.abs(sharp - soft)) < 1e-8
 
     def test_matches_characteristic_function_oracle(self):
         rho0 = fig2_state()
         p = RandomFieldParams(rabi=1.0, width=0.1)
-        for t in np.linspace(0.0, 8 * np.pi, 65):
-            out = gaussian_averaged_map(rho0, p, t).matrix
-            assert np.max(np.abs(out - characteristic_function_oracle(rho0, p, t))) < 1e-8
+        times = np.linspace(0.0, 8 * np.pi, 65)
+        out = field_channel(rho0, p, times).matrix
+        for k, t in enumerate(times):
+            assert np.max(np.abs(out[k] - characteristic_function_oracle(rho0, p, t))) < 1e-8
 
     def test_revival_maxima_decay(self):
         rho0 = fig2_state()
         p = RandomFieldParams(rabi=1.0, width=0.1)
-        peaks = [concurrence(gaussian_averaged_map(rho0, p, k * np.pi)) for k in range(5)]
-        assert all(a > b for a, b in zip(peaks, peaks[1:]))
+        peaks = concurrence(field_channel(rho0, p, np.pi * np.arange(5)))
+        assert np.all(np.diff(peaks) < 0.0)
 
     # (width, grid end, Gauss-Hermite order of the oracle): the oracle needs an
     # order that resolves exp(i 2 width x t) over the grid; width 0.3 at t = 40
@@ -201,19 +209,16 @@ class TestGaussianAveragedMap:
         assert np.max(np.abs(blocks.sum(axis=1) - summed)) < 1e-15
 
     def test_trace_preserved(self):
-        out = gaussian_averaged_map(fig2_state(), RandomFieldParams(1.0, 0.2), 3.0)
-        assert abs(np.trace(out.matrix) - 1.0) < 1e-10
-
-    def test_requires_positive_width(self):
-        with pytest.raises(ValueError):
-            gaussian_averaged_map(fig2_state(), RandomFieldParams(1.0, 0.0), 1.0)
+        out = field_channel(fig2_state(), RandomFieldParams(1.0, 0.2), [3.0])
+        assert out.matrix.shape == (1, 4, 4)
+        assert abs(np.trace(out.matrix[0]) - 1.0) < 1e-10
 
 
 def test_revival_witness_nonmonotonic_concurrence():
     # width = 0: a strict local minimum followed by an increase must exist
     rho0 = fig2_state()
     p = RandomFieldParams(rabi=1.0)
-    cs = np.array([concurrence(random_field_map(rho0, p, t)) for t in np.linspace(0, 2 * np.pi, 201)])
+    cs = concurrence(field_channel(rho0, p, np.linspace(0, 2 * np.pi, 201)))
     drops = np.flatnonzero(np.diff(cs) < -1e-12)
     rises = np.flatnonzero(np.diff(cs) > 1e-12)
     assert drops.size > 0 and rises.size > 0 and rises.max() > drops.min()

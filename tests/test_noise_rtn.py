@@ -6,13 +6,12 @@ import pytest
 from qrevivals.measures import concurrence
 from qrevivals.noise import (
     RTNParams,
+    dephased_state,
     rtn_coherence,
     rtn_concurrence,
-    rtn_evolved_state,
-    rtn_mc_coherence,
     rtn_mc_coherence_grid,
 )
-from qrevivals.states import EWLParams
+from qrevivals.states import EWLParams, ewl_state
 
 EWL_EXP = EWLParams(r=0.91, a=1 / np.sqrt(2))
 # 2K = 0 crossing: |q| = (1-r)/(4 r |a| b) = 0.0225/0.455
@@ -93,14 +92,14 @@ class TestAnalyticCoherence:
         p = RTNParams(rate=1.0, coupling=0.0)
         for t in (0.5, 3.0, 9.0):
             assert abs(rtn_coherence(p, t) - 1.0) < 1e-12
-        q, se = rtn_mc_coherence(p, 4.0, 10_000, 8)
-        assert q == 1.0 and se == 0.0
+        q, se = rtn_mc_coherence_grid(p, [4.0], 10_000, 8)
+        assert q.tolist() == [1.0] and se.tolist() == [0.0]
 
 
 class TestMonteCarloOracle:
     def test_time_zero(self):
-        q, se = rtn_mc_coherence(RTNParams(rate=1.0, coupling=2.0), 0.0, 10_000, 1)
-        assert (q, se) == (1.0, 0.0)
+        q, se = rtn_mc_coherence_grid(RTNParams(rate=1.0, coupling=2.0), [0.0], 10_000, 1)
+        assert (q.tolist(), se.tolist()) == ([1.0], [0.0])
 
     @pytest.mark.parametrize("g", [0.5, 1.1, 2.0, 5.0])
     def test_analytic_matches_mc_within_errors(self, g):
@@ -131,7 +130,7 @@ class TestMonteCarloOracle:
 
     def test_trajectory_floor(self):
         with pytest.raises(ValueError):
-            rtn_mc_coherence(RTNParams(rate=1.0, coupling=1.0), 1.0, 5000, 1)
+            rtn_mc_coherence_grid(RTNParams(rate=1.0, coupling=1.0), [1.0], 5000, 1)
 
 
 class TestRTNConcurrence:
@@ -152,9 +151,11 @@ class TestRTNConcurrence:
         p = RTNParams(rate=1.0, coupling=2.0)
         one = EWLParams(r=0.8, a=0.6)
         two = EWLParams(r=0.8, a=0.6, kind="two-excitation")
-        for t in (0.5, 2.0, 7.0):
-            assert abs(rtn_concurrence(one, p, t) - rtn_concurrence(two, p, t)) < 1e-15
-            assert abs(concurrence(rtn_evolved_state(one, p, t)) - concurrence(rtn_evolved_state(two, p, t))) < 1e-12
+        t = np.array([0.5, 2.0, 7.0])
+        assert np.max(np.abs(rtn_concurrence(one, p, t) - rtn_concurrence(two, p, t))) < 1e-15
+        q = rtn_coherence(p, t)
+        c_one, c_two = (concurrence(dephased_state(ewl_state(e), q)) for e in (one, two))
+        assert np.max(np.abs(c_one - c_two)) < 1e-12
 
     def test_weak_coupling_monotone_no_revival(self):
         c = rtn_concurrence(EWL_EXP, RTNParams(rate=1.0, coupling=0.5), np.linspace(0, 10, 501))
@@ -178,6 +179,6 @@ class TestRTNConcurrence:
 
     def test_wootters_path_matches_closed_form(self):
         p = RTNParams(rate=1.0, coupling=5.0)
-        for t in np.linspace(0.0, 10.0, 41):
-            general = concurrence(rtn_evolved_state(EWL_EXP, p, t))
-            assert abs(general - rtn_concurrence(EWL_EXP, p, t)) < 1e-9
+        t = np.linspace(0.0, 10.0, 41)
+        general = concurrence(dephased_state(ewl_state(EWL_EXP), rtn_coherence(p, t)))
+        assert np.max(np.abs(general - rtn_concurrence(EWL_EXP, p, t))) < 1e-9

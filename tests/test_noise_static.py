@@ -1,21 +1,33 @@
 import numpy as np
 import pytest
 
-from qrevivals.linalg import NumericalError
+from qrevivals.linalg import DensityOperator, NumericalError
 from qrevivals.measures import average_entanglement, concurrence, eof_from_concurrence
 from qrevivals.noise import (
     _OU_SERIES_LIMIT,
     OU_MAX_STEPS,
     StaticNoiseParams,
+    _echo_effective_duration,
+    dephased_state,
     ou_dephasing_factors,
-    ou_noise_state,
     ou_partition_steps,
     ou_phase_variance,
-    static_dephasing_factor,
     static_dephasing_factors,
-    static_noise_state,
+    static_noise_ensemble,
 )
 from qrevivals.states import bell_state
+
+
+def bell_density(label):
+    psi = bell_state(label)
+    return DensityOperator(np.outer(psi, psi.conj()), (2, 2))
+
+
+def static_states(label, p, times):
+    """The quasi-static dephasing channel on a Bell input at every time of ``times``."""
+    times = np.asarray(times, dtype=float)
+    return dephased_state(bell_density(label), static_dephasing_factors(p, times),
+                          _echo_effective_duration(p, times)[1])
 
 
 def _graded_rule(lo, hi, scale, toward_hi=False):
@@ -69,56 +81,54 @@ def ou_variance_by_quadrature(sigma, tau, t, tbar=np.inf):
 class TestStaticNoise:
     def test_gaussian_free_decay(self):
         p = StaticNoiseParams(sigma=1.0)
-        for t in np.linspace(0.0, 8.0, 33):
-            rho, _ = static_noise_state("2+", p, t)
-            assert abs(concurrence(rho) - np.exp(-0.5 * t * t)) < 1e-8
+        times = np.linspace(0.0, 8.0, 33)
+        cs = concurrence(static_states("2+", p, times))
+        assert np.max(np.abs(cs - np.exp(-0.5 * times * times))) < 1e-8
 
     def test_echo_branch(self):
         p = StaticNoiseParams(sigma=1.0, echo_time=4.0)
-        for t in np.linspace(4.01, 8.0, 17):
-            rho, _ = static_noise_state("2+", p, t)
-            assert abs(concurrence(rho) - np.exp(-0.5 * (t - 8.0) ** 2)) < 1e-8
+        times = np.linspace(4.01, 8.0, 17)
+        cs = concurrence(static_states("2+", p, times))
+        assert np.max(np.abs(cs - np.exp(-0.5 * (times - 8.0) ** 2))) < 1e-8
 
     def test_full_recovery_at_twice_echo_time(self):
         p = StaticNoiseParams(sigma=1.0, echo_time=4.0)
-        rho, _ = static_noise_state("2+", p, 8.0)
-        assert abs(eof_from_concurrence(concurrence(rho)) - 1.0) < 1e-6
+        c = concurrence(static_states("2+", p, [8.0]))[0]
+        assert abs(eof_from_concurrence(c) - 1.0) < 1e-6
 
     def test_average_entanglement_stays_one(self):
         p = StaticNoiseParams(sigma=1.0, echo_time=4.0)
         for t in (0.0, 2.0, 4.0, 6.5, 8.0):
-            _, ens = static_noise_state("2+", p, t)
+            ens = static_noise_ensemble(bell_state("2+"), p, t)
             assert abs(average_entanglement(ens) - 1.0) < 1e-9
 
     def test_no_echo_concurrence_monotone_nonincreasing(self):
         p = StaticNoiseParams(sigma=1.0)
-        cs = [concurrence(static_noise_state("1-", p, t)[0]) for t in np.linspace(0, 6, 61)]
+        cs = concurrence(static_states("1-", p, np.linspace(0, 6, 61)))
         assert np.all(np.diff(cs) <= 1e-12)
 
     def test_all_bell_inputs_same_concurrence(self):
         p = StaticNoiseParams(sigma=1.0)
-        values = []
-        for label in ("1+", "1-", "2+", "2-"):
-            rho, _ = static_noise_state(label, p, 1.3)
-            values.append(concurrence(rho))
+        values = [concurrence(static_states(label, p, [1.3]))[0] for label in ("1+", "1-", "2+", "2-")]
         assert np.max(np.abs(np.diff(values))) < 1e-12
 
     @pytest.mark.parametrize("order", [64, 128])
     def test_state_matches_node_ensemble(self, order):
         # the closed-form state against the mixture of its Gauss-Hermite ensemble
         p = StaticNoiseParams(sigma=1.0, echo_time=4.0)
-        for t in np.linspace(0.0, 8.0, 33):
-            rho, ens = static_noise_state("2+", p, t, order)
-            assert np.max(np.abs(rho.matrix - ensemble_mixture(ens))) < 1e-13
+        times = np.linspace(0.0, 8.0, 33)
+        states = static_states("2+", p, times).matrix
+        for k, t in enumerate(times):
+            ens = static_noise_ensemble(bell_state("2+"), p, t, order)
+            assert np.max(np.abs(states[k] - ensemble_mixture(ens))) < 1e-13
 
-    def test_grid_factors_match_closed_form_and_single_times(self):
+    def test_grid_factors_match_closed_form(self):
         # <exp(-i eps u)> = exp(-sigma^2 u^2 / 2), u = 2 tbar - t after the echo
         p = StaticNoiseParams(sigma=1.3, echo_time=2.0)
         times = np.linspace(0.0, 4.0, 37)
         factors = static_dephasing_factors(p, times)
         u = np.where(times > 2.0, 4.0 - times, times)
         assert np.max(np.abs(factors - np.exp(-0.5 * (1.3 * u) ** 2))) < 1e-12
-        assert [complex(f) for f in factors] == [static_dephasing_factor(p, t) for t in times]
 
     def test_no_limit_where_order_doubling_refused(self):
         # sigma = 3, echo at 2, t <= 10: order 64 -> 128 drifted by 2e-8 at t = 7.5;
@@ -128,14 +138,15 @@ class TestStaticNoise:
         times = np.linspace(0.0, 10.0, 41)
         u = np.where(times > 2.0, 4.0 - times, times)
         assert np.max(np.abs(static_dephasing_factors(p, times) - np.exp(-0.5 * (3.0 * u) ** 2))) <= 1e-15
-        for t in times:
-            rho, ens = static_noise_state("2+", p, t, 256)
-            assert np.max(np.abs(rho.matrix - ensemble_mixture(ens))) < 1e-13
+        states = static_states("2+", p, times).matrix
+        for k, t in enumerate(times):
+            ens = static_noise_ensemble(bell_state("2+"), p, t, 256)
+            assert np.max(np.abs(states[k] - ensemble_mixture(ens))) < 1e-13
 
     def test_requires_static_regime(self):
         p = StaticNoiseParams(sigma=1.0, correlation_time=5.0)
         with pytest.raises(ValueError):
-            static_noise_state("2+", p, 1.0)
+            static_noise_ensemble(bell_state("2+"), p, 1.0)
 
 
 class TestOUNoise:
@@ -160,13 +171,13 @@ class TestOUNoise:
         sigma, t = 1.0, 2.0
         p = StaticNoiseParams(sigma=sigma, correlation_time=5000.0)
         est = ou_dephasing_factors(p, [t], 20_000, 17)
-        static = abs(static_dephasing_factor(StaticNoiseParams(sigma=sigma), t))
+        static = abs(static_dephasing_factors(StaticNoiseParams(sigma=sigma), [t])[0])
         assert abs(abs(est.factors[0]) - static) <= 3.5 * est.se_abs[0]
 
     def test_zero_sigma_no_decay(self):
         p = StaticNoiseParams(sigma=0.0, correlation_time=2.0)
-        rho = ou_noise_state("2+", p, 3.0, 1000, 5)
-        assert abs(concurrence(rho) - 1.0) < 1e-12
+        est = ou_dephasing_factors(p, [3.0], 1000, 5)
+        assert abs(concurrence(dephased_state(bell_density("2+"), est.factors))[0] - 1.0) < 1e-12
 
     def test_deterministic_for_fixed_seed(self):
         p = StaticNoiseParams(sigma=1.0, echo_time=2.0, correlation_time=7.0)
@@ -194,9 +205,9 @@ class TestOUNoise:
         est = ou_dephasing_factors(p, [0.0], 2048, 21)
         assert est.factors.tolist() == [1.0 + 0.0j]
         assert est.se_abs.tolist() == [0.0]
-        rho = ou_noise_state("1-", p, 0.0, 2048, 21)
+        rho = dephased_state(bell_density("1-"), est.factors)
         psi = bell_state("1-")
-        assert np.array_equal(rho.matrix, np.outer(psi, psi.conj()))
+        assert np.array_equal(rho.matrix[0], np.outer(psi, psi.conj()))
 
     def test_unwritten_output_column_raises(self, monkeypatch):
         # a grid time that is no fine boundary would leave its column as

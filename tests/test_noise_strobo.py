@@ -1,15 +1,26 @@
 import numpy as np
 import pytest
 
+from qrevivals import noise
 from qrevivals.linalg import DensityOperator
 from qrevivals.measures import concurrence, eof_from_concurrence
-from qrevivals.noise import StroboscopicParams, stroboscopic_coherences, stroboscopic_state
+from qrevivals.noise import StroboscopicParams, dephased_state, stroboscopic_coherences
+from qrevivals.states import bell_state
 
 
 def params(**kw):
     base = dict(phase_sigma=0.6, autocorrelation=1.0, sequences=10_000, seed=404)
     base.update(kw)
     return StroboscopicParams(**base)
+
+
+def strobo_states(label, p):
+    """The sequence-averaged states of a Bell input after steps 1..p.steps."""
+    psi = bell_state(label)
+    steps = np.arange(1, p.steps + 1)
+    echoed = steps > (np.inf if p.echo_after_step is None else p.echo_after_step)
+    rho0 = DensityOperator(np.outer(psi, psi.conj()), (2, 2))
+    return dephased_state(rho0, stroboscopic_coherences(p).factors, echoed)
 
 
 class TestParams:
@@ -23,19 +34,13 @@ class TestParams:
         with pytest.raises(ValueError):
             params(echo_after_step=4)
 
-    def test_step_range_checked(self):
-        with pytest.raises(ValueError):
-            stroboscopic_state("1-", params(), 5)
-
 
 class TestStaticPhases:
     """mu = 1 reduces every sequence to one shared Gaussian phase."""
 
     def test_zero_sigma_keeps_concurrence_one(self):
         p = params(phase_sigma=0.0)
-        for step in (1, 2, 3, 4):
-            rho = stroboscopic_state("1-", p, step)
-            assert abs(concurrence(rho) - 1.0) < 1e-12
+        assert np.max(np.abs(concurrence(strobo_states("1-", p)) - 1.0)) < 1e-12
 
     def test_stepwise_decay_matches_accumulated_variance(self):
         # with all phases equal, step k carries phase variance (k sigma)^2,
@@ -48,22 +53,19 @@ class TestStaticPhases:
             assert abs(abs(est.factors[k - 1]) - target) <= 4.0 * max(est.se_abs[k - 1], 1e-12)
 
     def test_monotone_decay_without_echo(self):
-        p = params()
-        efs = []
-        for step in (1, 2, 3, 4):
-            efs.append(eof_from_concurrence(concurrence(stroboscopic_state("1-", p, step))))
-        assert all(a > b for a, b in zip(efs, efs[1:]))
+        efs = eof_from_concurrence(concurrence(strobo_states("1-", params())))
+        assert np.all(np.diff(efs) < 0.0)
 
     def test_echo_recovers_exactly_at_step_four(self):
         p = params(echo_after_step=2)
-        rho4 = stroboscopic_state("1-", p, 4)
-        assert abs(concurrence(rho4) - 1.0) < 1e-12
+        c4 = concurrence(strobo_states("1-", p))[3]
+        assert abs(c4 - 1.0) < 1e-12
         est = stroboscopic_coherences(p)
         assert est.se_abs[3] < 1e-15  # every sequence refocuses identically
 
     def test_echo_intermediate_step_still_dephased(self):
         p = params(echo_after_step=2)
-        c3 = concurrence(stroboscopic_state("1-", p, 3))
+        c3 = concurrence(strobo_states("1-", p))[2]
         assert c3 < 1.0 - 1e-3
 
 
@@ -110,10 +112,21 @@ class TestDeterminism:
         assert not np.array_equal(a.factors, b.factors)
 
 
+@pytest.mark.parametrize("threads", [1, 3])
+def test_mc_batches_draw_each_batch_from_its_own_stream(threads):
+    # every Monte-Carlo channel draws through _mc_batches: batch i of the fixed
+    # size gets the i-th stream spawned from the seed, results in batch order
+    n = 2 * noise.MC_BATCH + 3
+    got = noise._mc_batches(77, n, threads, lambda rng, size: (size, rng.random()))
+    streams = np.random.SeedSequence(77).spawn(3)
+    sizes = (noise.MC_BATCH, noise.MC_BATCH, 3)
+    assert got == [(size, np.random.default_rng(s).random()) for size, s in zip(sizes, streams)]
+
+
 def test_state_is_valid_density_operator():
-    rho = stroboscopic_state("2+", params(autocorrelation=0.3, echo_after_step=1), 3)
+    rho = strobo_states("2+", params(autocorrelation=0.3, echo_after_step=1))
     assert isinstance(rho, DensityOperator)
-    assert abs(np.trace(rho.matrix) - 1.0) < 1e-12
+    assert np.max(np.abs(np.trace(rho.matrix, axis1=1, axis2=2) - 1.0)) < 1e-12
 
 
 class TestParameterSetSequence:

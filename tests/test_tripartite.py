@@ -3,15 +3,14 @@ import pytest
 
 from qrevivals.linalg import DensityOperator, EYE2, SIGMA_X, partial_trace, von_neumann_entropy
 from qrevivals.measures import concurrence, mutual_information, tripartite_correlations
-from qrevivals.noise import FIELD_PHASES, RandomFieldParams, _field_unitaries, gaussian_averaged_map, random_field_map
+from qrevivals.noise import FIELD_PHASES, RandomFieldParams, field_channel, field_unitary
 from qrevivals.states import XYZParams, bell_state, xyz_state
 from qrevivals.tripartite import (
-    FlowRecord,
     HybridTripartiteState,
     embed_initial,
-    evolve_abe,
+    evolve_abe_grid,
     find_local_extrema,
-    flow_timeseries,
+    flow_measures,
     ube_unitary,
 )
 
@@ -20,6 +19,11 @@ LN2 = np.log(2.0)
 
 def fig2_state():
     return xyz_state(XYZParams(1.0, 0.9, 1.0))
+
+
+def evolve(s0, p, times):
+    """The evolved dilations at every time of ``times``, checked as a state stack."""
+    return HybridTripartiteState(DensityOperator(evolve_abe_grid(s0, p, times), (2, 2, 2)))
 
 
 class TestEmbedInitial:
@@ -72,7 +76,7 @@ class TestUbeUnitary:
         omegas = np.array([0.7, 1.0, 1.8])
         times = np.array([0.4, 1.3])
         for e, ph in enumerate(FIELD_PHASES):
-            batch = _field_unitaries(ph, omegas, times[:, None])
+            batch = field_unitary(ph, omegas, times[:, None])
             assert batch.shape == (2, 3, 2, 2)
             for j, t in enumerate(times):
                 for k, om in enumerate(omegas):
@@ -85,27 +89,23 @@ class TestEvolveAbe:
     def test_reduction_matches_direct_channel_sharp(self):
         rho0 = fig2_state()
         p = RandomFieldParams(rabi=1.0)
-        s0 = embed_initial(rho0)
-        for t in np.linspace(0.0, 2 * np.pi, 17):
-            reduced = partial_trace(evolve_abe(s0, p, t).rho, (0, 1))
-            direct = random_field_map(rho0, p, t)
-            assert np.max(np.abs(reduced.matrix - direct.matrix)) < 1e-10
+        times = np.linspace(0.0, 2 * np.pi, 17)
+        reduced = partial_trace(evolve(embed_initial(rho0), p, times).rho, (0, 1))
+        direct = field_channel(rho0, p, times)
+        assert np.max(np.abs(reduced.matrix - direct.matrix)) < 1e-10
 
     def test_reduction_matches_direct_channel_gaussian(self):
         rho0 = fig2_state()
         p = RandomFieldParams(rabi=1.0, width=0.1)
-        s0 = embed_initial(rho0)
-        for t in (0.5, np.pi, 2 * np.pi):
-            reduced = partial_trace(evolve_abe(s0, p, t).rho, (0, 1))
-            direct = gaussian_averaged_map(rho0, p, t)
-            assert np.max(np.abs(reduced.matrix - direct.matrix)) < 1e-10
+        times = [0.5, np.pi, 2 * np.pi]
+        reduced = partial_trace(evolve(embed_initial(rho0), p, times).rho, (0, 1))
+        direct = field_channel(rho0, p, times)
+        assert np.max(np.abs(reduced.matrix - direct.matrix)) < 1e-10
 
     def test_b_e_marginal_stays_uncorrelated_for_bell_diagonal_input(self):
         p = RandomFieldParams(rabi=1.0)
-        s0 = embed_initial(fig2_state())
-        for t in np.linspace(0.0, 2 * np.pi, 9):
-            be = partial_trace(evolve_abe(s0, p, t).rho, (1, 2))
-            assert np.max(np.abs(be.matrix - np.eye(4) / 4)) < 1e-12
+        be = partial_trace(evolve(embed_initial(fig2_state()), p, np.linspace(0.0, 2 * np.pi, 9)).rho, (1, 2))
+        assert np.max(np.abs(be.matrix - np.eye(4) / 4)) < 1e-12
 
     def test_b_e_mutual_information_invariant(self):
         # U_BE is a local unitary of the (B, E) pair, so I(B:E) cannot change
@@ -114,71 +114,65 @@ class TestEvolveAbe:
         p = RandomFieldParams(rabi=1.0)
         s0 = embed_initial(rho0)
         i0 = mutual_information(partial_trace(s0.rho, (1, 2)), ((0,), (1,)))
-        for t in (0.7, 2.1, 4.4):
-            be = partial_trace(evolve_abe(s0, p, t).rho, (1, 2))
-            assert abs(mutual_information(be, ((0,), (1,))) - i0) < 1e-9
+        be = partial_trace(evolve(s0, p, [0.7, 2.1, 4.4]).rho, (1, 2))
+        assert np.max(np.abs(mutual_information(be, ((0,), (1,))) - i0)) < 1e-9
 
     def test_register_cannot_decohere(self):
         s0 = embed_initial(fig2_state())
-        st = evolve_abe(s0, RandomFieldParams(1.0, 0.1), 3.0)
+        st = evolve(s0, RandomFieldParams(1.0, 0.1), [3.0])
         env = partial_trace(st.rho, (2,))
         assert np.max(np.abs(env.matrix - EYE2 / 2)) < 1e-12
 
 
-class TestFlowTimeseries:
-    def test_records_shape_and_types(self):
-        recs = flow_timeseries(fig2_state(), RandomFieldParams(1.0), np.linspace(0, 1, 5))
-        assert len(recs) == 5
-        assert all(isinstance(r, FlowRecord) for r in recs)
+class TestFlowMeasures:
+    def test_one_value_per_grid_point(self):
+        conc, dec = flow_measures(fig2_state(), RandomFieldParams(1.0), np.linspace(0, 1, 5))
+        assert conc.shape == dec.total.shape == dec.tripartite.shape == (5,)
 
     def test_total_information_constant_without_broadening(self):
-        recs = flow_timeseries(fig2_state(), RandomFieldParams(1.0), np.linspace(0, 2 * np.pi, 64))
-        totals = np.array([r.decomposition.total for r in recs])
-        assert np.max(np.abs(totals - totals[0])) < 1e-9
+        _, dec = flow_measures(fig2_state(), RandomFieldParams(1.0), np.linspace(0, 2 * np.pi, 64))
+        assert np.max(np.abs(dec.total - dec.total[0])) < 1e-9
 
     def test_local_information_zero_for_bell_diagonal(self):
-        recs = flow_timeseries(fig2_state(), RandomFieldParams(1.0), np.linspace(0, 2 * np.pi, 64))
-        assert max(abs(r.decomposition.local) for r in recs) < 1e-9
+        _, dec = flow_measures(fig2_state(), RandomFieldParams(1.0), np.linspace(0, 2 * np.pi, 64))
+        assert np.max(np.abs(dec.local)) < 1e-9
 
     def test_tau_nonnegative(self):
-        recs = flow_timeseries(fig2_state(), RandomFieldParams(1.0, 0.1), np.linspace(0, np.pi, 16))
-        assert min(r.tripartite for r in recs) > -1e-9
+        _, dec = flow_measures(fig2_state(), RandomFieldParams(1.0, 0.1), np.linspace(0, np.pi, 16))
+        assert np.min(dec.tripartite) > -1e-9
 
     def test_concurrence_column_matches_direct(self):
         rho0 = fig2_state()
         p = RandomFieldParams(1.0)
-        recs = flow_timeseries(rho0, p, [0.3, 1.1, 2.9])
-        for r in recs:
-            assert abs(r.concurrence - concurrence(random_field_map(rho0, p, r.time))) < 1e-10
+        grid = [0.3, 1.1, 2.9]
+        conc, _ = flow_measures(rho0, p, grid)
+        assert np.max(np.abs(conc - concurrence(field_channel(rho0, p, grid)))) < 1e-10
 
     def test_tripartite_correlations_vanish_at_revival(self):
         # at rabi*t = pi both field branches act as the same bit flip, so the
         # joint state returns to a product across the register cut
-        recs = flow_timeseries(fig2_state(), RandomFieldParams(1.0), [np.pi / 2, np.pi])
-        assert recs[0].tripartite > 0.5  # near ln2 at the dark point
-        assert abs(recs[1].tripartite) < 1e-9
+        _, dec = flow_measures(fig2_state(), RandomFieldParams(1.0), [np.pi / 2, np.pi])
+        assert dec.tripartite[0] > 0.5  # near ln2 at the dark point
+        assert abs(dec.tripartite[1]) < 1e-9
 
     def test_extrema_positions_on_one_period(self):
         grid = np.linspace(0.0, 2 * np.pi, 512)
-        recs = flow_timeseries(fig2_state(), RandomFieldParams(1.0), grid)
-        taus = np.array([r.tripartite for r in recs])
-        cs = np.array([r.concurrence for r in recs])
+        cs, dec = flow_measures(fig2_state(), RandomFieldParams(1.0), grid)
         step = grid[1] - grid[0]
-        tau_peaks = grid[find_local_extrema(taus, "max")]
+        tau_peaks = grid[find_local_extrema(dec.tripartite, "max")]
         assert np.allclose(tau_peaks, [np.pi / 2, 3 * np.pi / 2], atol=step)
         c_peaks = grid[find_local_extrema(cs, "max", include_edges=True)]
         assert np.allclose(c_peaks, [0.0, np.pi, 2 * np.pi], atol=step)
 
     def test_total_information_decays_with_broadening(self):
-        recs = flow_timeseries(fig2_state(), RandomFieldParams(1.0, 0.1), [0.0, np.pi, 2 * np.pi])
-        totals = [r.decomposition.total for r in recs]
-        assert totals[0] > totals[1] > totals[2]
+        _, dec = flow_measures(fig2_state(), RandomFieldParams(1.0, 0.1), [0.0, np.pi, 2 * np.pi])
+        assert dec.total[0] > dec.total[1] > dec.total[2]
 
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError):
-            flow_timeseries(fig2_state(), RandomFieldParams(1.0), [])
+            flow_measures(fig2_state(), RandomFieldParams(1.0), [])
         with pytest.raises(ValueError):
-            flow_timeseries(fig2_state(), RandomFieldParams(1.0), [0.0, 0.0, 1.0])
+            flow_measures(fig2_state(), RandomFieldParams(1.0), [0.0, 0.0, 1.0])
 
 
 class TestFindLocalExtrema:
@@ -198,10 +192,8 @@ class TestFindLocalExtrema:
 
     def test_phase_opposition_on_flow_series(self):
         grid = np.linspace(0.0, 2 * np.pi, 512)
-        recs = flow_timeseries(fig2_state(), RandomFieldParams(1.0), grid)
-        taus = np.array([r.tripartite for r in recs])
-        cs = np.array([r.concurrence for r in recs])
-        tau_max = find_local_extrema(taus, "max")
+        cs, dec = flow_measures(fig2_state(), RandomFieldParams(1.0), grid)
+        tau_max = find_local_extrema(dec.tripartite, "max")
         c_min = find_local_extrema(cs, "min")
         assert tau_max and c_min
         assert all(min(abs(i - j) for j in c_min) <= 1 for i in tau_max)
@@ -213,7 +205,6 @@ def test_gaussian_averaging_commutes_with_embedding():
     # averaged two-qubit state (linearity); assert once at a representative point
     rho0 = fig2_state()
     p = RandomFieldParams(rabi=1.0, width=0.15)
-    t = 2.2
-    reduced = partial_trace(evolve_abe(embed_initial(rho0), p, t).rho, (0, 1)).matrix
-    direct = gaussian_averaged_map(rho0, p, t).matrix
+    reduced = partial_trace(evolve(embed_initial(rho0), p, [2.2]).rho, (0, 1)).matrix
+    direct = field_channel(rho0, p, [2.2]).matrix
     assert np.max(np.abs(reduced - direct)) < 1e-10
