@@ -37,13 +37,15 @@ from .noise import (
     dephased_state,
     field_channel,
     field_unitary,
-    ou_dephasing_factors,
+    ou_mc_dephasing_factors,
+    ou_phase_variance,
     rtn_coherence,
     rtn_concurrence,
     rtn_mc_coherence_grid,
     static_dephasing_factors,
     static_noise_ensemble,
-    stroboscopic_coherences,
+    stroboscopic_mc_dephasing_factors,
+    stroboscopic_phase_variance,
 )
 from .scenarios import ConfigError, ScenarioConfig, parse_config, parse_config_text, run_scenario, sweep
 from .states import BELL_LABELS, EWLParams, XYZParams, bell_state, ewl_state, xyz_state
@@ -86,7 +88,8 @@ __all__ = [
     "hidden_entanglement",
     "information_decomposition",
     "mutual_information",
-    "ou_dephasing_factors",
+    "ou_mc_dephasing_factors",
+    "ou_phase_variance",
     "parse_config",
     "parse_config_text",
     "partial_trace",
@@ -96,7 +99,8 @@ __all__ = [
     "run_scenario",
     "static_dephasing_factors",
     "static_noise_ensemble",
-    "stroboscopic_coherences",
+    "stroboscopic_mc_dephasing_factors",
+    "stroboscopic_phase_variance",
     "sweep",
     "tensor_product",
     "tripartite_correlations",

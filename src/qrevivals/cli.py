@@ -31,19 +31,19 @@ def _build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run one scenario from a config file")
     sim.add_argument("--config", required=True, help="path to the scenario config")
     sim.add_argument("--out", default=None, help="output CSV path (default: stdout)")
-    sim.add_argument("--seed", type=int, default=None, help="override the config seed")
-    sim.add_argument("--threads", type=int, default=1, help="worker threads (output-invariant)")
+    sim.add_argument("--seed", type=int, default=None, help="override the config seed (echoed only)")
+    sim.add_argument("--threads", type=int, default=1, help="accepted and ignored: every model is a closed form")
 
     sw = sub.add_parser("sweep", help="run a scenario once per parameter value")
     sw.add_argument("--config", required=True, help="path to the scenario config")
     sw.add_argument("--param", required=True, help="model parameter to sweep")
     sw.add_argument("--values", required=True, help="comma-separated numeric values (may be empty)")
     sw.add_argument("--out", default=None, help="output path; one file per value (default: stdout)")
-    sw.add_argument("--seed", type=int, default=None, help="override the config seed")
-    sw.add_argument("--threads", type=int, default=1, help="worker threads (output-invariant)")
+    sw.add_argument("--seed", type=int, default=None, help="override the config seed (echoed only)")
+    sw.add_argument("--threads", type=int, default=1, help="accepted and ignored: every model is a closed form")
 
     st = sub.add_parser("selftest", help="run the acceptance suite")
-    st.add_argument("--threads", type=int, default=1, help="worker threads")
+    st.add_argument("--threads", type=int, default=1, help="worker threads of the Monte-Carlo oracles")
     return parser
 
 
@@ -73,7 +73,7 @@ def _write(text: str, out: str | None):
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args)
     _check_out_dir(args.out)
-    _write(run_scenario(cfg, threads=args.threads).to_csv(), args.out)
+    _write(run_scenario(cfg).to_csv(), args.out)
     return 0
 
 
@@ -101,7 +101,7 @@ def _cmd_sweep(args) -> int:
     values = parse_sweep_values(cfg, args.param, [s for s in args.values.split(",") if s.strip()])
     _check_out_dir(args.out)
     paths = None if args.out is None else _sweep_paths(args.out, args.param, values)
-    results = sweep(cfg, args.param, values, threads=args.threads)
+    results = sweep(cfg, args.param, values)
     if paths is None:
         sys.stdout.write("\n".join(res.to_csv() for _, res in results))
     else:

@@ -1,9 +1,9 @@
-"""Monte-Carlo inner loops, in numpy.
+"""The Monte-Carlo inner loop of the telegraph-noise oracle, in numpy.
 
-Both kernels consume pre-generated random arrays; all random number
-generation stays outside them. Each kernel keeps the floating-point
-operations, and their order, of the reference formula it replaces, so its
-output is bit-for-bit that formula's and Monte-Carlo files stay byte-identical.
+The kernel consumes pre-generated random arrays; all random number
+generation stays outside it. It keeps the floating-point operations, and
+their order, of the reference formula it replaces, so its output is
+bit-for-bit that formula's and the oracle's output stays byte-identical.
 """
 from __future__ import annotations
 
@@ -63,28 +63,6 @@ def rtn_integrals(switch_cumsum, times):
         at = row_start + n_full
         d[at] = t - lo[at]
         out[:, j] = rows @ signs
-    return out
-
-
-def ou_phases(normals, decay, diffuse, dur_sign, write_idx, n_out):
-    """Accumulated dephasing phase along exact-update Ornstein-Uhlenbeck paths.
-
-    The chain is sampled at fine-interval midpoints: at step k the value is
-    eps <- eps * decay[k] + diffuse[k] * normals[:, k] (decay[0] = 0 encodes the
-    stationary initial draw). The phase advances by dur_sign[k] * eps, where
-    dur_sign carries the interval duration and the echo sign flip. Whenever
-    write_idx[k] >= 0 the running phase is recorded in that output column.
-    """
-    n_traj, n_steps = normals.shape
-    out = np.empty((n_traj, n_out))
-    eps = np.zeros(n_traj)
-    theta = np.zeros(n_traj)
-    for k in range(n_steps):
-        eps = eps * decay[k] + diffuse[k] * normals[:, k]
-        theta = theta + dur_sign[k] * eps
-        j = write_idx[k]
-        if j >= 0:
-            out[:, j] = theta
     return out
 
 

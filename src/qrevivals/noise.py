@@ -4,6 +4,8 @@ Four models: the two-phase random driving field (with optional Gaussian
 broadening of the Rabi frequency), quasi-static Gaussian dephasing with an
 optional echo pulse, its finite-correlation-time Ornstein-Uhlenbeck extension,
 random telegraph noise, and the four-step stroboscopic dephasing channel.
+Every averaged channel is a closed form; the Monte-Carlo path samplers
+(``*_mc_*``) and the Gauss-Hermite ensembles are oracles that check them.
 
 Conventions used throughout:
 
@@ -11,10 +13,10 @@ Conventions used throughout:
   measure computed downstream is invariant under those local unitaries.
 * The echo pulse is an instantaneous sigma_x inserted between propagation
   segments.
-* Monte-Carlo trajectories are partitioned into fixed-size batches; batch b
-  draws from an independent stream spawned from the scenario seed, and batch
-  results are reduced in batch order, so results are independent of the
-  thread count used to evaluate them.
+* The oracles' Monte-Carlo trajectories are partitioned into fixed-size
+  batches; batch b draws from an independent stream spawned from the seed,
+  and batch results are reduced in batch order, so results are independent
+  of the thread count used to evaluate them.
 """
 from __future__ import annotations
 
@@ -26,15 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .linalg import DensityOperator, EYE2, SIGMA_X, NumericalError
+from .linalg import DensityOperator, EYE2, SIGMA_X
 from .measures import WeightedPureEnsemble
 from .states import EWLParams
 
 MC_BATCH = 2048
-OU_MIN_TRAJECTORIES = 1000
-# most steps of one OU fine partition: each trajectory batch draws MC_BATCH
-# normals per step, 512 MiB at the cap
-OU_MAX_STEPS = 2**15
 RNG_DESCRIPTION = "numpy-pcg64; SeedSequence.spawn per fixed-size trajectory batch"
 
 FIELD_PHASES = (np.pi / 2.0, -np.pi / 2.0)
@@ -63,9 +61,9 @@ class RandomFieldParams:
 class StaticNoiseParams:
     """Longitudinal Gaussian dephasing noise of strength sigma.
 
-    ``correlation_time`` = inf selects the quasi-static regime (closed-form
-    Gaussian average); a finite value selects the Ornstein-Uhlenbeck
-    Monte-Carlo path. ``echo_time`` schedules an instantaneous sigma_x pulse.
+    ``correlation_time`` = inf selects the quasi-static regime; a finite value
+    selects Ornstein-Uhlenbeck noise. Both are closed-form Gaussian averages.
+    ``echo_time`` schedules an instantaneous sigma_x pulse.
     """
 
     sigma: float
@@ -121,8 +119,6 @@ class StroboscopicParams:
 
     phase_sigma: float
     autocorrelation: float
-    sequences: int
-    seed: int
     echo_after_step: int | None = None
     steps: int = 4
 
@@ -131,8 +127,6 @@ class StroboscopicParams:
             raise ValueError(f"phase_sigma={self.phase_sigma} must be >= 0")
         if not 0.0 <= self.autocorrelation <= 1.0:
             raise ValueError(f"autocorrelation={self.autocorrelation} outside [0, 1]")
-        if self.sequences <= 0:
-            raise ValueError(f"sequences={self.sequences} must be > 0")
         if self.steps < 1:
             raise ValueError(f"steps={self.steps} must be >= 1")
         if self.echo_after_step is not None and not 1 <= self.echo_after_step < self.steps:
@@ -437,28 +431,34 @@ def static_noise_ensemble(
     dephased state of the closed-form static_dephasing_factors."""
     if not p.is_static:
         raise ValueError("static_noise_ensemble requires correlation_time = inf")
-    psi0 = np.asarray(psi0, dtype=complex).reshape(4)
+    psi0 = np.asarray(psi0, dtype=complex).reshape(2, 2)  # (A, B) components
     u, echoed = _echo_effective_duration(p, t)
     x, w = _gh_nodes(order)
     thetas = np.sqrt(2.0) * p.sigma * x * u
-    members = np.empty((order, 4), dtype=complex)
-    for k, th in enumerate(thetas):
-        u2 = np.diag([np.exp(-0.5j * th), np.exp(0.5j * th)])
-        if echoed:
-            u2 = SIGMA_X @ u2
-        members[k] = np.kron(EYE2, u2) @ psi0
-    return WeightedPureEnsemble(w, members)
+    # member k is (1 (x) diag(e^{-i theta_k/2}, e^{i theta_k/2})) |psi0>, then the
+    # echo's sigma_x on B swaps the B components
+    members = psi0 * np.exp(np.multiply.outer(thetas, [-0.5j, 0.5j]))[:, None, :]
+    if echoed:
+        members = members[..., ::-1]
+    return WeightedPureEnsemble(w, members.reshape(order, 4))
 
 
 # ---------------------------------------------------------------------------
-# Ornstein-Uhlenbeck extension (finite correlation time, Monte Carlo)
+# Ornstein-Uhlenbeck extension (finite correlation time)
 # ---------------------------------------------------------------------------
 
-# Below this total duration a + b (in units of tau) ou_phase_variance sums the
-# Taylor series; its terms up to _OU_SERIES_TERMS leave a relative truncation
-# error below 1e-20, while the closed form loses about eps / (a + b).
+# Below this duration t / tau ou_phase_variance sums the Taylor series; its
+# terms up to _OU_SERIES_TERMS leave a relative truncation error below 1e-20,
+# while the closed form loses about eps / (t / tau).
 _OU_SERIES_LIMIT = 0.25
 _OU_SERIES_TERMS = 16
+
+
+def _g_over(y):
+    """g(y) / y, g(y) = y - 1 + e^{-y}, rising from 0 at y = 0 to 1 at y = inf."""
+    with np.errstate(invalid="ignore"):  # 0 / 0 at y = 0, replaced below
+        ratio = 1.0 + np.expm1(-y) / y
+    return np.where(y > 0.0, ratio, 0.0)
 
 
 def ou_phase_variance(p: StaticNoiseParams, t):
@@ -472,10 +472,16 @@ def ou_phase_variance(p: StaticNoiseParams, t):
     Var = F(tbar) + F(t - tbar) - 2 sigma^2 tau^2 (1 - e^{-tbar/tau})(1 - e^{-(t-tbar)/tau})
         = 2 sigma^2 tau^2 [2 g(a) + 2 g(b) - g(a + b)],  a = tbar/tau, b = (t - tbar)/tau.
     At t = 2 tbar this is sigma^2 tau^2 [4x - 6 + 8 e^{-x} - 2 e^{-2x}], x = tbar/tau,
-    whose leading order as tau -> inf is 4 sigma^2 tbar^3 / (3 tau). The bracket
-    cancels to third order in that limit, so short durations (a + b below
-    _OU_SERIES_LIMIT) use its Taylor series
-    (a - b)^2 / 2 + sum_{n>=3} (-1)^n [2 (a^n + b^n) - (a + b)^n] / n!.
+    whose leading order as tau -> inf is 4 sigma^2 tbar^3 / (3 tau).
+
+    It is evaluated as (sigma t sqrt(Q))^2 with the bounded shape factor
+    Q = Var / (sigma t)^2 of u = min(t, tbar)/t, w = 1 - u and x = t/tau, so
+    neither sigma nor tau is squared on its own and no product of an overflowed
+    and a vanishing factor arises: a Var beyond the float range is inf, a
+    vanishing one 0. For x at or above _OU_SERIES_LIMIT,
+    Q = 2 [2 u g(a)/a + 2 w g(b)/b - g(x)/x] / x; below it the bracket cancels
+    to third order and Q is its Taylor series
+    (u - w)^2 + 2 sum_{n>=3} (-1)^n x^(n-2) [2 (u^n + w^n) - 1] / n!.
     Returns a float for scalar t, an array otherwise.
     """
     if p.is_static:
@@ -485,105 +491,76 @@ def ou_phase_variance(p: StaticNoiseParams, t):
         raise ValueError("times must be nonnegative")
     tau = p.correlation_time
     tbar = math.inf if p.echo_time is None else p.echo_time
-    a = np.minimum(t, tbar) / tau
-    b = np.maximum(t - tbar, 0.0) / tau
-    small = a + b < _OU_SERIES_LIMIT
-    sa, sb = np.where(small, a, 0.0), np.where(small, b, 0.0)
-    series = 0.5 * (sa - sb) ** 2
-    coeff = 0.5  # (-1)^n / n!
+    before, after = np.minimum(t, tbar), np.maximum(t - tbar, 0.0)
+    t_safe = np.where(t > 0.0, t, 1.0)  # t = 0 gives u = w = 0, x = 0: Var = 0
+    u, w = before / t_safe, after / t_safe
+    with np.errstate(over="ignore"):  # t / tau beyond the float range is inf
+        x, a, b = t / tau, before / tau, after / tau
+    small = x < _OU_SERIES_LIMIT
+    sx, su, sw = np.where(small, x, 0.0), np.where(small, u, 0.0), np.where(small, w, 0.0)
+    series = (su - sw) ** 2
+    coeff = 1.0  # 2 (-1)^n / n!
     for n in range(3, _OU_SERIES_TERMS + 1):
         coeff /= -n
-        series = series + coeff * (2.0 * (sa**n + sb**n) - (sa + sb) ** n)
-
-    def g(x):
-        return x + np.expm1(-x)
-
-    closed = 2.0 * g(a) + 2.0 * g(b) - g(a + b)
-    var = 2.0 * p.sigma**2 * tau**2 * np.where(small, series, closed)
+        series = series + coeff * sx ** (n - 2) * (2.0 * (su**n + sw**n) - 1.0)
+    x_safe = np.where(small, 1.0, x)
+    closed = 2.0 * (2.0 * u * _g_over(a) + 2.0 * w * _g_over(b) - _g_over(x_safe)) / x_safe
+    q = np.maximum(np.where(small, series, closed), 0.0)
+    with np.errstate(over="ignore"):  # a variance beyond the float range is inf
+        var = (p.sigma * (t * np.sqrt(q))) ** 2
     return float(var) if var.ndim == 0 else var
 
 
-def _ou_steps(p: StaticNoiseParams, times: np.ndarray):
-    """Anchors of the fine partition (0, the grid times and the echo time) and
-    the number of equal steps between each pair of them (a float array)."""
-    t_max = float(times[-1])
-    anchors = [0.0] + [float(t) for t in times]
-    if p.echo_time is not None and p.echo_time < t_max:
-        anchors.append(float(p.echo_time))
-    anchors = np.unique(np.asarray(anchors))
-    dt_max = p.correlation_time / 20.0
-    if p.sigma > 0.0:
-        dt_max = min(dt_max, 0.05 / p.sigma)
-    return anchors, np.maximum(1.0, np.ceil(np.diff(anchors) / dt_max - 1e-12))
+def _ou_update(p: StaticNoiseParams, dt: np.ndarray):
+    """Gillespie's exact update of the OU value X and its integral Y over steps
+    ``dt`` (Phys. Rev. E 54, 2084 (1996)), from two standard normals n1, n2:
+    X' = mu X + sd_x n1,  Y' = Y + drift X + cross n1 + cond n2,
+    with mu = e^{-dt/tau}, sd_x^2 = sigma^2 (1 - mu^2), drift = tau (1 - mu),
+    cross = Cov(X', Y' | X) / sd_x = sigma tau (1 - mu)^{3/2} / sqrt(1 + mu) and
+    cond^2 = Var(Y' | X, X') = 2 sigma^2 tau^2 (x - 2 tanh(x/2)), x = dt/tau,
+    whose cancellation at small x is replaced by its series x^3/12 - x^5/120 +
+    17 x^7/20160."""
+    tau, sigma = p.correlation_time, p.sigma
+    x = dt / tau
+    em = -np.expm1(-x)  # 1 - mu
+    rest = np.where(x < 1e-2, x**3 / 12.0 - x**5 / 120.0 + 17.0 * x**7 / 20160.0,
+                    x - 2.0 * np.tanh(0.5 * x))
+    return (1.0 - em, sigma * np.sqrt(em * (2.0 - em)), tau * em,
+            sigma * tau * em * np.sqrt(em / (2.0 - em)), sigma * tau * np.sqrt(2.0 * np.maximum(rest, 0.0)))
 
 
-def ou_partition_steps(p: StaticNoiseParams, times) -> float:
-    """Number of steps of the OU fine partition over the ascending grid
-    ``times`` (inf when it overflows a float)."""
-    return float(_ou_steps(p, np.asarray(times, dtype=float).reshape(-1))[1].sum())
-
-
-def _ou_partition(p: StaticNoiseParams, times: np.ndarray):
-    """Fine time partition (exact-update midpoint scheme) covering all
-    requested times, with the echo time inserted as a boundary; refused above
-    OU_MAX_STEPS steps, before it is built."""
-    anchors, nsub = _ou_steps(p, times)
-    if nsub.sum() > OU_MAX_STEPS:
-        raise ValueError(f"correlation_time={p.correlation_time} needs {nsub.sum():.3g} OU steps, "
-                         f"above the cap of {OU_MAX_STEPS}")
-    fine = [anchors[0]]
-    for b0, b1, n in zip(anchors[:-1], anchors[1:], nsub.astype(np.int64).tolist()):
-        fine.extend(np.linspace(b0, b1, n + 1)[1:].tolist())
-    fine = np.asarray(fine)
-    durations = np.diff(fine)
-    midpoints = 0.5 * (fine[:-1] + fine[1:])
-    decay = np.empty_like(durations)
-    decay[0] = 0.0
-    decay[1:] = np.exp(-np.diff(midpoints) / p.correlation_time)
-    diffuse = np.empty_like(durations)
-    diffuse[0] = p.sigma
-    diffuse[1:] = p.sigma * np.sqrt(1.0 - decay[1:] ** 2)
-    if p.echo_time is not None:
-        signs = np.where(midpoints < p.echo_time, 1.0, -1.0)
-    else:
-        signs = np.ones_like(durations)
-    col_of = {float(t): j for j, t in enumerate(times)}
-    write_idx = np.array([col_of.get(float(b), -1) for b in fine[1:]], dtype=np.int64)
-    zero_col = col_of.get(0.0)
-    # every output column must be written (the kernel leaves the others as
-    # uninitialised memory): each grid time must be a fine boundary, or 0
-    written = np.zeros(times.size, dtype=bool)
-    written[write_idx[write_idx >= 0]] = True
-    if zero_col is not None:
-        written[zero_col] = True
-    if not written.all():
-        t_miss = float(times[np.argmin(written)])
-        raise NumericalError(f"OU fine partition has no boundary at grid time t={t_miss!r}")
-    return decay, diffuse, durations * signs, write_idx, zero_col
-
-
-def ou_dephasing_factors(
-    p: StaticNoiseParams, times, trajectories: int, seed: int, threads: int = 1
-) -> DephasingEstimate:
-    """Monte-Carlo dephasing factors for Ornstein-Uhlenbeck noise on an
-    ascending time grid (exact conditional updates, midpoint phase rule)."""
-    if p.is_static:
-        raise ValueError("ou_dephasing_factors requires a finite correlation_time")
-    if trajectories < OU_MIN_TRAJECTORIES:
-        raise ValueError(f"trajectories={trajectories} below the minimum of {OU_MIN_TRAJECTORIES}")
+def _check_grid(times) -> np.ndarray:
     times = np.asarray(times, dtype=float).reshape(-1)
     if times.size == 0 or np.any(np.diff(times) <= 0.0) or times[0] < 0.0:
         raise ValueError("times must be a nonempty strictly increasing nonnegative grid")
-    if times[-1] == 0.0:  # the grid is {0}: no phase accrues and the partition is empty
-        return DephasingEstimate(np.ones(1, dtype=complex), np.zeros(1), trajectories)
-    decay, diffuse, dur_sign, write_idx, zero_col = _ou_partition(p, times)
+    return times
+
+
+def ou_mc_dephasing_factors(
+    p: StaticNoiseParams, times, trajectories: int, seed: int, threads: int = 1
+) -> DephasingEstimate:
+    """Monte-Carlo oracle of exp(-ou_phase_variance / 2): the mean of
+    exp(-i theta(t)) over stationary OU paths on an ascending grid, stepped
+    exactly (_ou_update) from one anchor to the next (0, the grid times and the
+    echo time), so no step size biases it."""
+    if p.is_static:
+        raise ValueError("ou_mc_dephasing_factors requires a finite correlation_time")
+    times = _check_grid(times)
+    echo = math.inf if p.echo_time is None else p.echo_time
+    anchors = np.unique(np.concatenate([[0.0], times, [echo] if echo < times[-1] else []]))
+    mu, sd_x, drift, cross, cond = _ou_update(p, np.diff(anchors))
+    signs = np.where(anchors[1:] <= echo, 1.0, -1.0)
+    cols = np.searchsorted(anchors, times)
 
     def draw(rng, size):
-        normals = rng.standard_normal((size, dur_sign.size))
-        theta = kernels.ou_phases(normals, decay, diffuse, dur_sign, write_idx, times.size)
-        if zero_col is not None:
-            theta[:, zero_col] = 0.0
-        return _phase_partials(theta)
+        normals = rng.standard_normal((size, 2 * anchors.size - 1))
+        x = p.sigma * normals[:, 0]  # stationary start
+        theta = np.zeros((size, anchors.size))
+        for k in range(anchors.size - 1):
+            n1, n2 = normals[:, 2 * k + 1], normals[:, 2 * k + 2]
+            theta[:, k + 1] = theta[:, k] + signs[k] * (drift[k] * x + cross[k] * n1 + cond[k] * n2)
+            x = mu[k] * x + sd_x[k] * n1
+        return _phase_partials(theta[:, cols])
 
     return _combine_phase_partials(_mc_batches(seed, trajectories, threads, draw))
 
@@ -633,9 +610,7 @@ def rtn_mc_coherence_grid(
     equiprobable initial sign). Returns (means, standard errors)."""
     if trajectories < 10_000:
         raise ValueError(f"trajectories={trajectories} below the minimum of 10000")
-    times = np.asarray(times, dtype=float).reshape(-1)
-    if times.size == 0 or np.any(np.diff(times) <= 0.0) or times[0] < 0.0:
-        raise ValueError("times must be a nonempty strictly increasing nonnegative grid")
+    times = _check_grid(times)
     t_max = float(times[-1])
     mean_flips = p.rate * t_max
     cap = int(np.ceil(mean_flips + 12.0 * np.sqrt(mean_flips) + 25.0))
@@ -674,40 +649,46 @@ def rtn_concurrence(ewl: EWLParams, p: RTNParams, t):
 # ---------------------------------------------------------------------------
 
 
-def stroboscopic_coherences(p, threads: int = 1):
-    """Per-step dephasing factors <exp(-i Theta_k)> averaged over AR(1) phase
-    sequences, Theta_k the accumulated (echo-sign-corrected) phase after step k.
+def _echo_signs(p: StroboscopicParams) -> np.ndarray:
+    """Sign of each step's phase: -1 after the bit flip."""
+    return np.where(np.arange(p.steps) < (p.steps if p.echo_after_step is None else p.echo_after_step), 1.0, -1.0)
 
-    ``p`` is one StroboscopicParams (returns its DephasingEstimate) or a
-    sequence of them sharing seed, sequences and steps (returns a list, one
-    estimate per set). Each batch draws its normals once and runs every set's
-    chain on them, so each estimate equals that of its set alone, bit for bit.
-    """
-    ps = [p] if isinstance(p, StroboscopicParams) else list(p)
-    if not ps:
-        raise ValueError("need at least one parameter set")
-    first = ps[0]
-    if any((q.seed, q.sequences, q.steps) != (first.seed, first.sequences, first.steps) for q in ps):
-        raise ValueError("parameter sets must share seed, sequences and steps")
-    chains = []
-    for q in ps:
-        mu, sigma = q.autocorrelation, q.phase_sigma
-        signs = np.ones(q.steps)
-        if q.echo_after_step is not None:
-            signs[q.echo_after_step:] = -1.0
-        chains.append((mu, sigma, sigma * np.sqrt(1.0 - mu * mu), signs))
+
+def stroboscopic_phase_variance(p: StroboscopicParams, steps) -> np.ndarray:
+    """Exact variance of the accumulated phase Theta_k after each step count k
+    of ``steps`` (integers in [0, p.steps]): Var = sigma^2 s^T M s over the
+    first k steps, with M_ij = mu^|i-j| the AR(1) correlation and s the echo
+    signs. It is evaluated as (sigma sqrt(s^T M s))^2, so a perfect refocusing
+    (s^T M s = 0, as at mu = 1) gives 0 for any finite sigma and a variance
+    beyond the float range gives inf."""
+    steps = np.asarray(steps)
+    if not (np.issubdtype(steps.dtype, np.integer) and np.all((steps >= 0) & (steps <= p.steps))):
+        raise ValueError(f"steps must be integers in [0, {p.steps}]")
+    s = _echo_signs(p)
+    lags = np.abs(np.subtract.outer(np.arange(p.steps), np.arange(p.steps)))
+    prefix = np.cumsum(np.cumsum(np.outer(s, s) * p.autocorrelation**lags, axis=0), axis=1)
+    quad = np.maximum(np.concatenate([[0.0], np.diagonal(prefix)]), 0.0)  # s^T M s after k steps
+    with np.errstate(over="ignore"):
+        return (p.phase_sigma * np.sqrt(quad[steps])) ** 2
+
+
+def stroboscopic_mc_dephasing_factors(
+    p: StroboscopicParams, sequences: int, seed: int, threads: int = 1
+) -> DephasingEstimate:
+    """Monte-Carlo oracle of exp(-stroboscopic_phase_variance / 2) after steps
+    1..p.steps: the mean of exp(-i Theta_k) over phase sequences drawn by the
+    AR(1) recursion x_k = mu x_{k-1} + sigma sqrt(1 - mu^2) z_k from a
+    stationary x_1 = sigma z_1."""
+    mu, sigma = p.autocorrelation, p.phase_sigma
+    innov = sigma * np.sqrt(1.0 - mu * mu)
+    signs = _echo_signs(p)
 
     def draw(rng, size):
-        z = rng.standard_normal((size, first.steps))
-        partials = []
-        for mu, sigma, innov, signs in chains:
-            x = np.empty_like(z)
-            x[:, 0] = sigma * z[:, 0]
-            for k in range(1, first.steps):
-                x[:, k] = mu * x[:, k - 1] + innov * z[:, k]
-            partials.append(_phase_partials(np.cumsum(x * signs, axis=1)))
-        return partials
+        z = rng.standard_normal((size, p.steps))
+        x = np.empty_like(z)
+        x[:, 0] = sigma * z[:, 0]
+        for k in range(1, p.steps):
+            x[:, k] = mu * x[:, k - 1] + innov * z[:, k]
+        return _phase_partials(np.cumsum(x * signs, axis=1))
 
-    batches = _mc_batches(first.seed, first.sequences, threads, draw)
-    estimates = [_combine_phase_partials([b[v] for b in batches]) for v in range(len(ps))]
-    return estimates[0] if isinstance(p, StroboscopicParams) else estimates
+    return _combine_phase_partials(_mc_batches(seed, sequences, threads, draw))

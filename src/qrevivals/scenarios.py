@@ -10,10 +10,12 @@ sigma*t, rate*t, or the step index for the stroboscopic channel)::
     time-start = 0.0
     time-stop = 6.2831853071795865
     time-points = 512
-    seed = 12345
+    seed = 12345                  ; optional, < 2^64; echoed only: every model
+                                  ; is a closed form
     quadrature-order = 64         ; optional (default 64), >= 1; echoed only:
                                   ; the Gaussian averages are closed forms
-    trajectories = 10000          ; required iff the model is Monte-Carlo
+    trajectories = 10000          ; optional, >= 1, ou-noise and stroboscopic
+                                  ; only; echoed only, like seed
 
     [initial-state]
     kind = xyz                    ; bell | xyz | ewl
@@ -44,11 +46,9 @@ import numpy as np
 from . import __version__ as _pkg_version
 from . import kernels
 from .linalg import DensityOperator, NumericalError, _stack_where
-from .measures import concurrence, concurrence_pure, eof_from_concurrence, eof_stderr
+from .measures import concurrence, concurrence_pure, eof_from_concurrence
 from .noise import (
     MC_BATCH,
-    OU_MAX_STEPS,
-    OU_MIN_TRAJECTORIES,
     RNG_DESCRIPTION,
     RTNParams,
     RandomFieldParams,
@@ -57,11 +57,10 @@ from .noise import (
     _echo_effective_duration,
     dephased_state,
     field_channel,
-    ou_dephasing_factors,
-    ou_partition_steps,
+    ou_phase_variance,
     rtn_coherence,
     static_dephasing_factors,
-    stroboscopic_coherences,
+    stroboscopic_phase_variance,
 )
 from .states import BELL_LABELS, EWLParams, XYZParams, bell_state, ewl_state, xyz_state
 from .tripartite import flow_measures
@@ -122,7 +121,7 @@ _SCENARIO_KEYS = {
     "time-start": (float, _REQUIRED),
     "time-stop": (float, _REQUIRED),
     "time-points": (int, _REQUIRED),
-    "seed": (int, _REQUIRED),
+    "seed": (int, _OMITTED),
     "quadrature-order": (int, 64),
     "trajectories": (int, _OMITTED),
 }
@@ -188,8 +187,8 @@ class ScenarioConfig:
     time_start: float
     time_stop: float
     time_points: int
-    seed: int
-    quadrature_order: int  # echoed into the metadata only
+    seed: int | None  # echoed into the metadata only, like the two below
+    quadrature_order: int
     trajectories: int | None
     initial_kind: str  # bell | xyz | ewl
     initial_params: tuple[tuple[str, object], ...]
@@ -216,14 +215,12 @@ class ScenarioConfig:
             raise ConfigError(f"[scenario] time-stop ({self.time_stop}) must exceed time-start ({self.time_start})")
         if self.time_start < 0.0:
             raise ConfigError(f"[scenario] time-start: must be >= 0, got {self.time_start}")
-        if not 0 <= self.seed < 2**64:
+        if self.seed is not None and not 0 <= self.seed < 2**64:
             raise ConfigError(f"[scenario] seed: must fit in 64 bits, got {self.seed}")
         if self.quadrature_order < 1:
             raise ConfigError(f"[scenario] quadrature-order: must be >= 1, got {self.quadrature_order}")
-        if self.trajectories is None and row.monte_carlo:
-            raise ConfigError(f"[scenario] trajectories: required for Monte-Carlo model {self.model!r}")
-        if self.trajectories is not None and not row.monte_carlo:
-            raise ConfigError(f"[scenario] trajectories: not accepted for non-Monte-Carlo model {self.model!r}")
+        if self.trajectories is not None and self.model not in _TRAJECTORY_MODELS:
+            raise ConfigError(f"[scenario] trajectories: not accepted for model {self.model!r}")
         if self.trajectories is not None and self.trajectories < 1:
             raise ConfigError(f"[scenario] trajectories: must be >= 1, got {self.trajectories}")
         kind = _INITIAL_KINDS[_one_of("initial-state", "kind", self.initial_kind, _INITIAL_KINDS)]
@@ -383,27 +380,14 @@ def _metadata(cfg: ScenarioConfig, columns, sweep_info=None) -> tuple[tuple[str,
     return tuple(meta)
 
 
+_COLUMNS = {
+    "info-decomposition": ("info_total", "info_local", "info_tripartite", "info_bipartite_max", "info_residual"),
+}
+
+
 def _columns_for(cfg: ScenarioConfig) -> tuple[str, ...]:
-    cols = ["time"]
-    mc = _MODEL_TABLE[cfg.model].monte_carlo
-    for m in cfg.measures:
-        if m == "concurrence":
-            cols.append("concurrence")
-            if mc:
-                cols.append("concurrence_stderr")
-        elif m == "eof":
-            cols.append("eof")
-            if mc:
-                cols.append("eof_stderr")
-        elif m == "tripartite":
-            cols.append("tripartite")
-        elif m == "info-decomposition":
-            cols += ["info_total", "info_local", "info_tripartite", "info_bipartite_max", "info_residual"]
-        elif m == "hidden-entanglement":
-            cols.append("hidden_entanglement")
-        elif m == "average-entanglement":
-            cols.append("average_entanglement")
-    return tuple(cols)
+    """The time column, then each measure's columns (its name with '_' for '-')."""
+    return ("time",) + tuple(c for m in cfg.measures for c in _COLUMNS.get(m, (m.replace("-", "_"),)))
 
 
 def _rows(cfg: ScenarioConfig, values: np.ndarray, columns: dict) -> np.ndarray:
@@ -423,14 +407,10 @@ def _joined(parts: list[dict]) -> dict:
             for m, cols in parts[0].items()}
 
 
-def _two_qubit_columns(rho: DensityOperator, se_c: np.ndarray | None = None) -> dict:
-    """Concurrence and eof columns of a (..., 4, 4) stack of evolved states,
-    with their standard errors for a Monte-Carlo model."""
+def _two_qubit_columns(rho: DensityOperator) -> dict:
+    """Concurrence and eof columns of a (..., 4, 4) stack of evolved states."""
     conc = concurrence(rho)
-    eof = eof_from_concurrence(conc)
-    if se_c is None:
-        return {"concurrence": [conc], "eof": [eof]}
-    return {"concurrence": [conc, se_c], "eof": [eof, eof_stderr(conc, se_c)]}
+    return {"concurrence": [conc], "eof": [eof_from_concurrence(conc)]}
 
 
 # grid points (values x times) per dephased-state stack: a (V, T) evaluation
@@ -438,9 +418,9 @@ def _two_qubit_columns(rho: DensityOperator, se_c: np.ndarray | None = None) -> 
 _BLOCK_POINTS = 512
 
 
-def _dephased_columns(rho0: DensityOperator, factors: np.ndarray, echoed, se_c=None) -> dict:
+def _dephased_columns(rho0: DensityOperator, factors: np.ndarray, echoed) -> dict:
     """Two-qubit columns of the dephasing channel, (V, T) factors and echo
-    flags (and standard errors), one dephased_state stack per block of values.
+    flags, one dephased_state stack per block of values.
     The stack index (value, time) of a NumericalError counts values from the
     first, not from the block's."""
     echoed = np.broadcast_to(echoed, factors.shape)
@@ -450,7 +430,7 @@ def _dephased_columns(rho0: DensityOperator, factors: np.ndarray, echoed, se_c=N
         block = slice(start, start + size)
         try:
             rho = dephased_state(rho0, factors[block], echoed[block])
-            parts.append(_two_qubit_columns(rho, None if se_c is None else se_c[block]))
+            parts.append(_two_qubit_columns(rho))
         except NumericalError as exc:
             if start == 0 or not exc.index:
                 raise
@@ -523,19 +503,6 @@ def _dephasing_params(cfg: ScenarioConfig) -> StaticNoiseParams:
     )
 
 
-def _ou_params(cfg: ScenarioConfig) -> StaticNoiseParams:
-    if cfg.trajectories < OU_MIN_TRAJECTORIES:
-        raise ConfigError(f"[scenario] trajectories: model 'ou-noise' needs at least {OU_MIN_TRAJECTORIES}, "
-                          f"got {cfg.trajectories}")
-    p = _dephasing_params(cfg)
-    steps = ou_partition_steps(p, _grid_values(cfg) / p.sigma)
-    if steps > OU_MAX_STEPS:
-        raise ConfigError(f"[ou-noise] correlation-time: {cfg.param('correlation-time')!r} to time-stop "
-                          f"{cfg.time_stop!r} needs {steps:.3g} fine steps (each at most correlation-time/20 "
-                          f"and 0.05), above the cap of {OU_MAX_STEPS}")
-    return p
-
-
 def _rtn_params(cfg: ScenarioConfig) -> RTNParams:
     coupling, g, rate = cfg.param("coupling"), cfg.param("g"), cfg.param("rate")
     if (coupling is None) == (g is None):
@@ -564,13 +531,11 @@ def _strobo_params(cfg: ScenarioConfig) -> StroboscopicParams:
     return StroboscopicParams(
         phase_sigma=cfg.param("phase-sigma"),
         autocorrelation=cfg.param("autocorrelation"),
-        sequences=cfg.trajectories,
-        seed=cfg.seed,
         echo_after_step=cfg.param("echo-after-step"),
     )
 
 
-def _field_columns(cfg: ScenarioConfig, ps: list[RandomFieldParams], threads: int) -> dict:
+def _field_columns(cfg: ScenarioConfig, ps: list[RandomFieldParams]) -> dict:
     grid = _grid_values(cfg)
 
     def columns_of(rho):
@@ -579,38 +544,34 @@ def _field_columns(cfg: ScenarioConfig, ps: list[RandomFieldParams], threads: in
     return _mixture_columns(cfg, columns_of)
 
 
-def _static_columns(cfg: ScenarioConfig, ps: list[StaticNoiseParams], threads: int) -> dict:
+def _static_columns(cfg: ScenarioConfig, ps: list[StaticNoiseParams]) -> dict:
     grid = _grid_values(cfg)
     factors = np.stack([static_dephasing_factors(p, grid / p.sigma) for p in ps])
     echoed = np.stack([_echo_effective_duration(p, grid / p.sigma)[1] for p in ps])
     return _mixture_columns(cfg, lambda rho: _dephased_columns(rho, factors, echoed))
 
 
-def _ou_columns(cfg: ScenarioConfig, ps: list[StaticNoiseParams], threads: int) -> dict:
+def _ou_columns(cfg: ScenarioConfig, ps: list[StaticNoiseParams]) -> dict:
     grid = _grid_values(cfg)
-    ests = [ou_dephasing_factors(p, grid / p.sigma, cfg.trajectories, cfg.seed, threads) for p in ps]
+    factors = np.stack([np.exp(-0.5 * ou_phase_variance(p, grid / p.sigma)) for p in ps])
     echoed = np.stack([_echo_effective_duration(p, grid / p.sigma)[1] for p in ps])
-    return _dephased_columns(cfg.initial_density(), np.stack([e.factors for e in ests]), echoed,
-                             np.stack([e.se_abs for e in ests]))
+    return _dephased_columns(cfg.initial_density(), factors, echoed)
 
 
-def _rtn_columns(cfg: ScenarioConfig, ps: list[RTNParams], threads: int) -> dict:
+def _rtn_columns(cfg: ScenarioConfig, ps: list[RTNParams]) -> dict:
     grid = _grid_values(cfg)
     factors = np.stack([rtn_coherence(p, grid / p.rate) for p in ps])
     return _dephased_columns(cfg.initial_density(), factors, False)
 
 
-def _strobo_columns(cfg: ScenarioConfig, ps: list[StroboscopicParams], threads: int) -> dict:
-    ests = stroboscopic_coherences(ps, threads)  # one set of draws for every value
+def _strobo_columns(cfg: ScenarioConfig, ps: list[StroboscopicParams]) -> dict:
     steps = np.rint(_grid_values(cfg)).astype(int)
-    # step 0 is the undephased input: factor 1, standard error 0
-    factors = np.stack([np.concatenate([[1.0 + 0.0j], e.factors])[steps] for e in ests])
-    se_c = np.stack([np.concatenate([[0.0], e.se_abs])[steps] for e in ests])
+    factors = np.stack([np.exp(-0.5 * stroboscopic_phase_variance(p, steps)) for p in ps])
     echoed = np.stack([steps > (math.inf if p.echo_after_step is None else p.echo_after_step) for p in ps])
-    return _dephased_columns(cfg.initial_density(), factors, echoed, se_c)
+    return _dephased_columns(cfg.initial_density(), factors, echoed)
 
 
-def _flow_columns(cfg: ScenarioConfig, ps: list[RandomFieldParams], threads: int) -> dict:
+def _flow_columns(cfg: ScenarioConfig, ps: list[RandomFieldParams]) -> dict:
     grid = _grid_values(cfg)
     parts = []
     for p in ps:
@@ -629,10 +590,9 @@ class _Model:
     keys: dict  # the model section's table, in sorted (echo) order
     measures: tuple[str, ...]
     initial_kinds: tuple[str, ...]
-    monte_carlo: bool
     params: Callable  # ScenarioConfig -> params dataclass; may raise ValueError
-    # (ScenarioConfig, [params of V values], threads) -> {measure: [(V, T) arrays]}; the
-    # config gives what the values share: grid, initial state, seed, trajectories
+    # (ScenarioConfig, [params of V values]) -> {measure: [(V, T) arrays]}; the
+    # config gives what the values share: grid and initial state
     evaluate: Callable
 
 
@@ -642,33 +602,35 @@ _MIXTURE_MEASURES = ("concurrence", "eof", "hidden-entanglement", "average-entan
 _TWO_QUBIT = ("concurrence", "eof")
 _ANY_INPUT = ("bell", "xyz", "ewl")
 _INPUT_NAMES = {"bell": "a Bell-state", "ewl": "an extended Werner-like"}  # of the rows that restrict the kind
+# models that accept the 'trajectories' key of their former Monte-Carlo runner;
+# it is checked and echoed but acts on nothing
+_TRAJECTORY_MODELS = ("ou-noise", "stroboscopic")
 
 _MODEL_TABLE = {
-    "random-field": _Model(_FIELD_KEYS, _MIXTURE_MEASURES, _ANY_INPUT, False, _field_params, _field_columns),
+    "random-field": _Model(_FIELD_KEYS, _MIXTURE_MEASURES, _ANY_INPUT, _field_params, _field_columns),
     "random-field-gaussian": _Model({"rabi": (float, _REQUIRED), "width": (float, _REQUIRED)}, _MIXTURE_MEASURES,
-                                    _ANY_INPUT, False, _field_params, _field_columns),
-    "static-noise": _Model(_DEPHASING_KEYS, _MIXTURE_MEASURES, ("bell",), False, _dephasing_params,
-                           _static_columns),
-    "ou-noise": _Model({"correlation-time": (float, _REQUIRED), **_DEPHASING_KEYS}, _TWO_QUBIT, ("bell",), True,
-                       _ou_params, _ou_columns),
+                                    _ANY_INPUT, _field_params, _field_columns),
+    "static-noise": _Model(_DEPHASING_KEYS, _MIXTURE_MEASURES, ("bell",), _dephasing_params, _static_columns),
+    "ou-noise": _Model({"correlation-time": (float, _REQUIRED), **_DEPHASING_KEYS}, _TWO_QUBIT, ("bell",),
+                       _dephasing_params, _ou_columns),
     "rtn": _Model({"coupling": (float, _OMITTED), "g": (float, _OMITTED), "rate": (float, _REQUIRED)}, _TWO_QUBIT,
-                  ("ewl",), False, _rtn_params, _rtn_columns),
+                  ("ewl",), _rtn_params, _rtn_columns),
     "stroboscopic": _Model({"autocorrelation": (float, _REQUIRED), "echo-after-step": (int, _OMITTED),
-                            "phase-sigma": (float, _REQUIRED)}, _TWO_QUBIT, ("bell",), True, _strobo_params,
+                            "phase-sigma": (float, _REQUIRED)}, _TWO_QUBIT, ("bell",), _strobo_params,
                            _strobo_columns),
     "tripartite-flows": _Model(_FIELD_KEYS, ("concurrence", "eof", "tripartite", "info-decomposition"),
-                               _ANY_INPUT, False, _field_params, _flow_columns),
+                               _ANY_INPUT, _field_params, _flow_columns),
 }
 MODELS = tuple(_MODEL_TABLE)
 
 
-def _run(configs: list[ScenarioConfig], threads: int, parameter=None) -> list[ScenarioResult]:
+def _run(configs: list[ScenarioConfig], parameter=None) -> list[ScenarioResult]:
     """One stacked evaluation of V >= 1 configs that differ only in the value
     of the model-section key ``parameter`` (None for a single scenario); one
     result per config."""
     cfg = configs[0]
     columns = _columns_for(cfg)
-    data = _MODEL_TABLE[cfg.model].evaluate(cfg, [c.params for c in configs], max(1, int(threads)))
+    data = _MODEL_TABLE[cfg.model].evaluate(cfg, [c.params for c in configs])
     rows = _rows(cfg, _grid_values(cfg), data)
     results = []
     for c, r in zip(configs, rows):
@@ -677,10 +639,9 @@ def _run(configs: list[ScenarioConfig], threads: int, parameter=None) -> list[Sc
     return results
 
 
-def run_scenario(cfg: ScenarioConfig, threads: int = 1) -> ScenarioResult:
-    """Execute a scenario; identical (cfg, seed) pairs produce byte-identical
-    CSV irrespective of ``threads``."""
-    return _run([cfg], threads)[0]
+def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
+    """Execute a scenario; the CSV is a function of ``cfg`` alone."""
+    return _run([cfg])[0]
 
 
 def sweepable_parameters(model: str) -> tuple[str, ...]:
@@ -699,10 +660,10 @@ def parse_sweep_values(cfg: ScenarioConfig, parameter: str, values) -> list:
     return [_parse_scalar(cfg.model, parameter, str(v).strip(), keys[parameter][0]) for v in values]
 
 
-def sweep(cfg: ScenarioConfig, parameter: str, values, threads: int = 1):
-    """Run the scenario at every parameter value, as one stacked evaluation
-    that shares the Monte-Carlo draws; returns [(value, result), ...], each
-    result equal to run_scenario on the config with that value written in.
+def sweep(cfg: ScenarioConfig, parameter: str, values):
+    """Run the scenario at every parameter value, as one stacked evaluation;
+    returns [(value, result), ...], each result equal to run_scenario on the
+    config with that value written in.
 
     ``parameter`` must name a key of the model's parameter section (for 'rtn',
     'g' and 'coupling' displace each other). Every value is parsed and
@@ -721,4 +682,4 @@ def sweep(cfg: ScenarioConfig, parameter: str, values, threads: int = 1):
         configs.append(dataclasses.replace(cfg, model_params=tuple(sorted(model_params.items()))))
     if not configs:
         return []
-    return list(zip(values, _run(configs, threads, parameter)))
+    return list(zip(values, _run(configs, parameter)))

@@ -32,8 +32,8 @@ def test_criterion_3_static_noise_echo():
 
 def test_criterion_4_ou_finite_correlation():
     # The echo under exponentially correlated noise leaves a residual phase
-    # variance (~4 sigma^2 tbar^3 / (3 tau)), so the criterion checks the Monte
-    # Carlo recovery against the exact limit exp(-Var/2), E_f(2*tbar) ~= 0.9403
+    # variance (~4 sigma^2 tbar^3 / (3 tau)), so the criterion checks the path
+    # oracle's recovery against the exact limit exp(-Var/2), E_f(2*tbar) ~= 0.9403
     # at sigma*tau = 1000, not against the static-noise value 1.
     _run(acceptance.criterion_4)
 

@@ -11,10 +11,10 @@ from qrevivals.noise import (
     StroboscopicParams,
     apply_b_dephasing,
     field_channel,
-    ou_dephasing_factors,
+    ou_phase_variance,
     rtn_coherence,
     static_dephasing_factors,
-    stroboscopic_coherences,
+    stroboscopic_phase_variance,
 )
 
 MIXED = np.eye(4, dtype=complex) / 4.0
@@ -31,12 +31,9 @@ def corpus(n=40, seed=1234):
 
 
 def channel_cases():
-    ou_factor = ou_dephasing_factors(
-        StaticNoiseParams(sigma=1.0, echo_time=0.9, correlation_time=4.0), [1.5], 2000, 9
-    ).factors[0]
-    strobo_factor = stroboscopic_coherences(
-        StroboscopicParams(phase_sigma=0.5, autocorrelation=0.6, sequences=2048, seed=9, echo_after_step=1)
-    ).factors[2]
+    ou_factor = np.exp(-0.5 * ou_phase_variance(StaticNoiseParams(sigma=1.0, echo_time=0.9, correlation_time=4.0), 1.5))
+    strobo_factor = np.exp(-0.5 * stroboscopic_phase_variance(
+        StroboscopicParams(phase_sigma=0.5, autocorrelation=0.6, echo_after_step=1), 3))
     static_factor = static_dephasing_factors(StaticNoiseParams(sigma=1.0, echo_time=1.0), [1.8])[0]
     rtn_factor = rtn_coherence(RTNParams(rate=1.0, coupling=3.0), 0.8)
     return [
@@ -77,8 +74,10 @@ class TestChannelProperties:
 
 def test_dephasing_factor_magnitudes_bounded():
     # every averaged coherence factor lies in the closed unit disk
-    est = ou_dephasing_factors(StaticNoiseParams(sigma=1.0, correlation_time=2.0), [0.5, 2.0], 2000, 3)
-    assert np.all(np.abs(est.factors) <= 1.0 + 1e-12)
+    var = ou_phase_variance(StaticNoiseParams(sigma=1.0, correlation_time=2.0), [0.5, 2.0])
+    assert np.all((var >= 0.0) & (np.exp(-0.5 * var) <= 1.0))
+    var = stroboscopic_phase_variance(StroboscopicParams(phase_sigma=0.5, autocorrelation=0.3), np.arange(5))
+    assert np.all((var >= 0.0) & (np.exp(-0.5 * var) <= 1.0))
     f = static_dephasing_factors(StaticNoiseParams(sigma=1.0), [2.5])[0]
     assert abs(f) <= 1.0 + 1e-12
     assert abs(rtn_coherence(RTNParams(rate=1.0, coupling=5.0), 1.7)) <= 1.0

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from pathlib import Path
 
 import numpy as np
@@ -10,11 +11,13 @@ from qrevivals.cli import main
 from qrevivals.linalg import NumericalError, PositivityError
 from qrevivals.measures import average_entanglement, eof_from_concurrence, hidden_entanglement
 from qrevivals.noise import (
-    OU_MAX_STEPS,
     RandomFieldParams,
     StaticNoiseParams,
+    StroboscopicParams,
+    ou_phase_variance,
     random_field_ensemble,
     static_noise_ensemble,
+    stroboscopic_phase_variance,
 )
 from qrevivals.scenarios import (
     MAX_TIME_POINTS,
@@ -113,10 +116,19 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="not available for model"):
             parse_config_text(FIELD_CFG.replace("concurrence, eof", "tripartite"))
 
-    def test_missing_trajectories_for_mc_model(self):
-        bad = OU_CFG.replace("trajectories = 2048\n", "")
-        with pytest.raises(ConfigError, match="trajectories"):
-            parse_config_text(bad)
+    @pytest.mark.parametrize("model", ["ou-noise", "stroboscopic"])
+    def test_trajectories_optional_checked_and_inert(self, model):
+        # the closed forms draw nothing: the key is range-checked and echoed only
+        text = OU_CFG if model == "ou-noise" else STROBO_CFG
+        with_n = lambda n: re.sub(r"trajectories = \d+", f"trajectories = {n}", text)
+        with_key = run_scenario(parse_config_text(with_n(1)))  # below the former floor of 1000
+        without = run_scenario(parse_config_text(re.sub(r"trajectories = \d+\n", "", text)))
+        assert dict(with_key.metadata)["config.scenario.trajectories"] == "1"
+        assert "config.scenario.trajectories" not in dict(without.metadata)
+        assert with_key.rows.tobytes() == without.rows.tobytes()
+        for bad in ("0", "-3"):
+            with pytest.raises(ConfigError, match=r"\[scenario\] trajectories: must be >= 1"):
+                parse_config_text(with_n(bad))
 
     def test_trajectories_rejected_for_deterministic_model(self):
         bad = FIELD_CFG.replace("seed = 4242", "seed = 4242\ntrajectories = 100")
@@ -178,27 +190,19 @@ class TestRunScenario:
         assert meta["config-hash"].startswith("sha256:")
         assert "kernel-backend" in meta
 
-    def test_byte_identical_rerun_and_thread_invariance(self):
+    def test_byte_identical_rerun(self):
         cfg = parse_config_text(OU_CFG)
-        a = run_scenario(cfg, threads=1).to_csv()
-        b = run_scenario(cfg, threads=1).to_csv()
-        c = run_scenario(cfg, threads=8).to_csv()
-        assert a == b == c
+        assert run_scenario(cfg).to_csv() == run_scenario(cfg).to_csv()
 
-    def test_seed_changes_mc_output(self):
-        import dataclasses
-
-        cfg = parse_config_text(OU_CFG)
-        a = run_scenario(cfg).to_csv()
-        b = run_scenario(dataclasses.replace(cfg, seed=1)).to_csv()
-        assert a != b
-
-    def test_ou_scenario_echo_recovery_visible(self):
+    def test_ou_scenario_is_the_closed_form(self):
         res = run_scenario(parse_config_text(OU_CFG))
+        assert res.columns == ("time", "concurrence", "eof")
         c = res.rows[:, 1]
-        assert abs(c[0] - 1.0) < 1e-12
-        # at sigma*t = 4 the state is dephased down to Monte-Carlo noise floor
-        assert c[4] < 0.05
+        # a Bell input keeps concurrence |f| = exp(-Var/2), sigma = 1: times in sigma*t units
+        exact = np.exp(-0.5 * ou_phase_variance(StaticNoiseParams(1.0, echo_time=4.0, correlation_time=100.0),
+                                                res.rows[:, 0]))
+        assert np.max(np.abs(c - exact)) < 1e-12
+        assert c[4] < 0.001  # dephased at sigma*t = 4
         assert c[-1] > 0.5  # substantial echo recovery at 2*tbar
 
     def test_rtn_scenario_matches_closed_form(self):
@@ -260,9 +264,12 @@ autocorrelation = 1.0
 echo-after-step = 2
 """
         res = run_scenario(parse_config_text(cfg_text))
-        assert res.columns == ("time", "concurrence", "concurrence_stderr", "eof", "eof_stderr")
+        assert res.columns == ("time", "concurrence", "eof")
         assert abs(res.rows[0, 1] - 1.0) < 1e-12  # step 0 = initial Bell state
         assert abs(res.rows[4, 1] - 1.0) < 1e-12  # exact refocus at step 4
+        exact = np.exp(-0.5 * stroboscopic_phase_variance(
+            StroboscopicParams(phase_sigma=0.6, autocorrelation=1.0, echo_after_step=2), np.arange(5)))
+        assert np.max(np.abs(res.rows[:, 1] - exact)) < 1e-12
 
     def test_tripartite_scenario_columns(self):
         cfg_text = """
@@ -446,16 +453,17 @@ class TestCLI:
         assert main(["simulate", "--config", cfg, "--out", str(out2), "--seed", "777"]) == 0
         assert out1.read_text() != out2.read_text()
 
-    def test_seed_override_changes_monte_carlo_rows(self, tmp_path):
-        # the params are built from the final config, so --seed reaches the sequences
+    def test_seed_override_is_echoed_only(self, tmp_path):
+        # every model is a closed form, so --seed changes the echo and hash, not the rows
         for text in (OU_CFG, STROBO_CFG):
             cfg = self.write(tmp_path, text)
             out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
             assert main(["simulate", "--config", cfg, "--out", str(out1)]) == 0
             assert main(["simulate", "--config", cfg, "--out", str(out2), "--seed", "777"]) == 0
-            rows = [[l for l in p.read_text().splitlines() if not l.startswith("#")][1:]
+            assert "# config.scenario.seed = 777" in out2.read_text().splitlines()
+            rows = [[l for l in p.read_text().splitlines() if not l.startswith("#")]
                     for p in (out1, out2)]
-            assert rows[0] != rows[1]
+            assert rows[0] == rows[1]
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = self.write(tmp_path, "[scenario]\nmodel = nope\n")
@@ -814,11 +822,6 @@ class TestValuesBeyondFloats:
         code, err = _cli_error(tmp_path, capsys, text)
         assert code == 1 and err.startswith(f"config error: [{section}] {key}:") and "overflows" in err
 
-    def test_ou_partition_beyond_cap_is_one_config_error(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(scenarios, "ou_dephasing_factors", lambda *a, **k: pytest.fail("ran"))
-        code, err = _cli_error(tmp_path, capsys, _set(OU_CFG, "correlation-time", "1e-300"))
-        assert code == 1 and err.startswith("config error: [ou-noise] correlation-time:")
-        assert f"above the cap of {OU_MAX_STEPS}" in err
 
     def test_time_points_beyond_cap_is_one_config_error(self, tmp_path, capsys):
         # 2**62 points fit in 64 bits but not in memory: refused before the grid is built
@@ -892,6 +895,46 @@ class TestConfigTables:
         assert len(calls) == 1
         sweep(parse_config_text(RTN_CFG), "g", [0.5, 2.0])
         assert len(calls) == 4  # the parse, then one per value
+
+
+def _data_rows(path):
+    """The numeric rows of a CSV file: its lines after the metadata and the header."""
+    body = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+    return np.array([[float(x) for x in line.split(",")] for line in body[1:]])
+
+
+class TestClosedFormExtremes:
+    """Configs whose closed forms would square an overflowing scale: each runs
+    to a finite CSV with every concurrence in [0, 1]."""
+
+    def run(self, tmp_path, capsys, text):
+        path, out = tmp_path / "scenario.cfg", tmp_path / "out.csv"
+        path.write_text(text, encoding="utf-8")
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        rows = _data_rows(out)
+        assert np.all(np.isfinite(rows)) and np.all((rows[:, 1] >= 0.0) & (rows[:, 1] <= 1.0))
+        return rows
+
+    def test_ou_huge_correlation_time_is_the_static_curve(self, tmp_path, capsys):
+        rows = self.run(tmp_path, capsys, _set(OU_CFG, "correlation-time", "1e300"))
+        static = self.run(tmp_path, capsys, OU_CFG.replace("model = ou-noise", "model = static-noise").replace(
+            "trajectories = 2048\n", "").replace("[ou-noise]", "[static-noise]").replace(
+            "correlation-time = 100.0\n", ""))
+        assert np.max(np.abs(rows - static)) < 1e-12
+
+    def test_ou_vanishing_correlation_time_keeps_factor_one(self, tmp_path, capsys):
+        # white noise of vanishing strength: Var = 2 sigma^2 tau t ~ 1e-299
+        rows = self.run(tmp_path, capsys, _set(OU_CFG, "correlation-time", "1e-300"))
+        psi = qrevivals.bell_state("2+")
+        c_bell = qrevivals.concurrence(qrevivals.DensityOperator(np.outer(psi, psi.conj()), (2, 2)))
+        assert rows[:, 1].tolist() == [c_bell] * len(rows)
+
+    def test_stroboscopic_huge_sigma_refocuses_at_step_four(self, tmp_path, capsys):
+        text = _set(_set(STROBO_CFG, "phase-sigma", "1e200"), "autocorrelation", "1")
+        rows = self.run(tmp_path, capsys, text)
+        assert rows[1:4, 1].tolist() == [0.0, 0.0, 0.0]
+        assert rows[4, 1] == rows[0, 1] and abs(rows[4, 1] - 1.0) < 1e-15
 
 
 def test_every_exported_name_resolves():

@@ -1,5 +1,5 @@
-"""The Monte-Carlo kernels against brute-force reference computations, and
-the RTN integral kernel bit for bit against the formula it replaced."""
+"""The RTN integral kernel against a brute-force reference computation, and
+bit for bit against the formula it replaced."""
 import numpy as np
 import pytest
 
@@ -107,36 +107,6 @@ class TestRTNIntegralsBitIdentity:
         assert switches.shape[1] > cap
         times = np.linspace(0.0, t_max, 33)
         assert_bit_equal(kernels.rtn_integrals(switches, times), rtn_integrals_reference(switches, times))
-
-
-def ou_phase_bruteforce(normals, decay, diffuse, dur_sign, write_idx, n_out):
-    n_traj, n_steps = normals.shape
-    out = np.zeros((n_traj, n_out))
-    for b in range(n_traj):
-        eps, theta = 0.0, 0.0
-        for k in range(n_steps):
-            eps = eps * decay[k] + diffuse[k] * normals[b, k]
-            theta += dur_sign[k] * eps
-            if write_idx[k] >= 0:
-                out[b, write_idx[k]] = theta
-    return out
-
-
-def make_ou_inputs(seed, n_traj=32, n_steps=50):
-    rng = np.random.default_rng(seed)
-    normals = rng.standard_normal((n_traj, n_steps))
-    decay = np.concatenate([[0.0], np.exp(-rng.uniform(0.01, 0.1, n_steps - 1))])
-    diffuse = np.concatenate([[1.0], np.sqrt(1 - decay[1:] ** 2)])
-    dur_sign = rng.uniform(0.02, 0.08, n_steps) * np.where(np.arange(n_steps) < 30, 1.0, -1.0)
-    write_idx = np.full(n_steps, -1, dtype=np.int64)
-    write_idx[9::10] = np.arange(5)
-    return normals, decay, diffuse, dur_sign, write_idx, 5
-
-
-class TestOUPhases:
-    def test_matches_bruteforce(self):
-        args = make_ou_inputs(3)
-        assert np.allclose(kernels.ou_phases(*args), ou_phase_bruteforce(*args), atol=1e-12)
 
 
 class TestBackendSelection:

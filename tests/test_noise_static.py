@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
 
-from qrevivals.linalg import DensityOperator, NumericalError
+from qrevivals.linalg import EYE2, SIGMA_X, DensityOperator
 from qrevivals.measures import average_entanglement, concurrence, eof_from_concurrence
 from qrevivals.noise import (
     _OU_SERIES_LIMIT,
-    OU_MAX_STEPS,
     StaticNoiseParams,
     _echo_effective_duration,
+    _gh_nodes,
     dephased_state,
-    ou_dephasing_factors,
-    ou_partition_steps,
+    ou_mc_dephasing_factors,
     ou_phase_variance,
     static_dephasing_factors,
     static_noise_ensemble,
@@ -148,112 +147,70 @@ class TestStaticNoise:
         with pytest.raises(ValueError):
             static_noise_ensemble(bell_state("2+"), p, 1.0)
 
+    @pytest.mark.parametrize("echo_time", [None, 1.5])
+    def test_members_match_the_per_node_loop(self, echo_time):
+        # the ensemble as built node by node: (1 (x) U_k)|psi0>, U_k the phase
+        # diag(e^{-i theta_k/2}, e^{i theta_k/2}), then sigma_x on B after the echo
+        rng = np.random.default_rng(5)
+        psi0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        psi0 /= np.linalg.norm(psi0)
+        p = StaticNoiseParams(sigma=1.3, echo_time=echo_time)
+        for t, order in ((0.0, 64), (0.7, 64), (2.9, 128), (6.0, 17)):
+            u, echoed = _echo_effective_duration(p, t)
+            x, w = _gh_nodes(order)
+            loop = []
+            for th in np.sqrt(2.0) * p.sigma * x * u:
+                u2 = np.diag([np.exp(-0.5j * th), np.exp(0.5j * th)])
+                loop.append(np.kron(EYE2, SIGMA_X @ u2 if echoed else u2) @ psi0)
+            ens = static_noise_ensemble(psi0, p, t, order)
+            assert np.array_equal(ens.weights, w)
+            assert np.max(np.abs(ens.states - np.array(loop))) <= 1e-14, (t, order)
 
-class TestOUNoise:
+
+class TestOUPathOracle:
+    """Gillespie's exact OU update, path by path, against the closed form."""
+
     def test_free_decay_matches_exact_variance(self):
-        sigma, tau = 1.0, 3.0
-        p = StaticNoiseParams(sigma=sigma, correlation_time=tau)
+        p = StaticNoiseParams(sigma=1.0, correlation_time=3.0)
         times = np.array([0.5, 1.0, 2.0, 4.0])
-        est = ou_dephasing_factors(p, times, 20_000, 11)
+        est = ou_mc_dephasing_factors(p, times, 20_000, 11)
         expected = np.exp(-0.5 * ou_phase_variance(p, times))
         assert np.all(np.abs(np.abs(est.factors) - expected) <= 3.5 * np.maximum(est.se_abs, 1e-12))
 
-    def test_echo_recovery_matches_exact_variance(self):
-        sigma, tbar = 1.0, 4.0
-        for stau in (10.0, 1000.0):
-            tau = stau / sigma
-            p = StaticNoiseParams(sigma=sigma, echo_time=tbar, correlation_time=tau)
-            est = ou_dephasing_factors(p, [2 * tbar], 20_000, 13)
-            expected = np.exp(-0.5 * ou_phase_variance(p, 2 * tbar))
-            assert abs(abs(est.factors[0]) - expected) <= 3.5 * max(est.se_abs[0], 1e-12)
+    @pytest.mark.parametrize("stau", [0.05, 1.0, 10.0, 1000.0])
+    def test_echo_grid_matches_exact_variance(self, stau):
+        # one step per grid interval whatever tau: the update has no step bias
+        p = StaticNoiseParams(sigma=1.0, echo_time=4.0, correlation_time=stau)
+        times = np.linspace(0.0, 8.0, 9)
+        est = ou_mc_dephasing_factors(p, times, 20_000, 13)
+        expected = np.exp(-0.5 * ou_phase_variance(p, times))
+        assert np.all(np.abs(np.abs(est.factors) - expected) <= 4.0 * np.maximum(est.se_abs, 1e-12)), stau
 
-    def test_static_limit_matches_quadrature(self):
-        sigma, t = 1.0, 2.0
-        p = StaticNoiseParams(sigma=sigma, correlation_time=5000.0)
-        est = ou_dephasing_factors(p, [t], 20_000, 17)
-        static = abs(static_dephasing_factors(StaticNoiseParams(sigma=sigma), [t])[0])
-        assert abs(abs(est.factors[0]) - static) <= 3.5 * est.se_abs[0]
+    def test_echo_between_grid_times(self):
+        # the echo at 1.3 is a step boundary of its own
+        p = StaticNoiseParams(sigma=0.2, echo_time=1.3, correlation_time=2.0)
+        est = ou_mc_dephasing_factors(p, [1.0, 2.0, 2.6], 20_000, 29)
+        expected = np.exp(-0.5 * ou_phase_variance(p, [1.0, 2.0, 2.6]))
+        assert np.all(np.abs(np.abs(est.factors) - expected) <= 4.0 * est.se_abs)
 
-    def test_zero_sigma_no_decay(self):
-        p = StaticNoiseParams(sigma=0.0, correlation_time=2.0)
-        est = ou_dephasing_factors(p, [3.0], 1000, 5)
-        assert abs(concurrence(dephased_state(bell_density("2+"), est.factors))[0] - 1.0) < 1e-12
+    def test_zero_sigma_and_time_zero(self):
+        est = ou_mc_dephasing_factors(StaticNoiseParams(sigma=0.0, correlation_time=2.0), [0.0, 3.0], 1000, 5)
+        assert est.factors.tolist() == [1.0, 1.0] and est.se_abs.tolist() == [0.0, 0.0]
+        est = ou_mc_dephasing_factors(StaticNoiseParams(sigma=1.0, correlation_time=2.0), [0.0, 3.0], 1000, 5)
+        assert est.factors[0] == 1.0 and est.se_abs[0] == 0.0
 
-    def test_deterministic_for_fixed_seed(self):
+    def test_seed_and_thread_count(self):
         p = StaticNoiseParams(sigma=1.0, echo_time=2.0, correlation_time=7.0)
-        a = ou_dephasing_factors(p, [1.0, 3.0], 4096, 99)
-        b = ou_dephasing_factors(p, [1.0, 3.0], 4096, 99)
-        assert np.array_equal(a.factors, b.factors)
-        c = ou_dephasing_factors(p, [1.0, 3.0], 4096, 100)
-        assert not np.array_equal(a.factors, c.factors)
+        a = ou_mc_dephasing_factors(p, [1.0, 3.0], 4097, 99, threads=1)
+        b = ou_mc_dephasing_factors(p, [1.0, 3.0], 4097, 99, threads=8)
+        assert a.factors.tobytes() == b.factors.tobytes() and a.se_abs.tobytes() == b.se_abs.tobytes()
+        assert not np.array_equal(a.factors, ou_mc_dephasing_factors(p, [1.0, 3.0], 4097, 100).factors)
 
-    def test_thread_count_invariance(self):
-        p = StaticNoiseParams(sigma=1.0, correlation_time=3.0)
-        a = ou_dephasing_factors(p, [0.5, 1.5, 2.5], 8192, 7, threads=1)
-        b = ou_dephasing_factors(p, [0.5, 1.5, 2.5], 8192, 7, threads=8)
-        assert np.array_equal(a.factors, b.factors)
-        assert np.array_equal(a.se_abs, b.se_abs)
-
-    def test_time_zero_factor_is_exactly_one(self):
-        p = StaticNoiseParams(sigma=1.0, correlation_time=3.0)
-        est = ou_dephasing_factors(p, [0.0, 1.0], 2048, 21)
-        assert est.factors[0] == 1.0 + 0.0j
-        assert est.se_abs[0] == 0.0
-
-    def test_grid_of_time_zero_alone(self):
-        p = StaticNoiseParams(sigma=1.0, echo_time=2.0, correlation_time=3.0)
-        est = ou_dephasing_factors(p, [0.0], 2048, 21)
-        assert est.factors.tolist() == [1.0 + 0.0j]
-        assert est.se_abs.tolist() == [0.0]
-        rho = dephased_state(bell_density("1-"), est.factors)
-        psi = bell_state("1-")
-        assert np.array_equal(rho.matrix[0], np.outer(psi, psi.conj()))
-
-    def test_unwritten_output_column_raises(self, monkeypatch):
-        # a grid time that is no fine boundary would leave its column as
-        # uninitialised memory; nudge the partition's last boundary off it
-        linspace = np.linspace
-
-        def nudged(start, stop, num, **kwargs):
-            out = linspace(start, stop, num, **kwargs)
-            out[-1] = np.nextafter(out[-1], np.inf)
-            return out
-
-        p = StaticNoiseParams(sigma=1.0, correlation_time=2.0)
-        monkeypatch.setattr(np, "linspace", nudged)
-        with pytest.raises(NumericalError, match="no boundary at grid time"):
-            ou_dephasing_factors(p, [0.5, 1.0], 1000, seed=1)
-
-    def test_trajectory_floor_enforced(self):
-        p = StaticNoiseParams(sigma=1.0, correlation_time=3.0)
+    def test_requires_finite_correlation_time_and_a_grid(self):
         with pytest.raises(ValueError):
-            ou_dephasing_factors(p, [1.0], 999, 1)
-
-    def test_requires_finite_correlation_time(self):
-        with pytest.raises(ValueError):
-            ou_dephasing_factors(StaticNoiseParams(sigma=1.0), [1.0], 2000, 1)
-
-    def test_partition_steps(self):
-        # steps of at most 0.05 sigma-units (tau/20 = 50 is longer) on [0, 1] and [1, 2]
-        p = StaticNoiseParams(sigma=1.0, correlation_time=1e3)
-        assert ou_partition_steps(p, [1.0, 2.0]) == 40.0
-
-    def test_partition_above_cap_refused_before_it_is_built(self, monkeypatch):
-        # tau = 1e-300 asks for ~1e302 fine steps: refused before any partition or draw
-        monkeypatch.setattr(np, "linspace", lambda *a, **k: pytest.fail("partition built"))
-        p = StaticNoiseParams(sigma=1.0, correlation_time=1e-300)
-        assert ou_partition_steps(p, [1.0]) > OU_MAX_STEPS
-        with pytest.raises(ValueError, match="above the cap"):
-            ou_dephasing_factors(p, [1.0], 2000, 1)
-
-    def test_recovery_improves_with_correlation_time(self):
-        sigma, tbar = 1.0, 4.0
-        values = []
-        for stau in (10.0, 100.0, 1000.0):
-            p = StaticNoiseParams(sigma=sigma, echo_time=tbar, correlation_time=stau / sigma)
-            est = ou_dephasing_factors(p, [2 * tbar], 10_000, 23)
-            values.append(abs(est.factors[0]))
-        assert values[0] < values[1] < values[2]
+            ou_mc_dephasing_factors(StaticNoiseParams(sigma=1.0), [1.0], 2000, 1)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            ou_mc_dephasing_factors(StaticNoiseParams(sigma=1.0, correlation_time=1.0), [2.0, 1.0], 2000, 1)
 
 
 class TestOUPhaseVariance:
@@ -299,3 +256,29 @@ class TestOUPhaseVariance:
     def test_requires_finite_correlation_time(self):
         with pytest.raises(ValueError):
             ou_phase_variance(StaticNoiseParams(sigma=1.0, echo_time=1.0), 2.0)
+
+    def test_recovery_improves_with_correlation_time(self):
+        tbar = 4.0
+        values = [ou_phase_variance(StaticNoiseParams(1.0, echo_time=tbar, correlation_time=stau), 2 * tbar)
+                  for stau in (10.0, 100.0, 1000.0)]
+        assert values[0] > values[1] > values[2] > 0.0
+
+    @pytest.mark.parametrize("tau", [1e154, 1e200, 1e300, 1.7e308])
+    def test_huge_correlation_time_reaches_the_static_limit(self, tau):
+        # tau^2 overflows: the variance must still be the static (sigma t_eff)^2
+        # plus the leading echo residue 4 sigma^2 tbar^3 / (3 tau), never NaN
+        times = np.array([0.0, 1.0, 4.0, 6.0, 8.0])
+        var = ou_phase_variance(StaticNoiseParams(1.0, echo_time=4.0, correlation_time=tau), times)
+        assert var[:4] == pytest.approx([0.0, 1.0, 16.0, 4.0], rel=1e-14)
+        assert var[4] == pytest.approx(4.0 * 64.0 / (3.0 * tau), rel=1e-12)
+        free = ou_phase_variance(StaticNoiseParams(2.5, correlation_time=tau), times)
+        assert free == pytest.approx((2.5 * times) ** 2, rel=1e-14)
+        assert ou_phase_variance(StaticNoiseParams(1e150, correlation_time=tau), 1e150) == np.inf
+
+    def test_vanishing_correlation_time_is_white_noise(self):
+        # tau -> 0 at fixed sigma: Var = 2 sigma^2 tau t -> 0, so the factor is 1;
+        # t / tau overflows at t = 1e10
+        p = StaticNoiseParams(1.0, echo_time=4.0, correlation_time=1e-300)
+        var = ou_phase_variance(p, [0.0, 1.0, 8.0, 1e10])
+        assert np.all(np.isfinite(var)) and var[1] == pytest.approx(2e-300, rel=1e-12)
+        assert np.exp(-0.5 * var).tolist() == [1.0] * 4
