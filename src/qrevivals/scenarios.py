@@ -2,7 +2,11 @@
 
 Config grammar (INI-style, parsed strictly: unknown sections or keys are
 errors). Times are dimensionless in each model's natural unit (rabi*t,
-sigma*t, rate*t, or the step index for the stroboscopic channel)::
+sigma*t, rate*t, or the step index for the stroboscopic channel); sigma only
+names its unit, so static and OU noise run at sigma = 1 on the times as
+written. Every model but tripartite-flows is a mixture of local unitaries on
+qubit B, takes any initial-state kind and, for a pure input, the hidden and
+average entanglement::
 
     [scenario]
     model = random-field          ; one of MODELS
@@ -39,6 +43,7 @@ import hashlib
 import io
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -224,9 +229,6 @@ class ScenarioConfig:
         if self.trajectories is not None and self.trajectories < 1:
             raise ConfigError(f"[scenario] trajectories: must be >= 1, got {self.trajectories}")
         kind = _INITIAL_KINDS[_one_of("initial-state", "kind", self.initial_kind, _INITIAL_KINDS)]
-        if self.initial_kind not in row.initial_kinds:
-            names = " or ".join(_INPUT_NAMES[k] for k in row.initial_kinds)
-            raise ConfigError(f"[initial-state] kind: model {self.model!r} requires {names} input")
         _build("initial-state", kind.params, **dict(self.initial_params))
         object.__setattr__(self, "params", _build(self.model, row.params, self))
         if any(m in self.measures for m in _ENSEMBLE_MEASURES):
@@ -440,9 +442,10 @@ def _dephased_columns(rho0: DensityOperator, factors: np.ndarray, echoed) -> dic
 
 
 def _mixture_columns(cfg: ScenarioConfig, columns_of) -> dict:
-    """Columns of a mixture of local unitaries on qubit B (the field and static
-    channels); ``columns_of(rho)`` maps a two-qubit input state to the (V, T)
-    two-qubit columns of its evolved states.
+    """Columns of a mixture of local unitaries on qubit B (the field channels,
+    and the static, OU, RTN and stroboscopic channels, whose noise realisations
+    are phases on B); ``columns_of(rho)`` maps a two-qubit input state to the
+    (V, T) two-qubit columns of its evolved states.
 
     Such a channel keeps the entanglement of every member of the pure ensemble
     it generates from |psi0>: the average entanglement is E_f(psi0) at every
@@ -471,13 +474,11 @@ def _mixture_columns(cfg: ScenarioConfig, columns_of) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _check_time_unit(cfg: ScenarioConfig, key: str, scale: float, *times):
-    """Refuse a unit scale (the value of ``key``) by which a time of the config,
-    the grid end first, does not divide to a finite time: the runner converts
-    each as time / scale."""
-    for t in (cfg.time_stop, *times):
-        if t is not None and not math.isfinite(t / scale):
-            raise ConfigError(f"[{cfg.model}] {key}: {t!r} / {key} overflows at {key} = {scale!r}")
+def _check_time_unit(cfg: ScenarioConfig, key: str, scale: float):
+    """Refuse a unit scale (the value of ``key``) by which the grid end does not
+    divide to a finite time: the runner converts the grid as time / scale."""
+    if not math.isfinite(cfg.time_stop / scale):
+        raise ConfigError(f"[{cfg.model}] {key}: {cfg.time_stop!r} / {key} overflows at {key} = {scale!r}")
 
 
 def _field_params(cfg: ScenarioConfig) -> RandomFieldParams:
@@ -491,16 +492,13 @@ def _field_params(cfg: ScenarioConfig) -> RandomFieldParams:
 
 
 def _dephasing_params(cfg: ScenarioConfig) -> StaticNoiseParams:
-    sigma = cfg.param("sigma")
-    if not sigma > 0.0:
+    # sigma only names the unit of the config's sigma*t times, so the channel
+    # runs at sigma = 1 on the times as written
+    if not cfg.param("sigma") > 0.0:
         raise ConfigError(f"[{cfg.model}] sigma: must be > 0 (the time grid is in sigma*t units)")
-    echo, tau = cfg.param("echo-time"), cfg.param("correlation-time")
-    # checked in the config's sigma*t units first, so a range error quotes the value as written
-    p = StaticNoiseParams(sigma=sigma, echo_time=echo, correlation_time=math.inf if tau is None else tau)
-    _check_time_unit(cfg, "sigma", sigma, echo, tau)
-    return dataclasses.replace(
-        p, echo_time=None if echo is None else echo / sigma, correlation_time=p.correlation_time / sigma
-    )
+    tau = cfg.param("correlation-time")
+    return StaticNoiseParams(sigma=1.0, echo_time=cfg.param("echo-time"),
+                             correlation_time=math.inf if tau is None else tau)
 
 
 def _rtn_params(cfg: ScenarioConfig) -> RTNParams:
@@ -544,31 +542,31 @@ def _field_columns(cfg: ScenarioConfig, ps: list[RandomFieldParams]) -> dict:
     return _mixture_columns(cfg, columns_of)
 
 
-def _static_columns(cfg: ScenarioConfig, ps: list[StaticNoiseParams]) -> dict:
+def _static_channel(p: StaticNoiseParams, grid):
+    return static_dephasing_factors(p, grid), _echo_effective_duration(p, grid)[1]
+
+
+def _ou_channel(p: StaticNoiseParams, grid):
+    return np.exp(-0.5 * ou_phase_variance(p, grid)), _echo_effective_duration(p, grid)[1]
+
+
+def _rtn_channel(p: RTNParams, grid):
+    return rtn_coherence(p, grid / p.rate), np.zeros(grid.shape, dtype=bool)
+
+
+def _strobo_channel(p: StroboscopicParams, grid):
+    steps = np.rint(grid).astype(int)
+    echo = math.inf if p.echo_after_step is None else p.echo_after_step
+    return np.exp(-0.5 * stroboscopic_phase_variance(p, steps)), steps > echo
+
+
+def _dephasing_columns(channel: Callable, cfg: ScenarioConfig, ps: list) -> dict:
+    """Columns of a dephasing model, ``channel(p, grid)`` giving its (T,)
+    factors and echo flags at one value; each noise realisation is a phase on
+    qubit B (then the echo's sigma_x), so the channel is a local-unitary mixture."""
     grid = _grid_values(cfg)
-    factors = np.stack([static_dephasing_factors(p, grid / p.sigma) for p in ps])
-    echoed = np.stack([_echo_effective_duration(p, grid / p.sigma)[1] for p in ps])
+    factors, echoed = (np.stack(a) for a in zip(*(channel(p, grid) for p in ps)))
     return _mixture_columns(cfg, lambda rho: _dephased_columns(rho, factors, echoed))
-
-
-def _ou_columns(cfg: ScenarioConfig, ps: list[StaticNoiseParams]) -> dict:
-    grid = _grid_values(cfg)
-    factors = np.stack([np.exp(-0.5 * ou_phase_variance(p, grid / p.sigma)) for p in ps])
-    echoed = np.stack([_echo_effective_duration(p, grid / p.sigma)[1] for p in ps])
-    return _dephased_columns(cfg.initial_density(), factors, echoed)
-
-
-def _rtn_columns(cfg: ScenarioConfig, ps: list[RTNParams]) -> dict:
-    grid = _grid_values(cfg)
-    factors = np.stack([rtn_coherence(p, grid / p.rate) for p in ps])
-    return _dephased_columns(cfg.initial_density(), factors, False)
-
-
-def _strobo_columns(cfg: ScenarioConfig, ps: list[StroboscopicParams]) -> dict:
-    steps = np.rint(_grid_values(cfg)).astype(int)
-    factors = np.stack([np.exp(-0.5 * stroboscopic_phase_variance(p, steps)) for p in ps])
-    echoed = np.stack([steps > (math.inf if p.echo_after_step is None else p.echo_after_step) for p in ps])
-    return _dephased_columns(cfg.initial_density(), factors, echoed)
 
 
 def _flow_columns(cfg: ScenarioConfig, ps: list[RandomFieldParams]) -> dict:
@@ -589,7 +587,6 @@ def _flow_columns(cfg: ScenarioConfig, ps: list[RandomFieldParams]) -> dict:
 class _Model:
     keys: dict  # the model section's table, in sorted (echo) order
     measures: tuple[str, ...]
-    initial_kinds: tuple[str, ...]
     params: Callable  # ScenarioConfig -> params dataclass; may raise ValueError
     # (ScenarioConfig, [params of V values]) -> {measure: [(V, T) arrays]}; the
     # config gives what the values share: grid and initial state
@@ -599,27 +596,25 @@ class _Model:
 _FIELD_KEYS = {"rabi": (float, _REQUIRED), "width": (float, _OMITTED)}
 _DEPHASING_KEYS = {"echo-time": (float, _OMITTED), "sigma": (float, _REQUIRED)}
 _MIXTURE_MEASURES = ("concurrence", "eof", "hidden-entanglement", "average-entanglement")
-_TWO_QUBIT = ("concurrence", "eof")
-_ANY_INPUT = ("bell", "xyz", "ewl")
-_INPUT_NAMES = {"bell": "a Bell-state", "ewl": "an extended Werner-like"}  # of the rows that restrict the kind
 # models that accept the 'trajectories' key of their former Monte-Carlo runner;
 # it is checked and echoed but acts on nothing
 _TRAJECTORY_MODELS = ("ou-noise", "stroboscopic")
 
 _MODEL_TABLE = {
-    "random-field": _Model(_FIELD_KEYS, _MIXTURE_MEASURES, _ANY_INPUT, _field_params, _field_columns),
+    "random-field": _Model(_FIELD_KEYS, _MIXTURE_MEASURES, _field_params, _field_columns),
     "random-field-gaussian": _Model({"rabi": (float, _REQUIRED), "width": (float, _REQUIRED)}, _MIXTURE_MEASURES,
-                                    _ANY_INPUT, _field_params, _field_columns),
-    "static-noise": _Model(_DEPHASING_KEYS, _MIXTURE_MEASURES, ("bell",), _dephasing_params, _static_columns),
-    "ou-noise": _Model({"correlation-time": (float, _REQUIRED), **_DEPHASING_KEYS}, _TWO_QUBIT, ("bell",),
-                       _dephasing_params, _ou_columns),
-    "rtn": _Model({"coupling": (float, _OMITTED), "g": (float, _OMITTED), "rate": (float, _REQUIRED)}, _TWO_QUBIT,
-                  ("ewl",), _rtn_params, _rtn_columns),
+                                    _field_params, _field_columns),
+    "static-noise": _Model(_DEPHASING_KEYS, _MIXTURE_MEASURES, _dephasing_params,
+                           partial(_dephasing_columns, _static_channel)),
+    "ou-noise": _Model({"correlation-time": (float, _REQUIRED), **_DEPHASING_KEYS}, _MIXTURE_MEASURES,
+                       _dephasing_params, partial(_dephasing_columns, _ou_channel)),
+    "rtn": _Model({"coupling": (float, _OMITTED), "g": (float, _OMITTED), "rate": (float, _REQUIRED)},
+                  _MIXTURE_MEASURES, _rtn_params, partial(_dephasing_columns, _rtn_channel)),
     "stroboscopic": _Model({"autocorrelation": (float, _REQUIRED), "echo-after-step": (int, _OMITTED),
-                            "phase-sigma": (float, _REQUIRED)}, _TWO_QUBIT, ("bell",), _strobo_params,
-                           _strobo_columns),
+                            "phase-sigma": (float, _REQUIRED)}, _MIXTURE_MEASURES, _strobo_params,
+                           partial(_dephasing_columns, _strobo_channel)),
     "tripartite-flows": _Model(_FIELD_KEYS, ("concurrence", "eof", "tripartite", "info-decomposition"),
-                               _ANY_INPUT, _field_params, _flow_columns),
+                               _field_params, _flow_columns),
 }
 MODELS = tuple(_MODEL_TABLE)
 

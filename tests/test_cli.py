@@ -9,13 +9,15 @@ import qrevivals
 from qrevivals import cli, scenarios
 from qrevivals.cli import main
 from qrevivals.linalg import NumericalError, PositivityError
-from qrevivals.measures import average_entanglement, eof_from_concurrence, hidden_entanglement
+from qrevivals.measures import WeightedPureEnsemble, average_entanglement, eof_from_concurrence, hidden_entanglement
 from qrevivals.noise import (
     RandomFieldParams,
+    RTNParams,
     StaticNoiseParams,
     StroboscopicParams,
     ou_phase_variance,
     random_field_ensemble,
+    rtn_coherence,
     static_noise_ensemble,
     stroboscopic_phase_variance,
 )
@@ -150,11 +152,6 @@ class TestConfigParsing:
             parse_config_text(RTN_CFG.replace("g = 5.0", "g = 5.0\ncoupling = 5.0"))
         with pytest.raises(ConfigError, match="exactly one"):
             parse_config_text(RTN_CFG.replace("g = 5.0\n", ""))
-
-    def test_rtn_requires_ewl_input(self):
-        bad = RTN_CFG.replace("kind = ewl\nr = 0.91\na = 0.7071067811865476\nexcitation = one", "kind = bell\nlabel = 2+")
-        with pytest.raises(ConfigError, match="requires an extended Werner-like"):
-            parse_config_text(bad)
 
     def test_ensemble_measures_need_pure_state(self):
         bad = FIELD_CFG.replace("concurrence, eof", "hidden-entanglement")
@@ -299,6 +296,18 @@ width = 0.0
         assert np.max(np.abs(res.rows[:, 4])) < 1e-9  # local information zero
 
 
+def _gaussian_phase_ensemble(psi0, variance, echoed, order):
+    """|psi0> under a Gaussian phase theta of ``variance`` on qubit B, on Gauss-Hermite
+    nodes: member k is (1 (x) diag(e^{-i theta_k/2}, e^{i theta_k/2})) |psi0>, then B's
+    components swapped if the echo's sigma_x has acted."""
+    x, w = np.polynomial.hermite.hermgauss(order)
+    thetas = np.sqrt(2.0 * variance) * x
+    members = psi0.reshape(2, 2) * np.exp(np.multiply.outer(thetas, [-0.5j, 0.5j]))[:, None, :]
+    if echoed:
+        members = members[..., ::-1]
+    return WeightedPureEnsemble(w / np.sqrt(np.pi), members.reshape(order, 4))
+
+
 def _ensemble_oracle(cfg):
     """Average and hidden entanglement from the pure ensemble each channel
     member makes of |psi0>, one WeightedPureEnsemble per grid value."""
@@ -308,6 +317,20 @@ def _ensemble_oracle(cfg):
         sigma, echo = cfg.param("sigma"), cfg.param("echo-time")
         p = StaticNoiseParams(sigma=sigma, echo_time=None if echo is None else echo / sigma)
         ensembles = [static_noise_ensemble(psi0, p, v / sigma, cfg.quadrature_order) for v in values]
+    elif cfg.model == "ou-noise":  # in units of 1/sigma, as the noise params define them
+        sigma, echo = cfg.param("sigma"), cfg.param("echo-time")
+        p = StaticNoiseParams(sigma=sigma, echo_time=None if echo is None else echo / sigma,
+                              correlation_time=cfg.param("correlation-time") / sigma)
+        variances = ou_phase_variance(p, values / sigma)
+        echoed = values > (np.inf if echo is None else echo)
+        ensembles = [_gaussian_phase_ensemble(psi0, *ve, cfg.quadrature_order) for ve in zip(variances, echoed)]
+    elif cfg.model == "stroboscopic":
+        p = StroboscopicParams(phase_sigma=cfg.param("phase-sigma"), autocorrelation=cfg.param("autocorrelation"),
+                               echo_after_step=cfg.param("echo-after-step"))
+        steps = np.rint(values).astype(int)
+        echoed = steps > (np.inf if p.echo_after_step is None else p.echo_after_step)
+        ensembles = [_gaussian_phase_ensemble(psi0, *ve, cfg.quadrature_order)
+                     for ve in zip(stroboscopic_phase_variance(p, steps), echoed)]
     else:
         p = RandomFieldParams(rabi=cfg.param("rabi"), width=cfg.param("width", 0.0))
         ensembles = [
@@ -317,6 +340,16 @@ def _ensemble_oracle(cfg):
         np.array([average_entanglement(e) for e in ensembles]),
         np.array([hidden_entanglement(e) for e in ensembles]),
     )
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _golden_columns(name):
+    """The data columns of the golden CSV ``name``, by header name."""
+    lines = [l for l in (GOLDEN / f"{name}.csv").read_text().splitlines() if not l.startswith("#")]
+    rows = np.array([[float(x) for x in l.split(",")] for l in lines[1:]])
+    return dict(zip(lines[0].split(","), rows.T))
 
 
 INVARIANT_MEASURES = "concurrence, average-entanglement, hidden-entanglement"
@@ -380,6 +413,25 @@ class TestEntanglementInvariant:
         assert np.max(np.abs(res.rows[:, 2] - e_av)) < 1e-12
         assert np.max(np.abs(res.rows[:, 3] - e_h)) < 1e-12
         assert np.ptp(res.rows[:, 3]) > 0.1  # the grid crosses entangled and dark times
+
+    @pytest.mark.parametrize("name", ["static-noise-pure-xyz", "ou-noise-hidden", "stroboscopic-hidden"])
+    def test_golden_matches_ensemble_oracle(self, name):
+        # the golden files of the inputs and measures every dephasing model takes
+        cfg = scenarios.parse_config(GOLDEN / f"{name}.cfg")
+        col = _golden_columns(name)
+        e_av, e_h = _ensemble_oracle(cfg)
+        assert np.max(np.abs(col["average_entanglement"] - e_av)) < 1e-12
+        assert np.max(np.abs(col["hidden_entanglement"] - e_h)) < 1e-12
+        assert np.ptp(col["hidden_entanglement"]) > 0.1
+
+    def test_rtn_bell_golden_matches_closed_form(self):
+        # a Bell state keeps C = |q(t)|, so hidden = E_f(Bell) - E_f(|q|) with E_f(Bell) = 1
+        col = _golden_columns("rtn-bell")
+        conc = np.abs(rtn_coherence(RTNParams(rate=1.0, coupling=2.5), col["time"]))
+        assert np.max(np.abs(col["concurrence"] - conc)) < 1e-12
+        assert np.max(np.abs(col["hidden_entanglement"] - (1.0 - eof_from_concurrence(conc)))) < 1e-12
+        assert np.max(np.abs(col["average_entanglement"] - 1.0)) < 1e-12
+        assert np.min(col["concurrence"]) < 0.1 and np.ptp(col["hidden_entanglement"]) > 0.5
 
     def test_pure_xyz_average_is_its_initial_entanglement(self):
         # psi0 = (0.6, 0.8, 0.8, 0.6)/sqrt2, C = 2 |0.18 - 0.32| = 0.28
@@ -812,11 +864,6 @@ class TestValuesBeyondFloats:
         _case(_set(FIELD_CFG, "rabi", "1e-310"), "random-field", "rabi"),
         _case(_set(GAUSSIAN_CFG, "rabi", "1e-310"), "random-field-gaussian", "rabi"),
         _case(_set(FLOWS_CFG, "rabi", "1e-310"), "tripartite-flows", "rabi"),
-        _case(_set(STATIC_CFG, "sigma", "1e-310"), "static-noise", "sigma"),
-        _case(_set(OU_CFG, "sigma", "1e-310"), "ou-noise", "sigma"),
-        # the grid end divides, the echo time does not
-        pytest.param(_set(_set(STATIC_CFG.replace("time-stop = 8.0", "time-stop = 1e-9"), "sigma", "1e-300"),
-                          "echo-time", "1e10"), "static-noise", "sigma", id="static-noise-echo-time"),
     ])
     def test_subnormal_unit_scale_is_one_config_error(self, tmp_path, capsys, text, section, key):
         code, err = _cli_error(tmp_path, capsys, text)
@@ -835,7 +882,7 @@ class TestValuesBeyondFloats:
         assert (code, err) == (1, "config error: [scenario] seed: must fit in 64 bits, got -1\n")
 
 
-GOLDEN_CONFIGS = sorted((Path(__file__).parent / "golden").glob("*.cfg"))
+GOLDEN_CONFIGS = sorted(GOLDEN.glob("*.cfg"))
 
 
 def _echo_text(cfg):
@@ -897,6 +944,41 @@ class TestConfigTables:
         assert len(calls) == 4  # the parse, then one per value
 
 
+MIXTURE_MEASURES = "concurrence, eof, hidden-entanglement, average-entanglement"
+TWO_QUBIT_CFGS = {"random-field": FIELD_CFG, "random-field-gaussian": GAUSSIAN_CFG, "static-noise": STATIC_CFG,
+                  "ou-noise": OU_CFG, "rtn": RTN_CFG, "stroboscopic": STROBO_CFG}
+# pure inputs and their concurrence C0, so E_f(psi0) = E_f(C0)
+PURE_INPUTS = {"bell": (BELL, 1.0), "pure-xyz": (PURE_XYZ, 0.28),
+               "ewl-r1": ("kind = ewl\nr = 1.0\na = 0.6\nexcitation = two", 2 * 0.6 * 0.8)}
+
+
+def _with_input(text, initial):
+    """``text`` with all four mixture measures and ``initial`` as its [initial-state] section."""
+    text = re.sub(r"measures = .*", f"measures = {MIXTURE_MEASURES}", text)
+    return re.sub(r"\[initial-state\]\n(?:\w.*\n)*", f"[initial-state]\n{initial}\n", text)
+
+
+class TestEveryTwoQubitModelIsAMixture:
+    """Each realisation of every two-qubit model's noise is a local unitary on
+    qubit B, so every model takes any input kind, and a pure input keeps
+    E_av = E_f(psi0) and E_h = E_av - E_f(rho(t)) >= 0."""
+
+    @pytest.mark.parametrize("initial", sorted(PURE_INPUTS))
+    @pytest.mark.parametrize("model", sorted(TWO_QUBIT_CFGS))
+    def test_pure_input_keeps_the_mixture_identities(self, tmp_path, capsys, model, initial):
+        state, c0 = PURE_INPUTS[initial]
+        path, out = tmp_path / "scenario.cfg", tmp_path / "out.csv"
+        path.write_text(_with_input(TWO_QUBIT_CFGS[model], state), encoding="utf-8")
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        rows = _data_rows(out)  # time, concurrence, eof, hidden, average
+        assert rows.shape[1] == 5 and np.all(np.isfinite(rows))
+        eof, hidden, average = rows[:, 2], rows[:, 3], rows[:, 4]
+        assert np.all(average == average[0]) and abs(average[0] - eof_from_concurrence(c0)) < 1e-12
+        assert np.max(np.abs(hidden + eof - average)) <= 1e-12
+        assert np.all(hidden >= -1e-12)
+
+
 def _data_rows(path):
     """The numeric rows of a CSV file: its lines after the metadata and the header."""
     body = [line for line in path.read_text().splitlines() if not line.startswith("#")]
@@ -929,6 +1011,22 @@ class TestClosedFormExtremes:
         psi = qrevivals.bell_state("2+")
         c_bell = qrevivals.concurrence(qrevivals.DensityOperator(np.outer(psi, psi.conj()), (2, 2)))
         assert rows[:, 1].tolist() == [c_bell] * len(rows)
+
+    @pytest.mark.parametrize("text", [
+        pytest.param(STATIC_CFG, id="static-noise-sigma"),
+        pytest.param(OU_CFG, id="ou-noise-sigma"),
+        pytest.param(_set(STATIC_CFG.replace("time-stop = 8.0", "time-stop = 1e-9"), "echo-time", "1e10"),
+                     id="static-noise-echo-time"),
+        pytest.param(_set(OU_CFG, "correlation-time", "1e-310"), id="ou-noise-subnormal-correlation-time"),
+        pytest.param(_set(STATIC_CFG, "echo-time", "1e-310"), id="static-noise-subnormal-echo-time"),
+    ])
+    def test_sigma_only_names_the_unit(self, tmp_path, capsys, text):
+        # the grid, echo-time and correlation-time are sigma*t values and no time is
+        # divided by sigma, so a tiny or huge sigma writes the rows of sigma = 1; a
+        # division would underflow a subnormal time at sigma = 1e100 and overflow a
+        # time at sigma = 1e-310
+        rows = [self.run(tmp_path, capsys, _set(text, "sigma", s)) for s in ("1", "1e-310", "1e-300", "1e100")]
+        assert all(r.tobytes() == rows[0].tobytes() for r in rows[1:])
 
     def test_stroboscopic_huge_sigma_refocuses_at_step_four(self, tmp_path, capsys):
         text = _set(_set(STROBO_CFG, "phase-sigma", "1e200"), "autocorrelation", "1")

@@ -6,7 +6,11 @@ Each ``tests/golden/<name>.cfg`` was run with ``qrevivals simulate --config
 ``autocorrelation`` and ``g`` sweeps recorded at commit 58e9be0, before a sweep
 ran as one stacked evaluation). The ``ou-noise`` and ``stroboscopic`` files
 were re-recorded when their Monte-Carlo estimates became closed forms, each
-new row within 2 standard errors of the estimate it replaced.
+new row within 2 standard errors of the estimate it replaced. The inputs and
+measures the dephasing models took once every two-qubit model ran as a
+local-unitary mixture (``static-noise-pure-xyz``, ``rtn-bell``,
+``ou-noise-hidden``, ``stroboscopic-hidden``) were recorded then, each first
+checked against an ensemble oracle or closed form (``tests/test_cli.py``).
 Rows must agree within 1e-12, and the metadata (config echo and
 ``config-hash`` included) line for line; only the ``version.*`` lines may
 differ.
