@@ -17,6 +17,9 @@ Conventions used throughout:
   batches; batch b draws from an independent stream spawned from the seed,
   and batch results are reduced in batch order, so results are independent
   of the thread count used to evaluate them.
+* The telegraph oracle draws each trajectory's flip count and flip times and
+  sums its cosines once per flip, not once per (trajectory, time), so its
+  work grows with the flips plus the grid times (``_rtn_cos_sums``).
 """
 from __future__ import annotations
 
@@ -27,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .linalg import DensityOperator, EYE2, SIGMA_X
 from .measures import WeightedPureEnsemble
 from .states import EWLParams
@@ -602,28 +604,71 @@ def rtn_coherence(p: RTNParams, t):
     return float(q) if q.ndim == 0 else q
 
 
+def _rtn_cos_sums(flips, counts, times, coupling) -> tuple[np.ndarray, np.ndarray]:
+    """Sums over trajectories of cos(v I(t)) and cos^2(v I(t)) at each grid
+    time, I(t) = int_0^t xi the integral of a +/-1 telegraph signal that starts
+    at +1 and flips at each of its row's times.
+
+    ``flips`` holds the rows' flip times one row after another, each row
+    ascending; ``counts`` the number of flips per row; ``times`` is ascending.
+
+    After m flips I(t) = q_m + sigma_m t, with sigma_m = (-1)^m and
+    q_m = 2 (s_1 - s_2 + s_3 - ...) over the first m flips, so
+    cos(v I) = cos(v q_m) cos(v t) - sigma_m sin(v q_m) sin(v t). The
+    trajectory sums of (cos v q, sigma sin v q) start at (rows, 0); each flip
+    changes them by its own step, and each step is binned at the first grid
+    time at or after its flip, so a cumulative sum over the bins gives them at
+    every grid time. cos^2 = (1 + cos 2vI) / 2 takes the same sums at the
+    double angle. The work is O(flips + times), with no (rows, times) array.
+    """
+    n_rows, n_t = counts.size, times.size
+    starts = np.cumsum(counts) - counts
+    first = starts[counts > 0]  # each row's first flip
+    # sigma_{m-1} of the m-th flip of a row; q by one cumulative sum over all
+    # rows, restarted per row by subtracting its value where the row starts
+    sign_before = 1.0 - 2.0 * ((np.arange(flips.size) - np.repeat(starts, counts)) & 1)
+    partial = np.cumsum(2.0 * sign_before * flips)
+    q = partial - np.repeat(np.concatenate([[0.0], partial])[starts], counts)
+    c, s = np.cos(coupling * q), np.sin(coupling * q)
+    s *= -sign_before  # sigma_m sin(v q_m)
+    values = np.stack([c, s, c * c - s * s, 2.0 * c * s])  # and at the double angle
+    start = np.array([1.0, 0.0, 1.0, 0.0])  # the same before any flip
+    steps = np.diff(values, axis=1, prepend=start[:, None])
+    steps[:, first] = values[:, first] - start[:, None]
+    # one bincount for the four sums, sum k in bins k (n_t + 1) onwards; a flip
+    # after times[-1] lands in the extra bin n_t, which is dropped
+    bins = np.searchsorted(times, flips) + (n_t + 1) * np.arange(4)[:, None]
+    binned = np.bincount(bins.ravel(), steps.ravel(), minlength=4 * (n_t + 1)).reshape(4, n_t + 1)
+    cos_q, sin_q, cos_2q, sin_2q = n_rows * start[:, None] + np.cumsum(binned[:, :n_t], axis=1)
+    vt = coupling * times
+    cos_sum = np.cos(vt) * cos_q - np.sin(vt) * sin_q
+    cos2_sum = 0.5 * (n_rows + np.cos(2.0 * vt) * cos_2q - np.sin(2.0 * vt) * sin_2q)
+    return cos_sum, cos2_sum
+
+
 def rtn_mc_coherence_grid(
     p: RTNParams, times, trajectories: int, seed: int, threads: int = 1
 ) -> tuple[np.ndarray, np.ndarray]:
     """Monte-Carlo q(t) on an ascending grid: mean of cos(v * int_0^t xi) over
-    telegraph trajectories (exponential inter-switch times at ``rate``,
-    equiprobable initial sign). Returns (means, standard errors)."""
+    telegraph trajectories. Returns (means, standard errors).
+
+    Each trajectory draws its flip count on [0, t_max] from Poisson(rate t_max)
+    and its flip times uniform on [0, t_max), sorted: given their count, the
+    arrival times of a Poisson process are uniform order statistics, so this
+    is the telegraph law of exponential inter-switch times at ``rate``. The
+    initial sign is not drawn: cos is even, so it changes no value."""
     if trajectories < 10_000:
         raise ValueError(f"trajectories={trajectories} below the minimum of 10000")
     times = _check_grid(times)
     t_max = float(times[-1])
-    mean_flips = p.rate * t_max
-    cap = int(np.ceil(mean_flips + 12.0 * np.sqrt(mean_flips) + 25.0))
 
     def draw(rng, b):
-        xi0 = rng.integers(0, 2, size=b) * 2.0 - 1.0
-        switches = np.cumsum(rng.exponential(1.0 / p.rate, size=(b, cap)), axis=1)
-        while switches[:, -1].min() <= t_max:  # pragma: no cover - ~1e-12 probability
-            extra = np.cumsum(rng.exponential(1.0 / p.rate, size=(b, cap)), axis=1)
-            switches = np.concatenate([switches, switches[:, -1:] + extra], axis=1)
-        integrals = kernels.rtn_integrals(switches, times)
-        c = np.cos(p.coupling * integrals * xi0[:, None])
-        return c.sum(axis=0), (c * c).sum(axis=0), b
+        counts = rng.poisson(p.rate * t_max, size=b)
+        padded = np.full((b, counts.max()), np.inf)
+        filled = np.arange(padded.shape[1]) < counts[:, None]
+        padded[filled] = rng.uniform(0.0, t_max, size=counts.sum())
+        padded.sort(axis=1)
+        return (*_rtn_cos_sums(padded[filled], counts, times, p.coupling), b)
 
     parts = _mc_batches(seed, trajectories, threads, draw)
     s1 = sum(q[0] for q in parts)
