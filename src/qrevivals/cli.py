@@ -1,8 +1,9 @@
 """Command-line interface: ``simulate``, ``sweep`` and ``selftest``.
 
-Exit codes: 0 success, 1 configuration error (an output file that cannot be
-written included), 3 numerical failure (a state that fails its validity
-checks, or a LAPACK error). Every failure prints one line on stderr.
+Exit codes: 0 success, 1 configuration error (a command-line argument the
+parser rejects and an output file that cannot be written included), 3
+numerical failure (a state that fails its validity checks, or a LAPACK error).
+Every failure prints one line on stderr.
 """
 from __future__ import annotations
 
@@ -20,8 +21,15 @@ from .linalg import NumericalError
 from .scenarios import ConfigError, parse_config, parse_sweep_values, run_scenario, sweep
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is a one-line config error (exit 1)
+        if "expected one argument" in message:  # argparse reads a value such as -1,2 as an option
+            message += "; attach a value that starts with '-' with '=', as in --values=-1,2"
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qrevivals",
         description="Two-qubit entanglement dynamics under classical noise",
     )
@@ -124,8 +132,8 @@ def _fail(kind: str, exc: Exception, code: int) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "simulate":
             return _cmd_simulate(args)
         if args.command == "sweep":

@@ -4,7 +4,9 @@ Four models: the two-phase random driving field (with optional Gaussian
 broadening of the Rabi frequency), quasi-static Gaussian dephasing with an
 optional echo pulse, its finite-correlation-time Ornstein-Uhlenbeck extension,
 random telegraph noise, and the four-step stroboscopic dephasing channel.
-Every averaged channel is a closed form; the Monte-Carlo path samplers
+All have one shape, a random phase on qubit B: its average scales the
+|0><1|_B coherences by a closed-form factor f(t) (``apply_b_dephasing``), in
+the frame of a Hadamard on B for the field. The Monte-Carlo path samplers
 (``*_mc_*``) and the Gauss-Hermite ensembles are oracles that check them.
 
 Conventions used throughout:
@@ -248,40 +250,34 @@ class RandomUnitaryChannel:
         return RandomUnitaryChannel(weights, us)
 
 
-def field_mixture_grid(blocks0, p: RandomFieldParams, times, summed: bool = False) -> np.ndarray:
-    """The two-phase field on qubit B over a time grid, averaged over the Rabi
-    frequency Omega ~ N(rabi, 2 width^2), resolved by the register state e of the
-    phase FIELD_PHASES[e]: out[t, e] = E[(1 (x) U_e(Omega t)) blocks0[e] (1 (x)
-    U_e(Omega t))^dag], shape (T, 2, 4, 4); ``blocks0`` is (2, 4, 4) or one (4, 4)
-    matrix for both. With blocks0 = rho0 / 2 the sum over e, returned (T, 4, 4)
-    when ``summed``, is the two-qubit channel; the blocks of an A-B-E state give
-    its dilation.
+def field_factors(p: RandomFieldParams, times) -> np.ndarray:
+    """E[exp(-i Omega t)] = exp(-width^2 t^2) (cos(rabi t) - i sin(rabi t)) at
+    every time of ``times``, over the Rabi frequency Omega ~ N(rabi, 2 width^2).
 
-    U_e has half-angle entries, so each conjugated block is affine in cos and sin
-    of theta = Omega t: F(theta) = M0 + cos(theta) Mc + sin(theta) Ms, read off
-    from F(0) = blocks0, F(pi) and F(pi/2). The Gaussian average is then exact:
-    E[exp(i Omega t)] = exp(-width^2 t^2) exp(i rabi t)."""
+    Phase FIELD_PHASES[e] turns qubit B about -/+ x by Omega t, a z phase in the
+    frame of a Hadamard on B: there its |0><1|_B coherences pick up this factor
+    (e = 0) or its conjugate (e = 1), and the two-phase mixture the real part."""
     times = np.asarray(times, dtype=float).reshape(-1)
-    blocks0 = np.broadcast_to(np.asarray(blocks0, dtype=complex), (2, 4, 4))
-    u = np.stack([field_unitary(ph, [np.pi, np.pi / 2.0], 1.0) for ph in FIELD_PHASES])
-    turned = np.einsum("ekbc,eacAC,ekBC->keabAB", u, blocks0.reshape((2,) * 5), u.conj())
-    turned = turned.reshape(2, 2, 4, 4)  # F(pi), F(pi/2)
-    m0 = 0.5 * (blocks0 + turned[0])
-    mc = 0.5 * (blocks0 - turned[0])
-    ms = turned[1] - m0
-    if summed:
-        m0, mc, ms = m0.sum(axis=0), mc.sum(axis=0), ms.sum(axis=0)
     with np.errstate(over="ignore"):  # exp(-inf) = 0 is the limit
         damp = np.exp(-((p.width * times) ** 2))
     theta = p.rabi * times
-    return m0 + np.multiply.outer(damp * np.cos(theta), mc) + np.multiply.outer(damp * np.sin(theta), ms)
+    return damp * (np.cos(theta) - 1j * np.sin(theta))
+
+
+_H4 = np.kron(EYE2, np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex))
+
+
+def _x_frame(mat4: np.ndarray) -> np.ndarray:
+    """A (..., 4, 4) stack in the frame of a Hadamard on qubit B, its own inverse."""
+    return 0.5 * (_H4 @ mat4 @ _H4)
 
 
 def field_channel(rho0: DensityOperator, p: RandomFieldParams, times) -> DensityOperator:
     """The two-qubit field channel applied to ``rho0`` at every time of
-    ``times``: a (T, 4, 4) DensityOperator stack (field_mixture_grid summed
-    over the register)."""
-    return DensityOperator(field_mixture_grid(0.5 * rho0.matrix, p, times, summed=True), (2, 2))
+    ``times``: a (T, 4, 4) DensityOperator stack, the x-frame dephasing of
+    qubit B by the real part of field_factors."""
+    out = apply_b_dephasing(_x_frame(rho0.matrix), field_factors(p, times).real)
+    return DensityOperator(_x_frame(out), (2, 2))
 
 
 def random_field_ensemble(
@@ -289,7 +285,7 @@ def random_field_ensemble(
 ) -> WeightedPureEnsemble:
     """Pure-state ensemble generated by the field channel from a pure input,
     over ``order`` Gauss-Hermite nodes of the Rabi frequency when the width is
-    nonzero; its mixture approximates field_mixture_grid's closed form."""
+    nonzero; its mixture approximates field_channel's closed form."""
     if p.width == 0.0:
         ch = RandomUnitaryChannel.two_phase(p.rabi, t)
     else:
@@ -298,7 +294,7 @@ def random_field_ensemble(
 
 
 # ---------------------------------------------------------------------------
-# dephasing machinery shared by the static, OU, RTN and stroboscopic channels
+# dephasing of qubit B, the one shape of every channel
 # ---------------------------------------------------------------------------
 
 _X4 = np.kron(EYE2, SIGMA_X)
@@ -590,17 +586,21 @@ def rtn_coherence(p: RTNParams, t):
     """
     t = np.asarray(t, dtype=float)
     gamma, v = p.rate, p.coupling
-    if np.isclose(v, gamma, rtol=1e-12, atol=0.0):
-        q = np.exp(-gamma * t) * (1.0 + gamma * t)
-    elif v < gamma:
-        x = v / gamma
-        r = math.sqrt((gamma - v) / gamma * (1.0 + x))  # d / gamma
-        d = gamma * r
-        q = np.exp(-(v * x / (1.0 + r)) * t) * (1.0 + 0.5 * (1.0 - 1.0 / r) * np.expm1(-2.0 * d * t))
-    else:
-        r = math.sqrt((v - gamma) / v * (1.0 + gamma / v))  # mu / v
-        mu = v * r
-        q = np.exp(-gamma * t) * (np.cos(mu * t) + (gamma / mu) * np.sin(mu * t))
+    # q is 0 where exp(-gamma t) underflows (the brackets are 1 + gamma t and at
+    # most sqrt(1 + (gamma/mu)^2)), though there gamma t or mu t may be inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        damp = np.exp(-gamma * t)
+        if np.isclose(v, gamma, rtol=1e-12, atol=0.0):
+            q = np.where(damp > 0.0, damp * (1.0 + gamma * t), 0.0)
+        elif v < gamma:
+            x = v / gamma
+            r = math.sqrt((gamma - v) / gamma * (1.0 + x))  # d / gamma
+            d = gamma * r
+            q = np.exp(-(v * x / (1.0 + r)) * t) * (1.0 + 0.5 * (1.0 - 1.0 / r) * np.expm1(-2.0 * d * t))
+        else:
+            r = math.sqrt((v - gamma) / v * (1.0 + gamma / v))  # mu / v
+            mu = v * r
+            q = np.where(damp > 0.0, damp * (np.cos(mu * t) + (gamma / mu) * np.sin(mu * t)), 0.0)
     return float(q) if q.ndim == 0 else q
 
 

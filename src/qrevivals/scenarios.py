@@ -59,9 +59,9 @@ from .noise import (
     RandomFieldParams,
     StaticNoiseParams,
     StroboscopicParams,
-    _echo_effective_duration,
+    _x_frame,
     dephased_state,
-    field_channel,
+    field_factors,
     ou_phase_variance,
     rtn_coherence,
     static_dephasing_factors,
@@ -420,52 +420,22 @@ def _two_qubit_columns(rho: DensityOperator) -> dict:
 _BLOCK_POINTS = 512
 
 
-def _dephased_columns(rho0: DensityOperator, factors: np.ndarray, echoed) -> dict:
-    """Two-qubit columns of the dephasing channel, (V, T) factors and echo
-    flags, one dephased_state stack per block of values.
+def _dephased_columns(rho0: DensityOperator, factors: np.ndarray) -> dict:
+    """Two-qubit columns of the dephasing of qubit B by (V, T) factors, one
+    dephased_state stack per block of values.
     The stack index (value, time) of a NumericalError counts values from the
     first, not from the block's."""
-    echoed = np.broadcast_to(echoed, factors.shape)
     size = max(1, _BLOCK_POINTS // factors.shape[1])
     parts = []
     for start in range(0, factors.shape[0], size):
-        block = slice(start, start + size)
         try:
-            rho = dephased_state(rho0, factors[block], echoed[block])
-            parts.append(_two_qubit_columns(rho))
+            parts.append(_two_qubit_columns(dephased_state(rho0, factors[start:start + size])))
         except NumericalError as exc:
             if start == 0 or not exc.index:
                 raise
             moved = (start + exc.index[0],) + exc.index[1:]
             raise type(exc)(str(exc).replace(_stack_where(exc.index), _stack_where(moved)), moved) from exc
     return _joined(parts)
-
-
-def _mixture_columns(cfg: ScenarioConfig, columns_of) -> dict:
-    """Columns of a mixture of local unitaries on qubit B (the field channels,
-    and the static, OU, RTN and stroboscopic channels, whose noise realisations
-    are phases on B); ``columns_of(rho)`` maps a two-qubit input state to the
-    (V, T) two-qubit columns of its evolved states.
-
-    Such a channel keeps the entanglement of every member of the pure ensemble
-    it generates from |psi0>: the average entanglement is E_f(psi0) at every
-    time, and the hidden entanglement is E_f(psi0) - E_f(rho_psi0(t)),
-    rho_psi0(t) the channel applied to |psi0><psi0| (the mixture of that ensemble).
-    """
-    rho0 = cfg.initial_density()
-    columns = columns_of(rho0)
-    if any(m in cfg.measures for m in _ENSEMBLE_MEASURES):
-        psi0 = cfg.initial_pure_vector()
-        e0 = eof_from_concurrence(concurrence_pure(psi0))
-        pure0 = np.outer(psi0, psi0.conj())
-        # a Bell input is its own projector, so rho(t) serves both columns
-        if np.array_equal(pure0, rho0.matrix):
-            eof_pure = columns["eof"][0]
-        else:
-            eof_pure = columns_of(DensityOperator(pure0, (2, 2)))["eof"][0]
-        columns["hidden-entanglement"] = [e0 - eof_pure]
-        columns["average-entanglement"] = [np.full(eof_pure.shape, e0)]
-    return columns
 
 
 # ---------------------------------------------------------------------------
@@ -533,40 +503,58 @@ def _strobo_params(cfg: ScenarioConfig) -> StroboscopicParams:
     )
 
 
-def _field_columns(cfg: ScenarioConfig, ps: list[RandomFieldParams]) -> dict:
-    grid = _grid_values(cfg)
-
-    def columns_of(rho):
-        return _joined([_two_qubit_columns(field_channel(rho, p, grid / p.rabi)) for p in ps])
-
-    return _mixture_columns(cfg, columns_of)
+def _field_channel(p: RandomFieldParams, grid):
+    return field_factors(p, grid / p.rabi).real
 
 
 def _static_channel(p: StaticNoiseParams, grid):
-    return static_dephasing_factors(p, grid), _echo_effective_duration(p, grid)[1]
+    return static_dephasing_factors(p, grid)
 
 
 def _ou_channel(p: StaticNoiseParams, grid):
-    return np.exp(-0.5 * ou_phase_variance(p, grid)), _echo_effective_duration(p, grid)[1]
+    return np.exp(-0.5 * ou_phase_variance(p, grid))
 
 
 def _rtn_channel(p: RTNParams, grid):
-    return rtn_coherence(p, grid / p.rate), np.zeros(grid.shape, dtype=bool)
+    return rtn_coherence(p, grid / p.rate)
 
 
 def _strobo_channel(p: StroboscopicParams, grid):
-    steps = np.rint(grid).astype(int)
-    echo = math.inf if p.echo_after_step is None else p.echo_after_step
-    return np.exp(-0.5 * stroboscopic_phase_variance(p, steps)), steps > echo
+    return np.exp(-0.5 * stroboscopic_phase_variance(p, np.rint(grid).astype(int)))
 
 
-def _dephasing_columns(channel: Callable, cfg: ScenarioConfig, ps: list) -> dict:
-    """Columns of a dephasing model, ``channel(p, grid)`` giving its (T,)
-    factors and echo flags at one value; each noise realisation is a phase on
-    qubit B (then the echo's sigma_x), so the channel is a local-unitary mixture."""
+def _dephasing_columns(channel: Callable, cfg: ScenarioConfig, ps: list, frame=None) -> dict:
+    """Columns of a two-qubit model: ``channel(p, grid)`` gives the (T,) factors
+    by which it dephases qubit B at one value, in the frame of the local unitary
+    ``frame`` on B (a map of (4, 4) matrices; None for the computational frame).
+
+    Each noise realisation is a phase on B, so no column sees the echo's sigma_x
+    or the change of frame back, and neither is applied. Every member of the
+    pure ensemble the channel makes of |psi0> keeps E_f(psi0): that is the
+    average entanglement, and E_f(psi0) - E_f(channel(|psi0><psi0|)) the hidden.
+    """
     grid = _grid_values(cfg)
-    factors, echoed = (np.stack(a) for a in zip(*(channel(p, grid) for p in ps)))
-    return _mixture_columns(cfg, lambda rho: _dephased_columns(rho, factors, echoed))
+    factors = np.stack([channel(p, grid) for p in ps])
+
+    def columns_of(rho):
+        if frame is not None:
+            rho = DensityOperator(frame(rho.matrix), (2, 2))
+        return _dephased_columns(rho, factors)
+
+    rho0 = cfg.initial_density()
+    columns = columns_of(rho0)
+    if any(m in cfg.measures for m in _ENSEMBLE_MEASURES):
+        psi0 = cfg.initial_pure_vector()
+        e0 = eof_from_concurrence(concurrence_pure(psi0))
+        pure0 = np.outer(psi0, psi0.conj())
+        # a Bell input is its own projector, so rho(t) serves both columns
+        if np.array_equal(pure0, rho0.matrix):
+            eof_pure = columns["eof"][0]
+        else:
+            eof_pure = columns_of(DensityOperator(pure0, (2, 2)))["eof"][0]
+        columns["hidden-entanglement"] = [e0 - eof_pure]
+        columns["average-entanglement"] = [np.full(eof_pure.shape, e0)]
+    return columns
 
 
 def _flow_columns(cfg: ScenarioConfig, ps: list[RandomFieldParams]) -> dict:
@@ -596,14 +584,16 @@ class _Model:
 _FIELD_KEYS = {"rabi": (float, _REQUIRED), "width": (float, _OMITTED)}
 _DEPHASING_KEYS = {"echo-time": (float, _OMITTED), "sigma": (float, _REQUIRED)}
 _MIXTURE_MEASURES = ("concurrence", "eof", "hidden-entanglement", "average-entanglement")
+# the field turns qubit B about +/-x: a z phase in the frame of a Hadamard on B
+_field_evaluate = partial(_dephasing_columns, _field_channel, frame=_x_frame)
 # models that accept the 'trajectories' key of their former Monte-Carlo runner;
 # it is checked and echoed but acts on nothing
 _TRAJECTORY_MODELS = ("ou-noise", "stroboscopic")
 
 _MODEL_TABLE = {
-    "random-field": _Model(_FIELD_KEYS, _MIXTURE_MEASURES, _field_params, _field_columns),
+    "random-field": _Model(_FIELD_KEYS, _MIXTURE_MEASURES, _field_params, _field_evaluate),
     "random-field-gaussian": _Model({"rabi": (float, _REQUIRED), "width": (float, _REQUIRED)}, _MIXTURE_MEASURES,
-                                    _field_params, _field_columns),
+                                    _field_params, _field_evaluate),
     "static-noise": _Model(_DEPHASING_KEYS, _MIXTURE_MEASURES, _dephasing_params,
                            partial(_dephasing_columns, _static_channel)),
     "ou-noise": _Model({"correlation-time": (float, _REQUIRED), **_DEPHASING_KEYS}, _MIXTURE_MEASURES,

@@ -11,7 +11,7 @@ import numpy as np
 
 from .linalg import DensityOperator, EYE2, partial_trace, tensor_product
 from .measures import InformationDecomposition, concurrence, information_decomposition
-from .noise import FIELD_PHASES, RandomFieldParams, field_mixture_grid, field_unitary
+from .noise import FIELD_PHASES, RandomFieldParams, _x_frame, apply_b_dephasing, field_factors, field_unitary
 
 _P_ENV = (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
 
@@ -63,15 +63,14 @@ def evolve_abe_grid(s0: HybridTripartiteState, p: RandomFieldParams, times) -> n
     """(1_A (x) U_BE) rho (1_A (x) U_BE)^dag at every time of ``times``, as a
     (T, 8, 8) array, averaged over the Gaussian Rabi frequency when the field
     width is nonzero. The state has no register coherences, so each register
-    block evolves under its own field phase: the closed-form blocks of
-    noise.field_mixture_grid, placed on the E diagonal."""
+    block evolves under its own field phase: in the frame of a Hadamard on B,
+    block e is dephased by field_factors (e = 0) or their conjugate (e = 1)."""
     m0 = s0.rho.matrix.reshape((2,) * 6)  # [a, b, e, a', b', e']
-    blocks = field_mixture_grid(
-        [m0[:, :, e, :, :, e].reshape(4, 4) for e in (0, 1)], p, times
-    ).reshape((-1, 2) + (2,) * 4)
-    out = np.zeros((blocks.shape[0],) + (2,) * 6, dtype=complex)
-    for e in (0, 1):
-        out[:, :, :, e, :, :, e] = blocks[:, e]
+    f = field_factors(p, times)
+    out = np.zeros((f.size,) + (2,) * 6, dtype=complex)
+    for e, factor in enumerate((f, f.conj())):
+        block = _x_frame(apply_b_dephasing(_x_frame(m0[:, :, e, :, :, e].reshape(4, 4)), factor))
+        out[:, :, :, e, :, :, e] = block.reshape((-1,) + (2,) * 4)
     return out.reshape(-1, 8, 8)
 
 

@@ -9,13 +9,20 @@ import qrevivals
 from qrevivals import cli, scenarios
 from qrevivals.cli import main
 from qrevivals.linalg import DensityOperator, NumericalError, PositivityError
-from qrevivals.measures import WeightedPureEnsemble, average_entanglement, eof_from_concurrence, hidden_entanglement
+from qrevivals.measures import (
+    WeightedPureEnsemble,
+    average_entanglement,
+    concurrence,
+    eof_from_concurrence,
+    hidden_entanglement,
+)
 from qrevivals.noise import (
     RandomFieldParams,
     RTNParams,
     StaticNoiseParams,
     StroboscopicParams,
     dephased_state,
+    field_channel,
     ou_phase_variance,
     random_field_ensemble,
     rtn_coherence,
@@ -174,6 +181,19 @@ class TestRunScenario:
         assert abs(res.rows[0, 1] - 0.8) < 1e-9  # C(0)
         assert abs(res.rows[8, 1] - 0.8) < 1e-9  # C(pi)
         assert res.rows[4, 1] < 1e-9  # dark period at pi/2
+
+    @pytest.mark.parametrize("initial", [
+        "kind = xyz\nx = 0.2\ny = 0.5\nz = 0.9",
+        "kind = ewl\nr = 0.9\na = 0.6+0.3j\nexcitation = two",
+    ])
+    def test_field_runner_keeps_the_channel_frame(self, initial):
+        # the runner dephases the input in the Hadamard frame of B and skips the
+        # change back, which no measure sees: the concurrence of field_channel
+        text = FIELD_CFG.replace("kind = xyz\nx = 1.0\ny = 0.9\nz = 1.0", initial)
+        text = text.replace("random-field", "random-field-gaussian").replace("width = 0.0", "width = 0.2")
+        cfg = parse_config_text(text.replace("rabi = 1.0", "rabi = 2.0"))
+        want = concurrence(field_channel(cfg.initial_density(), cfg.params, np.linspace(0.0, 2 * np.pi, 17) / 2.0))
+        assert np.max(np.abs(run_scenario(cfg).rows[:, 1] - want)) < 1e-12 and np.ptp(want) > 0.1
 
     def test_csv_shape_and_metadata(self):
         res = run_scenario(parse_config_text(FIELD_CFG))
@@ -444,38 +464,40 @@ class TestEntanglementInvariant:
 
 
 class TestEchoFlags:
-    """Each dephasing channel's (factors, echo flags) fed to dephased_state
-    give the state of its Gaussian phase ensemble, with the echo's sigma_x on
-    B after the echo. No measure sees that sigma_x, so the state is read: on
-    a Bell input it moves the weight from |00>, |11> to |01>, |10>."""
+    """The factors of each dephasing model's runner, fed to dephased_state with
+    echo flags built here, give the state of its Gaussian phase ensemble, with
+    the echo's sigma_x on B after the echo. No measure sees that sigma_x, so
+    the runner leaves it out and the state is read here: on a Bell input it
+    moves the weight from |00>, |11> to |01>, |10>."""
 
     PSI0 = bell_state("2+")
     BELL = DensityOperator(np.outer(PSI0, PSI0.conj()), (2, 2))
 
-    def assert_states_match(self, factors, flags, variances, echoed):
-        assert np.any(echoed) and not np.all(echoed)
-        for factor, flag, variance, after in zip(factors, flags, variances, echoed):
-            want = _gaussian_phase_ensemble(self.PSI0, variance, after, 64).average_state().matrix
+    def assert_states_match(self, model, p, grid, variances, echoed):
+        channel = scenarios._MODEL_TABLE[model].evaluate.args[0]  # the row's (params, grid) -> factors
+        factors = channel(p, grid)
+        assert factors.shape == grid.shape and np.any(echoed) and not np.all(echoed)
+        for factor, flag, variance in zip(factors, echoed, variances):
+            want = _gaussian_phase_ensemble(self.PSI0, variance, flag, 64).average_state().matrix
             assert np.max(np.abs(dephased_state(self.BELL, factor, flag).matrix - want)) < 1e-12
 
     def test_static_channel(self):
         p = StaticNoiseParams(sigma=1.0, echo_time=1.5)
         times = np.array([0.5, 1.0, 1.5, 1.8, 2.4, 2.9])
         refocused = np.where(times > p.echo_time, 2.0 * p.echo_time - times, times)
-        self.assert_states_match(*scenarios._static_channel(p, times), (p.sigma * refocused) ** 2,
-                                 times > p.echo_time)
+        self.assert_states_match("static-noise", p, times, (p.sigma * refocused) ** 2, times > p.echo_time)
 
     def test_ou_channel(self):
         p = StaticNoiseParams(sigma=1.0, echo_time=1.2, correlation_time=3.0)
         times = np.array([0.4, 1.2, 1.6, 2.2, 3.0])
-        self.assert_states_match(*scenarios._ou_channel(p, times), ou_phase_variance(p, times), times > p.echo_time)
+        self.assert_states_match("ou-noise", p, times, ou_phase_variance(p, times), times > p.echo_time)
 
     @pytest.mark.parametrize("echo_after_step", [1, 2, 3])
     def test_strobo_channel(self, echo_after_step):
         p = StroboscopicParams(phase_sigma=0.6, autocorrelation=0.5, echo_after_step=echo_after_step)
         steps = np.arange(5)
-        self.assert_states_match(*scenarios._strobo_channel(p, steps.astype(float)),
-                                 stroboscopic_phase_variance(p, steps), steps > echo_after_step)
+        self.assert_states_match("stroboscopic", p, steps.astype(float), stroboscopic_phase_variance(p, steps),
+                                 steps > echo_after_step)
 
 
 class TestSweep:
@@ -627,6 +649,23 @@ class TestCLI:
     def test_sweep_bad_values_exit(self, tmp_path):
         cfg = self.write(tmp_path, RTN_CFG)
         assert main(["sweep", "--config", cfg, "--param", "g", "--values", "a,b"]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--param", "g", "--values", "-1,2"],  # argparse reads -1,2 as an option
+        ["simulate", "--out"],
+        ["simulate", "--threads", "two"],
+        ["simulate", "--unknown"],
+        [],
+    ])
+    def test_usage_error_is_a_one_line_config_error(self, tmp_path, capsys, argv):
+        cfg = self.write(tmp_path, RTN_CFG)
+        assert main(argv[:1] + ["--config", cfg] + argv[1:] if argv else argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: qrevivals") and len(err.strip().splitlines()) == 1
+        if "-1,2" in argv:
+            assert "--values=-1,2" in err
+            assert main(["sweep", "--config", cfg, "--param", "g", "--values=-1,2"]) == 1
+            assert capsys.readouterr().err == "config error: [rtn] g=-1.0 must be >= 0\n"
 
     def test_cli_threads_byte_identical(self, tmp_path):
         cfg = self.write(tmp_path, OU_CFG)

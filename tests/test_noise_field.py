@@ -8,10 +8,10 @@ from qrevivals.noise import (
     RandomUnitaryChannel,
     _gh_nodes,
     field_channel,
-    field_mixture_grid,
     field_unitary,
 )
 from qrevivals.states import XYZParams, xyz_state
+from qrevivals.tripartite import embed_initial, evolve_abe_grid
 
 X4 = tensor_product(EYE2, SIGMA_X)
 
@@ -189,14 +189,16 @@ class TestGaussianAveragedMap:
         (0.0, 9.0, None), (0.15, 9.0, 64), (0.15, 9.0, 128), (0.3, 20.0, 64), (0.3, 40.0, 256),
     ])
     def test_grid_matches_channel_oracle(self, width, t_stop, order):
-        # the closed-form (T, 2, 4, 4) register stack against the Gauss-Hermite
-        # ensemble of RandomUnitaryChannel, point by point
+        # the x-frame dephasing of field_channel, and the register blocks of the
+        # flows dilation, against the Gauss-Hermite ensemble of
+        # RandomUnitaryChannel, point by point
         rho0 = fig2_state()
         p = RandomFieldParams(1.0, width)
         times = np.linspace(0.0, t_stop, 37)
-        blocks = field_mixture_grid(0.5 * rho0.matrix, p, times)
-        summed = field_mixture_grid(0.5 * rho0.matrix, p, times, summed=True)
-        assert blocks.shape == (37, 2, 4, 4) and summed.shape == (37, 4, 4)
+        summed = field_channel(rho0, p, times).matrix
+        abe = evolve_abe_grid(embed_initial(rho0), p, times).reshape((37,) + (2,) * 6)
+        blocks = np.stack([abe[:, :, :, e, :, :, e].reshape(37, 4, 4) for e in (0, 1)], axis=1)
+        assert summed.shape == (37, 4, 4)
         for k, t in enumerate(times):
             if width == 0.0:
                 ch = RandomUnitaryChannel.two_phase(1.0, t)

@@ -81,6 +81,23 @@ class TestAnalyticCoherence:
                 q = rtn_coherence(RTNParams(rate=1.0, coupling=g), t)
                 assert abs(q - ref) <= 1e-14 * ref
 
+    # (rate, coupling, last time): products with t beyond the float range, on
+    # either side of the crossover and at it
+    @pytest.mark.parametrize("rate, coupling, t_max", [
+        (1.0, 2.0, 1.7e308), (1.0, 1e9, 1e300), (1e10, 3e10, 1e300), (1e10, 1e10, 1e300), (1.0, 1.0, 1.7e308),
+    ])
+    def test_zero_where_the_decay_underflows(self, rate, coupling, t_max):
+        # exp(-rate t) underflows to 0 long before rate t, coupling t or mu t
+        # overflow to inf, where cos or 0 * inf gave NaN
+        t = np.array([0.0, 1.0 / rate, t_max / 2, t_max])
+        q = rtn_coherence(RTNParams(rate=rate, coupling=coupling), t)
+        assert q[0] == 1.0 and 0.0 < abs(q[1]) < 1.0 and q[2:].tolist() == [0.0, 0.0]
+
+    def test_near_zero_coupling_to_the_largest_time(self):
+        # below the crossover 2 d t overflows; q stays at its limit 1
+        q = rtn_coherence(RTNParams(rate=1.0, coupling=1e-310), np.array([0.0, 1e300, 1.7e308]))
+        assert np.all(np.abs(q - 1.0) <= 1e-15)
+
     def test_param_validation(self):
         with pytest.raises(ValueError):
             RTNParams(rate=0.0, coupling=1.0)

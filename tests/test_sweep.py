@@ -89,6 +89,10 @@ def test_one_dephased_stack_per_block(monkeypatch):
     strobo = dict((c[0], c[1:]) for c in CASES)["stroboscopic-autocorrelation"]
     sweep(parse_config_text(strobo[0]), "autocorrelation", [0.0, 0.25, 0.5, 0.75, 1.0])
     assert len(calls) == 4  # 5 values x 5 steps fit one block
+    # the field is dephasing too: its values stack like every other model's
+    field = _cfg("random-field-gaussian", "concurrence, eof", 12.0, 17, PURE_XYZ, {"rabi": 1.0, "width": 0.1})
+    sweep(parse_config_text(field), "width", [0.0, 0.1, 0.3])
+    assert len(calls) == 5  # 3 values x 17 times fit one block
 
 
 def test_numerical_error_names_the_value_and_the_time(monkeypatch):
