@@ -173,15 +173,6 @@ class DensityOperator:
         return self._spectrum.copy()
 
 
-def pure_state_density(psi, dims: tuple[int, ...]) -> DensityOperator:
-    """|psi><psi| as a DensityOperator (psi is normalized if slightly off)."""
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    nrm = np.linalg.norm(psi)
-    if abs(nrm - 1.0) > 1e-9:
-        raise ValueError(f"state vector norm {nrm:.12g} is not 1 within 1e-9")
-    return DensityOperator(np.outer(psi, psi.conj()) / nrm**2, dims)
-
-
 def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
     """Trace out every subsystem not listed in ``keep`` (indices into rho.dims),
     from every matrix of a stack."""

@@ -6,7 +6,8 @@ sigma*t, rate*t, or the step index for the stroboscopic channel); sigma only
 names its unit, so static and OU noise run at sigma = 1 on the times as
 written. Every model but tripartite-flows is a mixture of local unitaries on
 qubit B, takes any initial-state kind and, for a pure input, the hidden and
-average entanglement::
+average entanglement, both read off the eof column of the one evaluation of
+the initial state::
 
     [scenario]
     model = random-field          ; one of MODELS
@@ -43,7 +44,7 @@ import hashlib
 import io
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -51,7 +52,7 @@ import numpy as np
 from . import __version__ as _pkg_version
 from . import kernels
 from .linalg import DensityOperator, NumericalError, _stack_where
-from .measures import concurrence, concurrence_pure, eof_from_concurrence
+from .measures import concurrence, eof_from_concurrence
 from .noise import (
     MC_BATCH,
     RNG_DESCRIPTION,
@@ -184,8 +185,10 @@ class ScenarioConfig:
     """A scenario, checked whenever one is made (by dataclasses.replace too);
     times are in the model's dimensionless unit. ``initial_params`` and
     ``model_params`` are the (key, value) pairs of the [initial-state] and
-    model sections, and ``params`` the model's params dataclass built from
-    the whole config."""
+    model sections, ``params`` the model's params dataclass built from the
+    whole config, and ``rho0`` the initial state, built on first use (by the
+    purity check of the hidden and average entanglement, or the runner) and
+    kept."""
 
     model: str
     measures: tuple[str, ...]
@@ -232,7 +235,9 @@ class ScenarioConfig:
         _build("initial-state", kind.params, **dict(self.initial_params))
         object.__setattr__(self, "params", _build(self.model, row.params, self))
         if any(m in self.measures for m in _ENSEMBLE_MEASURES):
-            self.initial_pure_vector()  # raises ConfigError when impure
+            top = self.rho0.eigenvalues()[0]
+            if top < 1.0 - 1e-10:
+                raise ConfigError(f"hidden/average entanglement need a pure initial state (largest eigenvalue {top:.6g})")
 
     def param(self, key: str, default=None):
         for k, v in self.model_params:
@@ -240,22 +245,10 @@ class ScenarioConfig:
                 return v
         return default
 
-    def initial_density(self) -> DensityOperator:
+    @cached_property  # in the instance __dict__, so a frozen dataclass takes it
+    def rho0(self) -> DensityOperator:
         kind = _INITIAL_KINDS[self.initial_kind]
         return kind.state(kind.params(**dict(self.initial_params)))
-
-    def initial_pure_vector(self) -> np.ndarray:
-        """State vector of a pure initial state (top eigenvector)."""
-        if self.initial_kind == "bell":
-            return bell_state(dict(self.initial_params)["label"])
-        rho = self.initial_density()
-        vals, vecs = np.linalg.eigh(rho.matrix)
-        if vals[-1] < 1.0 - 1e-10:
-            raise ConfigError(
-                "hidden/average entanglement need a pure initial state "
-                f"(largest eigenvalue {vals[-1]:.6g})"
-            )
-        return vecs[:, -1]
 
 
 def _parse_scalar(section: str, key: str, raw: str, parser):
@@ -485,6 +478,14 @@ def _rtn_params(cfg: ScenarioConfig) -> RTNParams:
             raise ValueError(f"g={g} times rate={rate} overflows the coupling")
     p = RTNParams(rate=rate, coupling=coupling)
     _check_time_unit(cfg, "rate", rate)
+    # above g ~ 2e305 the phase coupling*t (= mu t there) can overflow while
+    # exp(-rate*t) is still positive, and the coherence is no float
+    if not math.isfinite(coupling * (cfg.time_stop / rate)):
+        t = _grid_values(cfg) / rate
+        with np.errstate(over="ignore"):
+            if np.any((np.exp(-rate * t) > 0.0) & ~np.isfinite(coupling * t)):
+                raise ConfigError(f"[rtn] g: the phase g*rate*t overflows at g = {p.g:g} where exp(-rate*t) > 0 "
+                                  f"(time-stop = {cfg.time_stop:g})")
     return p
 
 
@@ -530,30 +531,17 @@ def _dephasing_columns(channel: Callable, cfg: ScenarioConfig, ps: list, frame=N
 
     Each noise realisation is a phase on B, so no column sees the echo's sigma_x
     or the change of frame back, and neither is applied. Every member of the
-    pure ensemble the channel makes of |psi0> keeps E_f(psi0): that is the
-    average entanglement, and E_f(psi0) - E_f(channel(|psi0><psi0|)) the hidden.
+    pure ensemble the channel makes of the pure rho0 keeps E_f(rho0): that is
+    the average entanglement, and E_f(rho0) - eof the hidden.
     """
     grid = _grid_values(cfg)
-    factors = np.stack([channel(p, grid) for p in ps])
-
-    def columns_of(rho):
-        if frame is not None:
-            rho = DensityOperator(frame(rho.matrix), (2, 2))
-        return _dephased_columns(rho, factors)
-
-    rho0 = cfg.initial_density()
-    columns = columns_of(rho0)
+    rho0 = cfg.rho0
+    columns = _dephased_columns(rho0 if frame is None else DensityOperator(frame(rho0.matrix), (2, 2)),
+                                np.stack([channel(p, grid) for p in ps]))
     if any(m in cfg.measures for m in _ENSEMBLE_MEASURES):
-        psi0 = cfg.initial_pure_vector()
-        e0 = eof_from_concurrence(concurrence_pure(psi0))
-        pure0 = np.outer(psi0, psi0.conj())
-        # a Bell input is its own projector, so rho(t) serves both columns
-        if np.array_equal(pure0, rho0.matrix):
-            eof_pure = columns["eof"][0]
-        else:
-            eof_pure = columns_of(DensityOperator(pure0, (2, 2)))["eof"][0]
-        columns["hidden-entanglement"] = [e0 - eof_pure]
-        columns["average-entanglement"] = [np.full(eof_pure.shape, e0)]
+        average, eof = eof_from_concurrence(concurrence(rho0)), columns["eof"][0]
+        columns["hidden-entanglement"] = [average - eof]
+        columns["average-entanglement"] = [np.full(eof.shape, average)]
     return columns
 
 
@@ -561,7 +549,7 @@ def _flow_columns(cfg: ScenarioConfig, ps: list[RandomFieldParams]) -> dict:
     grid = _grid_values(cfg)
     parts = []
     for p in ps:
-        conc, dec = flow_measures(cfg.initial_density(), p, grid / p.rabi)
+        conc, dec = flow_measures(cfg.rho0, p, grid / p.rabi)
         parts.append({
             "concurrence": [conc],
             "eof": [eof_from_concurrence(conc)],
@@ -577,7 +565,7 @@ class _Model:
     measures: tuple[str, ...]
     params: Callable  # ScenarioConfig -> params dataclass; may raise ValueError
     # (ScenarioConfig, [params of V values]) -> {measure: [(V, T) arrays]}; the
-    # config gives what the values share: grid and initial state
+    # config gives what the values share: grid and initial state (cfg.rho0)
     evaluate: Callable
 
 

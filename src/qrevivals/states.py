@@ -29,11 +29,6 @@ def bell_state(label: str) -> np.ndarray:
     return _BELL_VECTORS[label].copy()
 
 
-def bell_basis_matrix() -> np.ndarray:
-    """Unitary whose columns are the Bell states in BELL_LABELS order."""
-    return np.stack([_BELL_VECTORS[l] for l in BELL_LABELS], axis=1)
-
-
 @dataclass(frozen=True)
 class XYZParams:
     """Parameters of the two-term Bell-superposition mixture family."""

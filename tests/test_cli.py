@@ -192,7 +192,7 @@ class TestRunScenario:
         text = FIELD_CFG.replace("kind = xyz\nx = 1.0\ny = 0.9\nz = 1.0", initial)
         text = text.replace("random-field", "random-field-gaussian").replace("width = 0.0", "width = 0.2")
         cfg = parse_config_text(text.replace("rabi = 1.0", "rabi = 2.0"))
-        want = concurrence(field_channel(cfg.initial_density(), cfg.params, np.linspace(0.0, 2 * np.pi, 17) / 2.0))
+        want = concurrence(field_channel(cfg.rho0, cfg.params, np.linspace(0.0, 2 * np.pi, 17) / 2.0))
         assert np.max(np.abs(run_scenario(cfg).rows[:, 1] - want)) < 1e-12 and np.ptp(want) > 0.1
 
     def test_csv_shape_and_metadata(self):
@@ -334,7 +334,7 @@ def _ensemble_oracle(cfg):
     """Average and hidden entanglement from the pure ensemble each channel
     member makes of |psi0>, one WeightedPureEnsemble per grid value."""
     values = np.linspace(cfg.time_start, cfg.time_stop, cfg.time_points)
-    psi0 = cfg.initial_pure_vector()
+    psi0 = np.linalg.eigh(cfg.rho0.matrix)[1][:, -1]  # the top eigenvector of the pure input
     if cfg.model == "static-noise":
         sigma, echo = cfg.param("sigma"), cfg.param("echo-time")
         p = StaticNoiseParams(sigma=sigma, echo_time=None if echo is None else echo / sigma)
@@ -945,6 +945,22 @@ class TestValuesBeyondFloats:
         code, err = _cli_error(tmp_path, capsys, text)
         assert code == 1 and err.startswith(f"config error: [{section}] {key}:") and "overflows" in err
 
+
+    def test_overflowing_rtn_phase_is_one_config_error(self, tmp_path, capsys):
+        # at g = 1e307 the phase g*rate*t is inf from t = 10 on, where exp(-t) > 0
+        text = _set(RTN_CFG.replace("time-stop = 10.0", "time-stop = 100.0"), "g", "1e307")
+        want = ("config error: [rtn] g: the phase g*rate*t overflows at g = 1e+307 where exp(-rate*t) > 0 "
+                "(time-stop = 100)\n")
+        assert _cli_error(tmp_path, capsys, text) == (1, want)
+        code, err = _cli_error(tmp_path, capsys, text, "sweep", "--param", "g", "--values", "5,1e307")
+        assert code == 1 and err.startswith("config error: [rtn] g: the phase g*rate*t overflows")
+        # where exp(-rate*t) underflows first the coherence is 0, and the run exits 0
+        for g, stop in (("2.0", "1.7e308"), ("1e9", "1e300")):
+            path = tmp_path / "scenario.cfg"
+            path.write_text(_set(RTN_CFG.replace("time-stop = 10.0", f"time-stop = {stop}"), "g", g),
+                            encoding="utf-8")
+            assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out.csv")]) == 0
+            assert capsys.readouterr().err == "" and np.all(np.isfinite(_data_rows(tmp_path / "out.csv")))
 
     def test_time_points_beyond_cap_is_one_config_error(self, tmp_path, capsys):
         # 2**62 points fit in 64 bits but not in memory: refused before the grid is built

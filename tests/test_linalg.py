@@ -12,11 +12,15 @@ from qrevivals.linalg import (
     hermitian_eigenvalues,
     matrix_sqrt_psd,
     partial_trace,
-    pure_state_density,
     tensor_product,
     von_neumann_entropy,
 )
 from qrevivals.states import XYZParams, bell_state, xyz_state
+
+
+def pure_state_density(psi, dims):
+    """|psi><psi| / <psi|psi> as a DensityOperator."""
+    return DensityOperator(np.outer(psi, psi.conj()) / np.linalg.norm(psi) ** 2, dims)
 
 
 def kron_oracle(a, b):

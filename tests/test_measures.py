@@ -17,11 +17,16 @@ from qrevivals.measures import (
     tripartite_correlations,
 )
 from qrevivals.noise import RandomFieldParams, random_field_ensemble, static_noise_ensemble, StaticNoiseParams
-from qrevivals.states import BELL_LABELS, EWLParams, XYZParams, bell_basis_matrix, bell_state, ewl_state, xyz_state
+from qrevivals.states import BELL_LABELS, EWLParams, XYZParams, bell_state, ewl_state, xyz_state
 
 LN2 = np.log(2.0)
 # -0.9 ln 0.9 - 0.1 ln 0.1, the mixing entropy of rho(1, 0.9, 1)
 S_MIX = 0.32508297339144825
+
+
+def bell_basis_matrix():
+    """Unitary whose columns are the Bell states in BELL_LABELS order."""
+    return np.stack([bell_state(label) for label in BELL_LABELS], axis=1)
 
 
 def density(mat, dims=(2, 2)):

@@ -8,13 +8,17 @@ from qrevivals.states import (
     BELL_LABELS,
     EWLParams,
     XYZParams,
-    bell_basis_matrix,
     bell_state,
     ewl_state,
     xyz_state,
 )
 
 SQ2 = np.sqrt(2.0)
+
+
+def bell_basis_matrix():
+    """Unitary whose columns are the Bell states in BELL_LABELS order."""
+    return np.stack([bell_state(label) for label in BELL_LABELS], axis=1)
 
 
 class TestBellStates:

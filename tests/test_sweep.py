@@ -93,6 +93,20 @@ def test_one_dephased_stack_per_block(monkeypatch):
     field = _cfg("random-field-gaussian", "concurrence, eof", 12.0, 17, PURE_XYZ, {"rabi": 1.0, "width": 0.1})
     sweep(parse_config_text(field), "width", [0.0, 0.1, 0.3])
     assert len(calls) == 5  # 3 values x 17 times fit one block
+    # the hidden and average entanglement are read off the eof column of that one stack
+    hidden = _cfg("random-field", "concurrence, eof, hidden-entanglement", 12.0, 17, PURE_XYZ, {"rabi": 1.0})
+    scenarios.run_scenario(parse_config_text(hidden))
+    assert len(calls) == 6
+
+
+def test_initial_state_built_once_per_sweep(monkeypatch):
+    calls = []
+    kind = scenarios._INITIAL_KINDS["xyz"]
+    monkeypatch.setitem(scenarios._INITIAL_KINDS, "xyz", scenarios._InitialKind(
+        kind.keys, kind.params, lambda p: calls.append(p) or kind.state(p)))
+    flows = dict((c[0], c[1:]) for c in CASES)["tripartite-flows-width"]
+    assert len(sweep(parse_config_text(flows[0]), "width", flows[2].split(","))) == 3
+    assert len(calls) == 1
 
 
 def test_numerical_error_names_the_value_and_the_time(monkeypatch):
