@@ -100,12 +100,12 @@ def hermitian_eigenvalues(m, herm_tol: float = 1e-8) -> np.ndarray:
     return np.where((vals < 0.0) & (vals > -EIG_DUST), 0.0, vals)
 
 
-def clip_positive_spectrum(values, dust: float = EIG_DUST) -> np.ndarray:
-    """Clip eigenvalue dust in (-dust, 0) to zero; raise for anything lower."""
+def clip_positive_spectrum(values) -> np.ndarray:
+    """Clip eigenvalue dust in (-EIG_DUST, 0) to zero; raise for anything lower."""
     values = np.asarray(values, dtype=float)
-    if np.any(values <= -dust):
+    if np.any(values <= -EIG_DUST):
         raise PositivityError(
-            f"negative eigenvalue {values.min():.3e} below the -{dust:g} dust window"
+            f"negative eigenvalue {values.min():.3e} below the -{EIG_DUST:g} dust window"
         )
     out = values.copy()
     out[out < 0.0] = 0.0
@@ -194,18 +194,11 @@ def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
     return DensityOperator(reshaped.reshape(lead + (d, d)), tuple(dims))
 
 
-def von_neumann_entropy(rho: DensityOperator, base: str = "natural"):
-    """S(rho) = -sum_i p_i log p_i with 0 log 0 := 0; a float, or an array
-    with one entropy per matrix of a stack.
-
-    base "natural" gives nats, base "two" gives bits.
-    """
-    if base not in ("natural", "two"):
-        raise ValueError(f"base must be 'natural' or 'two', got {base!r}")
+def von_neumann_entropy(rho: DensityOperator):
+    """S(rho) = -sum_i p_i ln p_i in nats, with 0 ln 0 := 0; a float, or an
+    array with one entropy per matrix of a stack."""
     p = rho.eigenvalues()
     s = -np.sum(p * np.log(np.where(p > 0.0, p, 1.0)), axis=-1)
-    if base == "two":
-        s = s / np.log(2.0)
     s = s + 0.0  # -0.0 guard for pure states
     return float(s) if s.ndim == 0 else s
 

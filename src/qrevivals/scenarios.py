@@ -2,12 +2,12 @@
 
 Config grammar (INI-style, parsed strictly: unknown sections or keys are
 errors). Times are dimensionless in each model's natural unit (rabi*t,
-sigma*t, rate*t, or the step index for the stroboscopic channel); sigma only
-names its unit, so static and OU noise run at sigma = 1 on the times as
-written. Every model but tripartite-flows is a mixture of local unitaries on
-qubit B, takes any initial-state kind and, for a pure input, the hidden and
-average entanglement, both read off the eof column of the one evaluation of
-the initial state::
+sigma*t, rate*t, or the step index for the stroboscopic channel), and so are
+the params: every model runs at rabi, sigma and rate 1 (with width/rabi and
+coupling/rate) on the times as written. Every model but tripartite-flows is a
+mixture of local unitaries on qubit B, takes any initial-state kind and, for
+a pure input, the hidden and average entanglement, both read off the eof
+column of the one evaluation of the initial state::
 
     [scenario]
     model = random-field          ; one of MODELS
@@ -44,7 +44,7 @@ import hashlib
 import io
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -149,7 +149,7 @@ def _ewl_params(r: float, a: complex, excitation: str) -> EWLParams:
     return EWLParams(r=r, a=a, kind=f"{excitation}-excitation")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # hashed by identity: a key of _initial_state's cache
 class _InitialKind:
     keys: dict  # the keys of [initial-state] after 'kind'
     params: Callable  # (**section values) -> params of the state; may raise ValueError
@@ -163,6 +163,12 @@ _INITIAL_KINDS = {
     "ewl": _InitialKind({"r": (float, _REQUIRED), "a": (complex, _REQUIRED), "excitation": (str.strip, "one")},
                         _ewl_params, ewl_state),
 }
+
+
+@lru_cache(maxsize=64)
+def _initial_state(kind: _InitialKind, initial_params: tuple) -> DensityOperator:
+    """The state of ``kind`` at ``initial_params``, one for every config (every sweep value) with them."""
+    return kind.state(kind.params(**dict(initial_params)))
 
 
 def _build(section: str, builder, *args, **kwargs):
@@ -185,10 +191,10 @@ class ScenarioConfig:
     """A scenario, checked whenever one is made (by dataclasses.replace too);
     times are in the model's dimensionless unit. ``initial_params`` and
     ``model_params`` are the (key, value) pairs of the [initial-state] and
-    model sections, ``params`` the model's params dataclass built from the
-    whole config, and ``rho0`` the initial state, built on first use (by the
-    purity check of the hidden and average entanglement, or the runner) and
-    kept."""
+    model sections, ``params`` the model's dimensionless params dataclass
+    (rabi, sigma and rate 1) built from the whole config, and ``rho0`` the
+    initial state, built on first use and shared by every config with the same
+    [initial-state] section."""
 
     model: str
     measures: tuple[str, ...]
@@ -245,10 +251,9 @@ class ScenarioConfig:
                 return v
         return default
 
-    @cached_property  # in the instance __dict__, so a frozen dataclass takes it
+    @property
     def rho0(self) -> DensityOperator:
-        kind = _INITIAL_KINDS[self.initial_kind]
-        return kind.state(kind.params(**dict(self.initial_params)))
+        return _initial_state(_INITIAL_KINDS[self.initial_kind], self.initial_params)
 
 
 def _parse_scalar(section: str, key: str, raw: str, parser):
@@ -413,6 +418,11 @@ def _two_qubit_columns(rho: DensityOperator) -> dict:
 _BLOCK_POINTS = 512
 
 
+def _reindexed(exc: NumericalError, index: tuple) -> NumericalError:
+    """``exc`` naming the stack index ``index`` in place of its own."""
+    return type(exc)(str(exc).replace(_stack_where(exc.index), _stack_where(index)), index)
+
+
 def _dephased_columns(rho0: DensityOperator, factors: np.ndarray) -> dict:
     """Two-qubit columns of the dephasing of qubit B by (V, T) factors, one
     dephased_state stack per block of values.
@@ -426,8 +436,7 @@ def _dephased_columns(rho0: DensityOperator, factors: np.ndarray) -> dict:
         except NumericalError as exc:
             if start == 0 or not exc.index:
                 raise
-            moved = (start + exc.index[0],) + exc.index[1:]
-            raise type(exc)(str(exc).replace(_stack_where(exc.index), _stack_where(moved)), moved) from exc
+            raise _reindexed(exc, (start + exc.index[0],) + exc.index[1:]) from exc
     return _joined(parts)
 
 
@@ -437,21 +446,16 @@ def _dephased_columns(rho0: DensityOperator, factors: np.ndarray) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _check_time_unit(cfg: ScenarioConfig, key: str, scale: float):
-    """Refuse a unit scale (the value of ``key``) by which the grid end does not
-    divide to a finite time: the runner converts the grid as time / scale."""
-    if not math.isfinite(cfg.time_stop / scale):
-        raise ConfigError(f"[{cfg.model}] {key}: {cfg.time_stop!r} / {key} overflows at {key} = {scale!r}")
-
-
 def _field_params(cfg: ScenarioConfig) -> RandomFieldParams:
     # width = 0 on the gaussian model degenerates to the sharp two-phase map,
     # which keeps width sweeps down to zero expressible
     if cfg.model == "random-field" and cfg.param("width", 0.0) != 0.0:
         raise ConfigError("[random-field] width: must be 0 (use random-field-gaussian)")
-    p = RandomFieldParams(rabi=cfg.param("rabi"), width=cfg.param("width", 0.0))
-    _check_time_unit(cfg, "rabi", p.rabi)
-    return p
+    rabi, width = cfg.param("rabi"), cfg.param("width", 0.0)
+    RandomFieldParams(rabi=rabi, width=width)  # the ranges, checked as written
+    if not math.isfinite(width / rabi):  # the grid is in rabi*t units: the field runs at rabi = 1
+        raise ConfigError(f"[{cfg.model}] rabi: width/rabi overflows at rabi = {rabi!r}")
+    return RandomFieldParams(rabi=1.0, width=width / rabi)
 
 
 def _dephasing_params(cfg: ScenarioConfig) -> StaticNoiseParams:
@@ -468,25 +472,23 @@ def _rtn_params(cfg: ScenarioConfig) -> RTNParams:
     coupling, g, rate = cfg.param("coupling"), cfg.param("g"), cfg.param("rate")
     if (coupling is None) == (g is None):
         raise ConfigError("[rtn] exactly one of 'coupling' and 'g' must be given")
-    if g is not None:
-        try:  # checked as written, g in the coupling's place, so a range error quotes g
-            RTNParams(rate=rate, coupling=g)
-        except ValueError as exc:
-            raise ValueError(str(exc).replace("coupling=", "g=")) from exc
-        coupling = g * rate
-        if not math.isfinite(coupling):
-            raise ValueError(f"g={g} times rate={rate} overflows the coupling")
-    p = RTNParams(rate=rate, coupling=coupling)
-    _check_time_unit(cfg, "rate", rate)
-    # above g ~ 2e305 the phase coupling*t (= mu t there) can overflow while
-    # exp(-rate*t) is still positive, and the coherence is no float
-    if not math.isfinite(coupling * (cfg.time_stop / rate)):
-        t = _grid_values(cfg) / rate
+    key = "coupling" if g is None else "g"
+    try:  # checked as written, g in the coupling's place, so a range error quotes g
+        RTNParams(rate=rate, coupling=cfg.param(key))
+    except ValueError as exc:
+        raise ValueError(str(exc).replace("coupling=", f"{key}=")) from exc
+    g = coupling / rate if g is None else g  # the grid is in rate*t units: the noise runs at rate = 1
+    if not math.isfinite(g):
+        raise ConfigError(f"[rtn] rate: coupling/rate overflows at rate = {rate!r}")
+    # above g ~ 2e305 the phase g*t (= mu t there) can overflow while exp(-t) is
+    # still positive, and the coherence is no float
+    if not math.isfinite(g * cfg.time_stop):
+        t = _grid_values(cfg)
         with np.errstate(over="ignore"):
-            if np.any((np.exp(-rate * t) > 0.0) & ~np.isfinite(coupling * t)):
-                raise ConfigError(f"[rtn] g: the phase g*rate*t overflows at g = {p.g:g} where exp(-rate*t) > 0 "
+            if np.any((np.exp(-t) > 0.0) & ~np.isfinite(g * t)):
+                raise ConfigError(f"[rtn] g: the phase g*rate*t overflows at g = {g:g} where exp(-rate*t) > 0 "
                                   f"(time-stop = {cfg.time_stop:g})")
-    return p
+    return RTNParams(rate=1.0, coupling=g)
 
 
 def _strobo_params(cfg: ScenarioConfig) -> StroboscopicParams:
@@ -505,7 +507,7 @@ def _strobo_params(cfg: ScenarioConfig) -> StroboscopicParams:
 
 
 def _field_channel(p: RandomFieldParams, grid):
-    return field_factors(p, grid / p.rabi).real
+    return field_factors(p, grid).real
 
 
 def _static_channel(p: StaticNoiseParams, grid):
@@ -517,7 +519,7 @@ def _ou_channel(p: StaticNoiseParams, grid):
 
 
 def _rtn_channel(p: RTNParams, grid):
-    return rtn_coherence(p, grid / p.rate)
+    return rtn_coherence(p, grid)
 
 
 def _strobo_channel(p: StroboscopicParams, grid):
@@ -548,8 +550,13 @@ def _dephasing_columns(channel: Callable, cfg: ScenarioConfig, ps: list, frame=N
 def _flow_columns(cfg: ScenarioConfig, ps: list[RandomFieldParams]) -> dict:
     grid = _grid_values(cfg)
     parts = []
-    for p in ps:
-        conc, dec = flow_measures(cfg.rho0, p, grid / p.rabi)
+    for v, p in enumerate(ps):
+        try:
+            conc, dec = flow_measures(cfg.rho0, p, grid)
+        except NumericalError as exc:
+            if not exc.index:
+                raise
+            raise _reindexed(exc, (v,) + exc.index) from exc
         parts.append({
             "concurrence": [conc],
             "eof": [eof_from_concurrence(conc)],

@@ -49,13 +49,12 @@ def embed_initial(rho_ab: DensityOperator) -> HybridTripartiteState:
     return HybridTripartiteState(DensityOperator(m, (2, 2, 2)))
 
 
-def ube_unitary(p: RandomFieldParams, t: float, rabi: float | None = None) -> np.ndarray:
+def ube_unitary(p: RandomFieldParams, t: float) -> np.ndarray:
     """Controlled propagator on (B, E): sum_phi U_phi (x) |phi><phi|,
     block-diagonal in the register basis."""
-    om = p.rabi if rabi is None else rabi
     out = np.zeros((4, 4), dtype=complex)
     for ph, proj in zip(FIELD_PHASES, _P_ENV):
-        out += tensor_product(field_unitary(ph, om, t), proj)
+        out += tensor_product(field_unitary(ph, p.rabi, t), proj)
     return out
 
 
@@ -78,12 +77,12 @@ def flow_measures(
     rho_ab0: DensityOperator, p: RandomFieldParams, grid
 ) -> tuple[np.ndarray, InformationDecomposition]:
     """Concurrence of rho_AB and the information decomposition of rho_ABE at
-    every point of a strictly increasing time grid, as (T,) arrays. The whole
-    grid is one (T, 8, 8) stack, validated once; the decomposition's tau is the
-    genuine tripartite correlation."""
+    every point of a nonempty time grid, as (T,) arrays. The whole grid is one
+    (T, 8, 8) stack, validated once; the decomposition's tau is the genuine
+    tripartite correlation."""
     grid = np.asarray(grid, dtype=float).reshape(-1)
-    if grid.size == 0 or np.any(np.diff(grid) <= 0.0):
-        raise ValueError("grid must be nonempty and strictly increasing")
+    if grid.size == 0:
+        raise ValueError("grid must be nonempty")
     st = HybridTripartiteState(
         DensityOperator(evolve_abe_grid(embed_initial(rho_ab0), p, grid), (2, 2, 2))
     )

@@ -188,11 +188,13 @@ class TestRunScenario:
     ])
     def test_field_runner_keeps_the_channel_frame(self, initial):
         # the runner dephases the input in the Hadamard frame of B and skips the
-        # change back, which no measure sees: the concurrence of field_channel
+        # change back, which no measure sees: the concurrence of field_channel,
+        # at the unit-scale params (rabi 1, width/rabi) on the grid as written
         text = FIELD_CFG.replace("kind = xyz\nx = 1.0\ny = 0.9\nz = 1.0", initial)
         text = text.replace("random-field", "random-field-gaussian").replace("width = 0.0", "width = 0.2")
         cfg = parse_config_text(text.replace("rabi = 1.0", "rabi = 2.0"))
-        want = concurrence(field_channel(cfg.rho0, cfg.params, np.linspace(0.0, 2 * np.pi, 17) / 2.0))
+        assert cfg.params == RandomFieldParams(rabi=1.0, width=0.1)
+        want = concurrence(field_channel(cfg.rho0, cfg.params, np.linspace(0.0, 2 * np.pi, 17)))
         assert np.max(np.abs(run_scenario(cfg).rows[:, 1] - want)) < 1e-12 and np.ptp(want) > 0.1
 
     def test_csv_shape_and_metadata(self):
@@ -812,17 +814,11 @@ class TestModelParameterRanges:
         assert main(["simulate", "--config", str(path)]) == 1
         assert capsys.readouterr().err == "config error: [rtn] g=-1.0 must be >= 0\n"
 
-    def test_overflowing_coupling_names_g(self, tmp_path, capsys):
-        # every value is finite as written, but g * rate is not
-        path = tmp_path / "scenario.cfg"
-        path.write_text(_set(_set(RTN_CFG, "rate", "1e200"), "g", "1e200"), encoding="utf-8")
-        assert main(["simulate", "--config", str(path)]) == 1
-        assert capsys.readouterr().err == "config error: [rtn] g=1e+200 times rate=1e+200 overflows the coupling\n"
-
-    @pytest.mark.parametrize("g", ["1e-200", "0.5", "5.0"])
+    @pytest.mark.parametrize("g", ["1e-200", "0.5", "5.0", "1e200"])
     def test_huge_rate_runs_as_rate_one(self, tmp_path, capsys, g):
-        # q depends on g and rate * t only, and the grid is in units of 1/rate;
-        # rate * rate overflows, so the coherence must not square the rate
+        # q depends on g and rate * t only, and the grid is in units of 1/rate,
+        # so the noise runs at rate 1 with g as written: no coupling g * rate is
+        # formed (at g = rate = 1e200 it would overflow), nor is rate squared
         rows = []
         for rate in ("1.0", "1e200"):
             path = tmp_path / "scenario.cfg"
@@ -910,8 +906,8 @@ def _case(text, section, key):
 
 
 class TestValuesBeyondFloats:
-    """Values that overflow a float, or a time when divided by a unit scale,
-    are one config error naming their key."""
+    """Values that overflow a float, or whose ratio to a unit scale does
+    (width/rabi, coupling/rate), are one config error naming their key."""
 
     @pytest.mark.parametrize("text, section, key", [
         _case(OU_CFG.replace("seed = 31337", f"seed = {HUGE}"), "scenario", "seed"),
@@ -936,10 +932,9 @@ class TestValuesBeyondFloats:
         assert code == 1 and err.startswith("config error: [initial-state] a: value must be finite")
 
     @pytest.mark.parametrize("text, section, key", [
-        _case(_set(RTN_CFG, "rate", "1e-310"), "rtn", "rate"),
-        _case(_set(FIELD_CFG, "rabi", "1e-310"), "random-field", "rabi"),
+        # the params are built at unit scale, from width/rabi and coupling/rate
+        _case(_set(RTN_CFG.replace("g = 5.0\n", "coupling = 5.0\n"), "rate", "1e-310"), "rtn", "rate"),
         _case(_set(GAUSSIAN_CFG, "rabi", "1e-310"), "random-field-gaussian", "rabi"),
-        _case(_set(FLOWS_CFG, "rabi", "1e-310"), "tripartite-flows", "rabi"),
     ])
     def test_subnormal_unit_scale_is_one_config_error(self, tmp_path, capsys, text, section, key):
         code, err = _cli_error(tmp_path, capsys, text)
@@ -1077,6 +1072,18 @@ def _data_rows(path):
     return np.array([[float(x) for x in line.split(",")] for line in body[1:]])
 
 
+def test_params_are_at_unit_scale():
+    # rabi, sigma and rate only name the unit of the times, so each model's
+    # params are built with them at 1, from width/rabi and g = coupling/rate
+    for text, key in ((FIELD_CFG, "rabi"), (GAUSSIAN_CFG, "rabi"), (FLOWS_CFG, "rabi"), (STATIC_CFG, "sigma"),
+                      (OU_CFG, "sigma"), (RTN_CFG, "rate")):
+        assert getattr(parse_config_text(_set(text, key, "4.0")).params, key) == 1.0
+    assert parse_config_text(_set(GAUSSIAN_CFG, "rabi", "4.0")).params == RandomFieldParams(rabi=1.0, width=0.025)
+    rtn = _set(_set(RTN_CFG.replace("g = 5.0\n", ""), "coupling", "10.0"), "rate", "4.0")
+    assert parse_config_text(rtn).params == RTNParams(rate=1.0, coupling=2.5)
+    assert parse_config_text(_set(RTN_CFG, "rate", "4.0")).params == RTNParams(rate=1.0, coupling=5.0)
+
+
 class TestClosedFormExtremes:
     """Configs whose closed forms would square an overflowing scale: each runs
     to a finite CSV with every concurrence in [0, 1]."""
@@ -1104,20 +1111,26 @@ class TestClosedFormExtremes:
         c_bell = qrevivals.concurrence(qrevivals.DensityOperator(np.outer(psi, psi.conj()), (2, 2)))
         assert rows[:, 1].tolist() == [c_bell] * len(rows)
 
-    @pytest.mark.parametrize("text", [
-        pytest.param(STATIC_CFG, id="static-noise-sigma"),
-        pytest.param(OU_CFG, id="ou-noise-sigma"),
+    SCALES = ("1", "1e-310", "1e-300", "1e100")
+
+    @pytest.mark.parametrize("text, key, scales", [
+        pytest.param(STATIC_CFG, "sigma", SCALES, id="static-noise-sigma"),
+        pytest.param(OU_CFG, "sigma", SCALES, id="ou-noise-sigma"),
         pytest.param(_set(STATIC_CFG.replace("time-stop = 8.0", "time-stop = 1e-9"), "echo-time", "1e10"),
-                     id="static-noise-echo-time"),
-        pytest.param(_set(OU_CFG, "correlation-time", "1e-310"), id="ou-noise-subnormal-correlation-time"),
-        pytest.param(_set(STATIC_CFG, "echo-time", "1e-310"), id="static-noise-subnormal-echo-time"),
+                     "sigma", SCALES, id="static-noise-echo-time"),
+        pytest.param(_set(OU_CFG, "correlation-time", "1e-310"), "sigma", SCALES,
+                     id="ou-noise-subnormal-correlation-time"),
+        pytest.param(_set(STATIC_CFG, "echo-time", "1e-310"), "sigma", SCALES, id="static-noise-subnormal-echo-time"),
+        pytest.param(RTN_CFG, "rate", ("1", "1e-310", "1e200"), id="rtn-rate-given-g"),
+        pytest.param(FIELD_CFG, "rabi", SCALES, id="random-field-rabi"),
+        pytest.param(FLOWS_CFG, "rabi", SCALES, id="tripartite-flows-rabi-width-0"),
     ])
-    def test_sigma_only_names_the_unit(self, tmp_path, capsys, text):
-        # the grid, echo-time and correlation-time are sigma*t values and no time is
-        # divided by sigma, so a tiny or huge sigma writes the rows of sigma = 1; a
-        # division would underflow a subnormal time at sigma = 1e100 and overflow a
-        # time at sigma = 1e-310
-        rows = [self.run(tmp_path, capsys, _set(text, "sigma", s)) for s in ("1", "1e-310", "1e-300", "1e100")]
+    def test_sigma_only_names_the_unit(self, tmp_path, capsys, text, key, scales):
+        # the grid, echo-time and correlation-time are in units of the scale (sigma*t,
+        # rate*t, rabi*t) and no time is divided by it, so a tiny or huge scale writes
+        # the rows of scale 1; a division would underflow a subnormal time at
+        # scale 1e100 and overflow a time at scale 1e-310
+        rows = [self.run(tmp_path, capsys, _set(text, key, s)) for s in scales]
         assert all(r.tobytes() == rows[0].tobytes() for r in rows[1:])
 
     def test_stroboscopic_huge_sigma_refocuses_at_step_four(self, tmp_path, capsys):

@@ -216,7 +216,6 @@ class TestEntropy:
     def test_maximally_mixed_qubit(self):
         rho = DensityOperator(EYE2 / 2, (2,))
         assert abs(von_neumann_entropy(rho) - np.log(2)) < 1e-12
-        assert abs(von_neumann_entropy(rho, base="two") - 1.0) < 1e-12
 
     def test_two_term_mixture_closed_form(self):
         rho = xyz_state(XYZParams(1.0, 0.9, 1.0))
@@ -231,11 +230,6 @@ class TestEntropy:
             u = random_unitary(rng, rho.dim)
             rotated = DensityOperator(u @ rho.matrix @ u.conj().T, dims)
             assert abs(von_neumann_entropy(rotated) - von_neumann_entropy(rho)) < 1e-9
-
-    def test_rejects_unknown_base(self):
-        rho = DensityOperator(EYE2 / 2, (2,))
-        with pytest.raises(ValueError):
-            von_neumann_entropy(rho, base="ten")
 
 
 def test_matrix_sqrt_roundtrip():

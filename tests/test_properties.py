@@ -184,12 +184,24 @@ def _rtn_case(g, stop):
     return text, "g", f"{g!r},0.5"
 
 
+def _flows_case(stop, points, rabi):
+    """Tripartite flows on a Bell input from 0 to a subnormal or tiny ``stop``,
+    swept over rabi: grid times that repeat, or that a division by rabi would
+    underflow."""
+    text = (f"[scenario]\nmodel = tripartite-flows\nmeasures = concurrence, eof, tripartite, info-decomposition\n"
+            f"time-start = 0.0\ntime-stop = {stop!r}\ntime-points = {points}\n"
+            f"[initial-state]\nkind = bell\nlabel = 2+\n[tripartite-flows]\nrabi = {rabi!r}\nwidth = 0.0\n")
+    return text, "rabi", f"{rabi!r},0.5"
+
+
 @settings(max_examples=120, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(configs())
 @example(_rtn_case(2.0, 1.7e308))  # above the crossover, mu t overflows
 @example(_rtn_case(1e9, 1e300))
 @example(_rtn_case(1e-310, 1.7e308))  # below it, 2 d t overflows
+@example(_flows_case(1e-300, 5, 1e300))  # time / rabi would underflow to 0
+@example(_flows_case(1e-321, 1000, 1.0))  # subnormal grid times repeat
 def _check_every_config(case):
     text, key, values = case
     with tempfile.TemporaryDirectory() as tmp:

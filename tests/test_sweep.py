@@ -4,7 +4,7 @@ apart from the two ``sweep.*`` metadata lines."""
 import numpy as np
 import pytest
 
-from qrevivals import scenarios
+from qrevivals import scenarios, tripartite
 from qrevivals.cli import main
 from qrevivals.linalg import NumericalError
 from qrevivals.scenarios import parse_config_text, sweep
@@ -107,6 +107,13 @@ def test_initial_state_built_once_per_sweep(monkeypatch):
     flows = dict((c[0], c[1:]) for c in CASES)["tripartite-flows-width"]
     assert len(sweep(parse_config_text(flows[0]), "width", flows[2].split(","))) == 3
     assert len(calls) == 1
+    # the purity check of the hidden entanglement reads the state of every value's
+    # config, and configs that differ only in the model section share one state
+    pure = "[initial-state]\nkind = xyz\nx = 0.8\ny = 1.0\nz = 0.5\n"
+    field = _cfg("random-field-gaussian", "concurrence, hidden-entanglement", 12.0, 17, pure,
+                 {"rabi": 1.0, "width": 0.1})
+    assert len(sweep(parse_config_text(field), "width", [0.0, 0.05, 0.1, 0.3])) == 4
+    assert len(calls) == 2
 
 
 def test_numerical_error_names_the_value_and_the_time(monkeypatch):
@@ -126,3 +133,21 @@ def test_numerical_error_names_the_value_and_the_time(monkeypatch):
     with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match=r"stack index \(3, 7\)") as info:
         sweep(parse_config_text(text), "g", values)
     assert info.value.index == (3, 7)
+
+
+def test_flows_numerical_error_names_the_value_and_the_time(monkeypatch):
+    text = dict((c[0], c[1:]) for c in CASES)["tripartite-flows-width"][0]
+    original = tripartite.field_factors
+
+    def nan_at_width_01(p, times):
+        f = original(p, times)
+        if p.width == 0.1:
+            f = f.copy()
+            f[5] = np.nan
+        return f
+
+    monkeypatch.setattr(tripartite, "field_factors", nan_at_width_01)
+    # each value's flows are one (T, 8, 8) stack; its error names the value too
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match=r"stack index \(1, 5\)") as info:
+        sweep(parse_config_text(text), "width", [0.0, 0.1, 0.2])
+    assert info.value.index == (1, 5)

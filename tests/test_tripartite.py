@@ -171,8 +171,9 @@ class TestFlowMeasures:
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError):
             flow_measures(fig2_state(), RandomFieldParams(1.0), [])
-        with pytest.raises(ValueError):
-            flow_measures(fig2_state(), RandomFieldParams(1.0), [0.0, 0.0, 1.0])
+        # each time is evaluated on its own, so a grid that repeats one is no error
+        cs, dec = flow_measures(fig2_state(), RandomFieldParams(1.0), [0.0, 0.0, 1.0])
+        assert cs[0] == cs[1] and dec.total[0] == dec.total[1] and cs.shape == (3,)
 
 
 class TestFindLocalExtrema:
