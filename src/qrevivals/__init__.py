@@ -42,7 +42,6 @@ from .noise import (
     rtn_coherence,
     rtn_concurrence,
     rtn_mc_coherence_grid,
-    static_dephasing_factors,
     static_noise_ensemble,
     stroboscopic_mc_dephasing_factors,
     stroboscopic_phase_variance,
@@ -97,7 +96,6 @@ __all__ = [
     "rtn_concurrence",
     "rtn_mc_coherence_grid",
     "run_scenario",
-    "static_dephasing_factors",
     "static_noise_ensemble",
     "stroboscopic_mc_dephasing_factors",
     "stroboscopic_phase_variance",

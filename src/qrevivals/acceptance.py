@@ -27,14 +27,13 @@ from .noise import (
     rtn_coherence,
     rtn_concurrence,
     rtn_mc_coherence_grid,
-    static_dephasing_factors,
     static_noise_ensemble,
     stroboscopic_mc_dephasing_factors,
     stroboscopic_phase_variance,
 )
 from .scenarios import parse_config_text, run_scenario
 from .states import EWLParams, XYZParams, bell_state, xyz_state
-from .tripartite import find_local_extrema, flow_measures
+from .tripartite import flow_measures
 
 DEFAULT_SEED = 20240817
 
@@ -52,6 +51,40 @@ def _result(name, checks, t0) -> CriterionResult:
     passed = all(ok for ok, _ in checks)
     details = "; ".join(msg for _, msg in checks)
     return CriterionResult(name, passed, details, _time.perf_counter() - t0)
+
+
+# consecutive values of a series equal within this form one plateau
+_PLATEAU_TOL = 1e-12
+
+
+def find_local_extrema(values, kind: str = "max", include_edges: bool = False) -> list[int]:
+    """Indices of local maxima or minima of a sampled series.
+
+    Runs of consecutive values equal within _PLATEAU_TOL are collapsed to a
+    single candidate at the run midpoint (dark periods of exactly zero
+    concurrence form such plateaus). Edge runs count only when
+    ``include_edges`` is set.
+    """
+    if kind not in ("max", "min"):
+        raise ValueError("kind must be 'max' or 'min'")
+    y = np.asarray(values, dtype=float).reshape(-1)
+    if y.size < 3:
+        return []
+    runs = []  # (start, end) inclusive
+    start = 0
+    for i in range(1, y.size):
+        if abs(y[i] - y[start]) > _PLATEAU_TOL:
+            runs.append((start, i - 1))
+            start = i
+    runs.append((start, y.size - 1))
+    sign = 1.0 if kind == "max" else -1.0
+    out = []
+    for r, (a, b) in enumerate(runs):
+        left_ok = r > 0 and sign * (y[a] - y[runs[r - 1][1]]) > 0
+        right_ok = r < len(runs) - 1 and sign * (y[b] - y[runs[r + 1][0]]) > 0
+        if (left_ok and right_ok) or (include_edges and (left_ok or right_ok) and (a == 0 or b == y.size - 1)):
+            out.append((a + b) // 2)
+    return out
 
 
 def _fig2_state() -> DensityOperator:
@@ -111,9 +144,9 @@ def criterion_3(threads: int = 1) -> CriterionResult:
     p_echo = StaticNoiseParams(sigma=sigma, echo_time=tbar)
     psi0 = bell_state("2+")
     rho0 = DensityOperator(np.outer(psi0, psi0.conj()), (2, 2))
-    c_free = concurrence(dephased_state(rho0, static_dephasing_factors(p_free, grid)))
+    c_free = concurrence(dephased_state(rho0, np.exp(-0.5 * ou_phase_variance(p_free, grid))))
     worst_free = np.max(np.abs(c_free - np.exp(-0.5 * (sigma * grid) ** 2)))
-    c_echo = concurrence(dephased_state(rho0, static_dephasing_factors(p_echo, grid), grid > tbar))
+    c_echo = concurrence(dephased_state(rho0, np.exp(-0.5 * ou_phase_variance(p_echo, grid)), grid > tbar))
     target = np.exp(-0.5 * (sigma * np.where(grid <= tbar, grid, grid - 2 * tbar)) ** 2)
     worst_echo = np.max(np.abs(c_echo - target))
     worst_eav = max(abs(average_entanglement(static_noise_ensemble(psi0, p_echo, t)) - 1.0) for t in grid)
@@ -214,8 +247,8 @@ def criterion_6(threads: int = 1) -> CriterionResult:
     local = np.max(np.abs(dec.local))
     const_dev = np.max(np.abs(dec.total - dec.total[0]))
     residual = np.max(np.abs(dec.residual))
-    tau_max = find_local_extrema(dec.tripartite, "max", plateau_tol=1e-12)
-    c_min = find_local_extrema(cs, "min", plateau_tol=1e-12)
+    tau_max = find_local_extrema(dec.tripartite, "max")
+    c_min = find_local_extrema(cs, "min")
     paired = (
         len(tau_max) > 0
         and len(c_min) > 0
@@ -303,7 +336,7 @@ def criterion_9(threads: int = 1) -> CriterionResult:
     ou_factor = np.exp(-0.5 * ou_phase_variance(p_ou, 1.4))
     p_strobo = StroboscopicParams(phase_sigma=0.7, autocorrelation=0.4, echo_after_step=2)
     strobo_factor = np.exp(-0.5 * stroboscopic_phase_variance(p_strobo, 3))
-    static_factor = static_dephasing_factors(StaticNoiseParams(1.0, echo_time=0.8), [1.7])[0]
+    static_factor = np.exp(-0.5 * ou_phase_variance(StaticNoiseParams(1.0, echo_time=0.8), 1.7))
     rtn_factor = rtn_coherence(RTNParams(1.0, 2.0), 1.2)
     # channel name -> matrix-level map on arbitrary two-qubit inputs
     channels = {

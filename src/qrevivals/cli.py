@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .acceptance import run_all
 from .linalg import NumericalError
 from .scenarios import ConfigError, parse_config, parse_sweep_values, run_scenario, sweep
 
@@ -119,6 +118,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from .acceptance import run_all  # the oracles load only for selftest
+
     results = run_all(threads=args.threads, stream=sys.stdout)
     failed = [r for r in results if not r.passed]
     sys.stdout.write(f"{len(results) - len(failed)}/{len(results)} criteria passed\n")

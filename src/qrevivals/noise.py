@@ -1,9 +1,10 @@
 """Classical-noise channels acting on qubit B of a two-qubit pair.
 
 Four models: the two-phase random driving field (with optional Gaussian
-broadening of the Rabi frequency), quasi-static Gaussian dephasing with an
-optional echo pulse, its finite-correlation-time Ornstein-Uhlenbeck extension,
-random telegraph noise, and the four-step stroboscopic dephasing channel.
+broadening of the Rabi frequency), Ornstein-Uhlenbeck dephasing with an
+optional echo pulse (quasi-static at an infinite correlation time, by the same
+law ``ou_phase_variance``), random telegraph noise, and the four-step
+stroboscopic dephasing channel.
 All have one shape, a random phase on qubit B: its average scales the
 |0><1|_B coherences by a closed-form factor f(t) (``apply_b_dephasing``), in
 the frame of a Hadamard on B for the field. The Monte-Carlo path samplers
@@ -29,6 +30,7 @@ import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -66,7 +68,7 @@ class StaticNoiseParams:
     """Longitudinal Gaussian dephasing noise of strength sigma.
 
     ``correlation_time`` = inf selects the quasi-static regime; a finite value
-    selects Ornstein-Uhlenbeck noise. Both are closed-form Gaussian averages.
+    selects Ornstein-Uhlenbeck noise; ou_phase_variance gives the phase variance of both.
     ``echo_time`` schedules an instantaneous sigma_x pulse.
     """
 
@@ -124,15 +126,13 @@ class StroboscopicParams:
     phase_sigma: float
     autocorrelation: float
     echo_after_step: int | None = None
-    steps: int = 4
+    steps: ClassVar[int] = 4
 
     def __post_init__(self):
         if self.phase_sigma < 0.0:
             raise ValueError(f"phase_sigma={self.phase_sigma} must be >= 0")
         if not 0.0 <= self.autocorrelation <= 1.0:
             raise ValueError(f"autocorrelation={self.autocorrelation} outside [0, 1]")
-        if self.steps < 1:
-            raise ValueError(f"steps={self.steps} must be >= 1")
         if self.echo_after_step is not None and not 1 <= self.echo_after_step < self.steps:
             raise ValueError(
                 f"echo_after_step={self.echo_after_step} must lie in [1, {self.steps - 1}]"
@@ -397,7 +397,7 @@ def _mc_batches(seed: int, trajectories: int, threads: int, draw) -> list:
 
 
 # ---------------------------------------------------------------------------
-# quasi-static Gaussian dephasing with echo
+# quasi-static Gaussian dephasing with echo: the node-ensemble oracle
 # ---------------------------------------------------------------------------
 
 
@@ -411,22 +411,13 @@ def _echo_effective_duration(p: StaticNoiseParams, t):
     return np.where(echoed, 2.0 * p.echo_time - t, t), echoed
 
 
-def static_dephasing_factors(p: StaticNoiseParams, times) -> np.ndarray:
-    """<exp(-i eps u)> = exp(-sigma^2 u^2 / 2) over the Gaussian noise amplitude
-    eps ~ N(0, sigma^2) at every time of ``times``, u the effective
-    (echo-refocused) duration."""
-    u, _ = _echo_effective_duration(p, np.asarray(times, dtype=float).reshape(-1))
-    with np.errstate(over="ignore"):  # exp(-inf) = 0 is the limit
-        return np.exp(-0.5 * (p.sigma * u) ** 2)
-
-
 def static_noise_ensemble(
     psi0: np.ndarray, p: StaticNoiseParams, t: float, order: int = 64
 ) -> WeightedPureEnsemble:
     """Pure-state ensemble over ``order`` Gauss-Hermite nodes of the noise
     amplitude generated from a pure input under quasi-static dephasing (with
     the echo pulse applied at echo_time if set); its mixture approximates the
-    dephased state of the closed-form static_dephasing_factors."""
+    state dephased by the closed form exp(-ou_phase_variance / 2) at tau = inf."""
     if not p.is_static:
         raise ValueError("static_noise_ensemble requires correlation_time = inf")
     psi0 = np.asarray(psi0, dtype=complex).reshape(2, 2)  # (A, B) components
@@ -442,7 +433,7 @@ def static_noise_ensemble(
 
 
 # ---------------------------------------------------------------------------
-# Ornstein-Uhlenbeck extension (finite correlation time)
+# Ornstein-Uhlenbeck dephasing, quasi-static at correlation_time = inf
 # ---------------------------------------------------------------------------
 
 # Below this duration t / tau ou_phase_variance sums the Taylor series; its
@@ -462,7 +453,9 @@ def _g_over(y):
 def ou_phase_variance(p: StaticNoiseParams, t):
     """Exact variance of the accumulated phase theta(t) under Ornstein-Uhlenbeck
     noise (autocorrelation sigma^2 exp(-|s - s'|/tau)), with the sign flip of
-    the sigma_x echo pulse at echo_time.
+    the sigma_x echo pulse at echo_time. Quasi-static noise is its tau = inf
+    limit: there x = 0, so Var = sigma^2 u^2 exactly, u = t before the pulse
+    and 2 tbar - t after it (the echo-refocused duration).
 
     Without a pulse (or for t <= echo_time) this is the free variance
     F(t) = 2 sigma^2 tau^2 g(t/tau), g(x) = x - 1 + e^{-x}. After a pulse at
@@ -479,11 +472,10 @@ def ou_phase_variance(p: StaticNoiseParams, t):
     vanishing one 0. For x at or above _OU_SERIES_LIMIT,
     Q = 2 [2 u g(a)/a + 2 w g(b)/b - g(x)/x] / x; below it the bracket cancels
     to third order and Q is its Taylor series
-    (u - w)^2 + 2 sum_{n>=3} (-1)^n x^(n-2) [2 (u^n + w^n) - 1] / n!.
+    (u - w)^2 + 2 sum_{n>=3} (-1)^n x^(n-2) [2 (u^n + w^n) - 1] / n!,
+    summed only when some x is positive: at x = 0 it is (u - w)^2.
     Returns a float for scalar t, an array otherwise.
     """
-    if p.is_static:
-        raise ValueError("ou_phase_variance requires a finite correlation_time")
     t = np.asarray(t, dtype=float)
     if np.any(t < 0.0):
         raise ValueError("times must be nonnegative")
@@ -497,10 +489,11 @@ def ou_phase_variance(p: StaticNoiseParams, t):
     small = x < _OU_SERIES_LIMIT
     sx, su, sw = np.where(small, x, 0.0), np.where(small, u, 0.0), np.where(small, w, 0.0)
     series = (su - sw) ** 2
-    coeff = 1.0  # 2 (-1)^n / n!
-    for n in range(3, _OU_SERIES_TERMS + 1):
-        coeff /= -n
-        series = series + coeff * sx ** (n - 2) * (2.0 * (su**n + sw**n) - 1.0)
+    if sx.any():  # at x = 0 (t = 0 or tau = inf) every further term is 0
+        coeff = 1.0  # 2 (-1)^n / n!
+        for n in range(3, _OU_SERIES_TERMS + 1):
+            coeff /= -n
+            series = series + coeff * sx ** (n - 2) * (2.0 * (su**n + sw**n) - 1.0)
     x_safe = np.where(small, 1.0, x)
     closed = 2.0 * (2.0 * u * _g_over(a) + 2.0 * w * _g_over(b) - _g_over(x_safe)) / x_safe
     q = np.maximum(np.where(small, series, closed), 0.0)

@@ -65,7 +65,6 @@ from .noise import (
     field_factors,
     ou_phase_variance,
     rtn_coherence,
-    static_dephasing_factors,
     stroboscopic_phase_variance,
 )
 from .states import BELL_LABELS, EWLParams, XYZParams, bell_state, ewl_state, xyz_state
@@ -486,18 +485,19 @@ def _rtn_params(cfg: ScenarioConfig) -> RTNParams:
         t = _grid_values(cfg)
         with np.errstate(over="ignore"):
             if np.any((np.exp(-t) > 0.0) & ~np.isfinite(g * t)):
-                raise ConfigError(f"[rtn] g: the phase g*rate*t overflows at g = {g:g} where exp(-rate*t) > 0 "
-                                  f"(time-stop = {cfg.time_stop:g})")
+                phase = "g*rate*t" if key == "g" else "coupling*t"
+                raise ConfigError(f"[rtn] {key}: the phase {phase} overflows at {key} = {cfg.param(key):g} "
+                                  f"where exp(-rate*t) > 0 (time-stop = {cfg.time_stop:g})")
     return RTNParams(rate=1.0, coupling=g)
 
 
 def _strobo_params(cfg: ScenarioConfig) -> StroboscopicParams:
     v = _grid_values(cfg)
-    steps = np.round(v)
-    bad = ~((np.abs(v - steps) <= 1e-9) & (steps >= 0) & (steps <= 4))
+    steps, last = np.round(v), StroboscopicParams.steps
+    bad = ~((np.abs(v - steps) <= 1e-9) & (steps >= 0) & (steps <= last))
     if bad.any():
         raise ConfigError(
-            f"[scenario] time grid for 'stroboscopic' must be integer steps in [0, 4], got {v[bad][0]}"
+            f"[scenario] time grid for 'stroboscopic' must be integer steps in [0, {last}], got {v[bad][0]}"
         )
     return StroboscopicParams(
         phase_sigma=cfg.param("phase-sigma"),
@@ -510,16 +510,9 @@ def _field_channel(p: RandomFieldParams, grid):
     return field_factors(p, grid).real
 
 
-def _static_channel(p: StaticNoiseParams, grid):
-    return static_dephasing_factors(p, grid)
-
-
-def _ou_channel(p: StaticNoiseParams, grid):
+def _gaussian_channel(p: StaticNoiseParams, grid):
+    # static noise is the correlation_time = inf limit of the same law
     return np.exp(-0.5 * ou_phase_variance(p, grid))
-
-
-def _rtn_channel(p: RTNParams, grid):
-    return rtn_coherence(p, grid)
 
 
 def _strobo_channel(p: StroboscopicParams, grid):
@@ -581,6 +574,7 @@ _DEPHASING_KEYS = {"echo-time": (float, _OMITTED), "sigma": (float, _REQUIRED)}
 _MIXTURE_MEASURES = ("concurrence", "eof", "hidden-entanglement", "average-entanglement")
 # the field turns qubit B about +/-x: a z phase in the frame of a Hadamard on B
 _field_evaluate = partial(_dephasing_columns, _field_channel, frame=_x_frame)
+_gaussian_evaluate = partial(_dephasing_columns, _gaussian_channel)
 # models that accept the 'trajectories' key of their former Monte-Carlo runner;
 # it is checked and echoed but acts on nothing
 _TRAJECTORY_MODELS = ("ou-noise", "stroboscopic")
@@ -589,12 +583,11 @@ _MODEL_TABLE = {
     "random-field": _Model(_FIELD_KEYS, _MIXTURE_MEASURES, _field_params, _field_evaluate),
     "random-field-gaussian": _Model({"rabi": (float, _REQUIRED), "width": (float, _REQUIRED)}, _MIXTURE_MEASURES,
                                     _field_params, _field_evaluate),
-    "static-noise": _Model(_DEPHASING_KEYS, _MIXTURE_MEASURES, _dephasing_params,
-                           partial(_dephasing_columns, _static_channel)),
+    "static-noise": _Model(_DEPHASING_KEYS, _MIXTURE_MEASURES, _dephasing_params, _gaussian_evaluate),
     "ou-noise": _Model({"correlation-time": (float, _REQUIRED), **_DEPHASING_KEYS}, _MIXTURE_MEASURES,
-                       _dephasing_params, partial(_dephasing_columns, _ou_channel)),
+                       _dephasing_params, _gaussian_evaluate),
     "rtn": _Model({"coupling": (float, _OMITTED), "g": (float, _OMITTED), "rate": (float, _REQUIRED)},
-                  _MIXTURE_MEASURES, _rtn_params, partial(_dephasing_columns, _rtn_channel)),
+                  _MIXTURE_MEASURES, _rtn_params, partial(_dephasing_columns, rtn_coherence)),
     "stroboscopic": _Model({"autocorrelation": (float, _REQUIRED), "echo-after-step": (int, _OMITTED),
                             "phase-sigma": (float, _REQUIRED)}, _MIXTURE_MEASURES, _strobo_params,
                            partial(_dephasing_columns, _strobo_channel)),

@@ -88,34 +88,3 @@ def flow_measures(
     )
     return concurrence(partial_trace(st.rho, (0, 1))), information_decomposition(st.rho)
 
-
-def find_local_extrema(
-    values, kind: str = "max", plateau_tol: float = 1e-12, include_edges: bool = False
-) -> list[int]:
-    """Indices of local maxima or minima of a sampled series.
-
-    Runs of consecutive values equal within ``plateau_tol`` are collapsed to a
-    single candidate at the run midpoint (dark periods of exactly zero
-    concurrence form such plateaus). Edge runs count only when
-    ``include_edges`` is set.
-    """
-    if kind not in ("max", "min"):
-        raise ValueError("kind must be 'max' or 'min'")
-    y = np.asarray(values, dtype=float).reshape(-1)
-    if y.size < 3:
-        return []
-    runs = []  # (start, end) inclusive
-    start = 0
-    for i in range(1, y.size):
-        if abs(y[i] - y[start]) > plateau_tol:
-            runs.append((start, i - 1))
-            start = i
-    runs.append((start, y.size - 1))
-    sign = 1.0 if kind == "max" else -1.0
-    out = []
-    for r, (a, b) in enumerate(runs):
-        left_ok = r > 0 and sign * (y[a] - y[runs[r - 1][1]]) > 0
-        right_ok = r < len(runs) - 1 and sign * (y[b] - y[runs[r + 1][0]]) > 0
-        if (left_ok and right_ok) or (include_edges and (left_ok or right_ok) and (a == 0 or b == y.size - 1)):
-            out.append((a + b) // 2)
-    return out

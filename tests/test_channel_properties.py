@@ -13,7 +13,6 @@ from qrevivals.noise import (
     field_channel,
     ou_phase_variance,
     rtn_coherence,
-    static_dephasing_factors,
     stroboscopic_phase_variance,
 )
 
@@ -34,7 +33,7 @@ def channel_cases():
     ou_factor = np.exp(-0.5 * ou_phase_variance(StaticNoiseParams(sigma=1.0, echo_time=0.9, correlation_time=4.0), 1.5))
     strobo_factor = np.exp(-0.5 * stroboscopic_phase_variance(
         StroboscopicParams(phase_sigma=0.5, autocorrelation=0.6, echo_after_step=1), 3))
-    static_factor = static_dephasing_factors(StaticNoiseParams(sigma=1.0, echo_time=1.0), [1.8])[0]
+    static_factor = np.exp(-0.5 * ou_phase_variance(StaticNoiseParams(sigma=1.0, echo_time=1.0), 1.8))
     rtn_factor = rtn_coherence(RTNParams(rate=1.0, coupling=3.0), 0.8)
     return [
         (
@@ -78,6 +77,6 @@ def test_dephasing_factor_magnitudes_bounded():
     assert np.all((var >= 0.0) & (np.exp(-0.5 * var) <= 1.0))
     var = stroboscopic_phase_variance(StroboscopicParams(phase_sigma=0.5, autocorrelation=0.3), np.arange(5))
     assert np.all((var >= 0.0) & (np.exp(-0.5 * var) <= 1.0))
-    f = static_dephasing_factors(StaticNoiseParams(sigma=1.0), [2.5])[0]
+    f = np.exp(-0.5 * ou_phase_variance(StaticNoiseParams(sigma=1.0), 2.5))
     assert abs(f) <= 1.0 + 1e-12
     assert abs(rtn_coherence(RTNParams(rate=1.0, coupling=5.0), 1.7)) <= 1.0

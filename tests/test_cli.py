@@ -1,5 +1,8 @@
 import dataclasses
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -483,7 +486,7 @@ class TestEchoFlags:
             want = _gaussian_phase_ensemble(self.PSI0, variance, flag, 64).average_state().matrix
             assert np.max(np.abs(dephased_state(self.BELL, factor, flag).matrix - want)) < 1e-12
 
-    def test_static_channel(self):
+    def test_static_noise_channel(self):
         p = StaticNoiseParams(sigma=1.0, echo_time=1.5)
         times = np.array([0.5, 1.0, 1.5, 1.8, 2.4, 2.9])
         refocused = np.where(times > p.echo_time, 2.0 * p.echo_time - times, times)
@@ -957,6 +960,15 @@ class TestValuesBeyondFloats:
             assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out.csv")]) == 0
             assert capsys.readouterr().err == "" and np.all(np.isfinite(_data_rows(tmp_path / "out.csv")))
 
+    @pytest.mark.parametrize("rate, coupling", [("1.0", "1e307"), ("2.0", "2e307")])
+    def test_overflowing_rtn_phase_names_the_coupling(self, tmp_path, capsys, rate, coupling):
+        # given coupling, not g: the error names the key and the value written
+        text = _set(_set(RTN_CFG.replace("time-stop = 10.0", "time-stop = 100.0").replace("g = 5.0\n", ""),
+                         "rate", rate), "coupling", coupling)
+        want = (f"config error: [rtn] coupling: the phase coupling*t overflows at coupling = {float(coupling):g} "
+                "where exp(-rate*t) > 0 (time-stop = 100)\n")
+        assert _cli_error(tmp_path, capsys, text) == (1, want)
+
     def test_time_points_beyond_cap_is_one_config_error(self, tmp_path, capsys):
         # 2**62 points fit in 64 bits but not in memory: refused before the grid is built
         code, err = _cli_error(tmp_path, capsys, RTN_CFG.replace("time-points = 11", f"time-points = {2**62}"))
@@ -1154,3 +1166,12 @@ def test_names_the_benchmark_runner_calls_resolve():
     times = np.linspace(0.0, 8.0, 5)
     mean, se = noise.rtn_mc_coherence_grid(noise.RTNParams(rate=1.0, coupling=2.0), times, 10_000, 3, threads=2)
     assert mean.shape == se.shape == times.shape
+
+
+def test_cli_import_leaves_the_acceptance_suite_out():
+    # simulate and sweep never load the selftest code; selftest imports it itself
+    src = str(Path(qrevivals.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, qrevivals.cli; print('qrevivals.cli' in sys.modules, 'qrevivals.acceptance' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["True", "False"]

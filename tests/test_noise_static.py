@@ -11,7 +11,6 @@ from qrevivals.noise import (
     dephased_state,
     ou_mc_dephasing_factors,
     ou_phase_variance,
-    static_dephasing_factors,
     static_noise_ensemble,
 )
 from qrevivals.states import bell_state
@@ -22,11 +21,15 @@ def bell_density(label):
     return DensityOperator(np.outer(psi, psi.conj()), (2, 2))
 
 
+def static_factors(p, times):
+    """The quasi-static dephasing factors: the OU law at correlation_time = inf."""
+    return np.exp(-0.5 * ou_phase_variance(p, times))
+
+
 def static_states(label, p, times):
     """The quasi-static dephasing channel on a Bell input at every time of ``times``."""
     times = np.asarray(times, dtype=float)
-    return dephased_state(bell_density(label), static_dephasing_factors(p, times),
-                          _echo_effective_duration(p, times)[1])
+    return dephased_state(bell_density(label), static_factors(p, times), _echo_effective_duration(p, times)[1])
 
 
 def _graded_rule(lo, hi, scale, toward_hi=False):
@@ -125,7 +128,7 @@ class TestStaticNoise:
         # <exp(-i eps u)> = exp(-sigma^2 u^2 / 2), u = 2 tbar - t after the echo
         p = StaticNoiseParams(sigma=1.3, echo_time=2.0)
         times = np.linspace(0.0, 4.0, 37)
-        factors = static_dephasing_factors(p, times)
+        factors = static_factors(p, times)
         u = np.where(times > 2.0, 4.0 - times, times)
         assert np.max(np.abs(factors - np.exp(-0.5 * (1.3 * u) ** 2))) < 1e-12
 
@@ -136,7 +139,7 @@ class TestStaticNoise:
         p = StaticNoiseParams(sigma=3.0, echo_time=2.0)
         times = np.linspace(0.0, 10.0, 41)
         u = np.where(times > 2.0, 4.0 - times, times)
-        assert np.max(np.abs(static_dephasing_factors(p, times) - np.exp(-0.5 * (3.0 * u) ** 2))) <= 1e-15
+        assert np.max(np.abs(static_factors(p, times) - np.exp(-0.5 * (3.0 * u) ** 2))) <= 1e-15
         states = static_states("2+", p, times).matrix
         for k, t in enumerate(times):
             ens = static_noise_ensemble(bell_state("2+"), p, t, 256)
@@ -253,9 +256,27 @@ class TestOUPhaseVariance:
             assert below == pytest.approx(at, rel=1e-13)
             assert above == pytest.approx(at, rel=1e-13)
 
-    def test_requires_finite_correlation_time(self):
-        with pytest.raises(ValueError):
-            ou_phase_variance(StaticNoiseParams(sigma=1.0, echo_time=1.0), 2.0)
+    @pytest.mark.parametrize("t_end", [8.0, 1e300, 1.7e308])
+    @pytest.mark.parametrize("echo_fraction", [None, 0.3])
+    def test_infinite_correlation_time_is_the_static_variance(self, t_end, echo_fraction):
+        # tau = inf is quasi-static noise: x = t / tau = 0 on the whole grid, so
+        # Var = (sigma u)^2, u = t before the pulse and tbar - (t - tbar) after
+        # it, within a few ulps of (sigma t)^2 (u cancels near the refocus at
+        # 2 tbar), from t = 0 to the grid end; a RuntimeWarning fails the test
+        times = t_end * np.linspace(0.0, 1.0, 11)
+        tbar = None if echo_fraction is None else echo_fraction * t_end
+        sigma = 1.3 / t_end  # (sigma t)^2 stays finite up to the grid end
+        var = ou_phase_variance(StaticNoiseParams(sigma, echo_time=tbar), times)
+        u = times if tbar is None else np.where(times > tbar, tbar - (times - tbar), times)
+        assert var[0] == 0.0
+        assert np.all(np.abs(var - (sigma * u) ** 2) <= 4.0 * np.spacing((sigma * times) ** 2))
+        if tbar is None:
+            assert np.array_equal(var, (sigma * times) ** 2)
+        # at sigma = 1 the variance overflows to inf exactly where (sigma u)^2 does
+        with np.errstate(over="ignore"):
+            want = u**2
+        assert np.array_equal(ou_phase_variance(StaticNoiseParams(1.0, echo_time=tbar), times) == np.inf,
+                              want == np.inf)
 
     def test_recovery_improves_with_correlation_time(self):
         tbar = 4.0

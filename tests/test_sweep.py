@@ -1,6 +1,9 @@
 """A sweep is one stacked evaluation of its values; each of its files must
 equal ``simulate`` on the config with that value written in, byte for byte,
 apart from the two ``sweep.*`` metadata lines."""
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
 
@@ -119,16 +122,18 @@ def test_initial_state_built_once_per_sweep(monkeypatch):
 def test_numerical_error_names_the_value_and_the_time(monkeypatch):
     text = dict((c[0], c[1:]) for c in CASES)["rtn-g-blocks"][0]
     values = [0.5, 1.0, 2.0, 3.0, 4.0]
-    original = scenarios.rtn_coherence
+    row = scenarios._MODEL_TABLE["rtn"]
 
     def nan_at_g3(p, t):
-        q = original(p, t)
+        q = scenarios.rtn_coherence(p, t)
         if p.g == 3.0:
             q = q.copy()
             q[7] = np.nan
         return q
 
-    monkeypatch.setattr(scenarios, "rtn_coherence", nan_at_g3)
+    # the row names its channel, rtn_coherence, so the channel is replaced in the row
+    monkeypatch.setitem(scenarios._MODEL_TABLE, "rtn", dataclasses.replace(
+        row, evaluate=functools.partial(scenarios._dephasing_columns, nan_at_g3)))
     # value 3 of the sweep is the second of the block that starts at value 2
     with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match=r"stack index \(3, 7\)") as info:
         sweep(parse_config_text(text), "g", values)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qrevivals.acceptance import find_local_extrema
 from qrevivals.linalg import DensityOperator, EYE2, SIGMA_X, partial_trace, von_neumann_entropy
 from qrevivals.measures import concurrence, mutual_information, tripartite_correlations
 from qrevivals.noise import FIELD_PHASES, RandomFieldParams, field_channel, field_unitary
@@ -9,7 +10,6 @@ from qrevivals.tripartite import (
     HybridTripartiteState,
     embed_initial,
     evolve_abe_grid,
-    find_local_extrema,
     flow_measures,
     ube_unitary,
 )
