@@ -48,20 +48,13 @@ from .noise import (
 )
 from .scenarios import ConfigError, ScenarioConfig, parse_config, parse_config_text, run_scenario, sweep
 from .states import BELL_LABELS, EWLParams, XYZParams, bell_state, ewl_state, xyz_state
-from .tripartite import (
-    HybridTripartiteState,
-    embed_initial,
-    evolve_abe_grid,
-    flow_measures,
-    ube_unitary,
-)
+from .tripartite import flow_measures
 
 __all__ = [
     "BELL_LABELS",
     "ConfigError",
     "DensityOperator",
     "EWLParams",
-    "HybridTripartiteState",
     "InformationDecomposition",
     "PositivityError",
     "RTNParams",
@@ -76,9 +69,7 @@ __all__ = [
     "bell_state",
     "concurrence",
     "dephased_state",
-    "embed_initial",
     "eof_from_concurrence",
-    "evolve_abe_grid",
     "ewl_state",
     "field_channel",
     "field_unitary",
@@ -102,7 +93,6 @@ __all__ = [
     "sweep",
     "tensor_product",
     "tripartite_correlations",
-    "ube_unitary",
     "von_neumann_entropy",
     "xyz_state",
 ]

@@ -145,25 +145,30 @@ def information_decomposition(rho_abe: DensityOperator) -> InformationDecomposit
     tau is the minimum over the three bipartitions of S(pair) + S(single) -
     S(rho_ABE), the mutual information across each cut."""
     _require_three_qubits(rho_abe)
-    s_full = von_neumann_entropy(rho_abe)
-    singles = [von_neumann_entropy(partial_trace(rho_abe, (k,))) for k in range(3)]
-    pairs = {
-        (0, 1): von_neumann_entropy(partial_trace(rho_abe, (0, 1))),
-        (0, 2): von_neumann_entropy(partial_trace(rho_abe, (0, 2))),
-        (1, 2): von_neumann_entropy(partial_trace(rho_abe, (1, 2))),
-    }
+    return decomposition_from_entropies(
+        von_neumann_entropy(rho_abe),
+        [von_neumann_entropy(partial_trace(rho_abe, (k,))) for k in range(3)],
+        [von_neumann_entropy(partial_trace(rho_abe, pair)) for pair in ((0, 1), (0, 2), (1, 2))],
+    )
+
+
+def decomposition_from_entropies(s_full, singles, pairs) -> InformationDecomposition:
+    """The information decomposition of a three-qubit state from its entropies:
+    ``s_full`` of the whole, ``singles`` of the marginals (0,), (1,), (2,) and
+    ``pairs`` of the marginals (0, 1), (0, 2), (1, 2) (floats, or arrays of
+    one shape)."""
     ln2 = np.log(2.0)
     total = 3.0 * ln2 - s_full
     local = (ln2 - singles[0]) + (ln2 - singles[1]) + (ln2 - singles[2])
     tau = np.minimum.reduce([
-        pairs[(0, 1)] + singles[2] - s_full,
-        pairs[(0, 2)] + singles[1] - s_full,
-        pairs[(1, 2)] + singles[0] - s_full,
+        pairs[0] + singles[2] - s_full,
+        pairs[1] + singles[1] - s_full,
+        pairs[2] + singles[0] - s_full,
     ])
     mu2 = np.maximum.reduce([
-        singles[0] + singles[1] - pairs[(0, 1)],
-        singles[0] + singles[2] - pairs[(0, 2)],
-        singles[1] + singles[2] - pairs[(1, 2)],
+        singles[0] + singles[1] - pairs[0],
+        singles[0] + singles[2] - pairs[1],
+        singles[1] + singles[2] - pairs[2],
     ])
     return InformationDecomposition(
         total=_value(total),

@@ -408,7 +408,9 @@ def _echo_effective_duration(p: StaticNoiseParams, t):
     if p.echo_time is None:
         return t, np.zeros(t.shape, dtype=bool)
     echoed = t > p.echo_time
-    return np.where(echoed, 2.0 * p.echo_time - t, t), echoed
+    # tbar - (t - tbar), not 2 tbar - t, which overflows for tbar > max/2; the
+    # two agree bit for bit wherever t <= 2 tbar, where t - tbar is exact
+    return np.where(echoed, p.echo_time - (t - p.echo_time), t), echoed
 
 
 def static_noise_ensemble(
@@ -494,9 +496,12 @@ def ou_phase_variance(p: StaticNoiseParams, t):
         for n in range(3, _OU_SERIES_TERMS + 1):
             coeff /= -n
             series = series + coeff * sx ** (n - 2) * (2.0 * (su**n + sw**n) - 1.0)
-    x_safe = np.where(small, 1.0, x)
-    closed = 2.0 * (2.0 * u * _g_over(a) + 2.0 * w * _g_over(b) - _g_over(x_safe)) / x_safe
-    q = np.maximum(np.where(small, series, closed), 0.0)
+    q = series
+    if not small.all():  # the closed form, only where some point takes it
+        x_safe = np.where(small, 1.0, x)
+        closed = 2.0 * (2.0 * u * _g_over(a) + 2.0 * w * _g_over(b) - _g_over(x_safe)) / x_safe
+        q = np.where(small, series, closed)
+    q = np.maximum(q, 0.0)
     with np.errstate(over="ignore"):  # a variance beyond the float range is inf
         var = (p.sigma * (t * np.sqrt(q))) ** 2
     return float(var) if var.ndim == 0 else var

@@ -180,8 +180,8 @@ def _build(section: str, builder, *args, **kwargs):
         raise ConfigError(f"[{section}] {str(exc).replace('_', '-')}") from exc
 
 
-# most grid points of a scenario: at the cap the (T, 8, 8) complex flows stack
-# takes 64 MiB
+# most grid points of a scenario: at the cap the (2, T, 4, 4) complex stack of
+# the flows' register blocks takes 32 MiB
 MAX_TIME_POINTS = 2**16
 
 
@@ -344,8 +344,9 @@ class ScenarioResult:
         for k, v in self.metadata:
             buf.write(f"# {k} = {v}\n")
         buf.write(",".join(self.columns) + "\n")
-        for row in self.rows.tolist():  # Python floats format faster than numpy scalars
-            buf.write(",".join(format(v, ".17g") for v in row) + "\n")
+        # one %-format of every row: Python floats, as format(v, ".17g") gives them
+        line = ",".join(["%.17g"] * self.rows.shape[1]) + "\n"
+        buf.write((line * self.rows.shape[0]) % tuple(self.rows.ravel().tolist()))
         return buf.getvalue()
 
 
@@ -412,8 +413,8 @@ def _two_qubit_columns(rho: DensityOperator) -> dict:
     return {"concurrence": [conc], "eof": [eof_from_concurrence(conc)]}
 
 
-# grid points (values x times) per dephased-state stack: a (V, T) evaluation
-# runs in blocks of whole values, so its memory does not grow with V
+# grid points (values x times) per stack: a (V, T) evaluation runs in blocks
+# of whole values, so its memory does not grow with V
 _BLOCK_POINTS = 512
 
 
@@ -422,16 +423,15 @@ def _reindexed(exc: NumericalError, index: tuple) -> NumericalError:
     return type(exc)(str(exc).replace(_stack_where(exc.index), _stack_where(index)), index)
 
 
-def _dephased_columns(rho0: DensityOperator, factors: np.ndarray) -> dict:
-    """Two-qubit columns of the dephasing of qubit B by (V, T) factors, one
-    dephased_state stack per block of values.
-    The stack index (value, time) of a NumericalError counts values from the
-    first, not from the block's."""
-    size = max(1, _BLOCK_POINTS // factors.shape[1])
+def _in_blocks(evaluate: Callable, n_values: int, n_times: int) -> dict:
+    """Columns of a (V, T) evaluation, ``evaluate(block)`` on a slice of whole
+    values at a time, joined. The stack index (value, ...) of a NumericalError
+    counts values from the first, not from the block's."""
+    size = max(1, _BLOCK_POINTS // n_times)
     parts = []
-    for start in range(0, factors.shape[0], size):
+    for start in range(0, n_values, size):
         try:
-            parts.append(_two_qubit_columns(dephased_state(rho0, factors[start:start + size])))
+            parts.append(evaluate(slice(start, start + size)))
         except NumericalError as exc:
             if start == 0 or not exc.index:
                 raise
@@ -527,12 +527,14 @@ def _dephasing_columns(channel: Callable, cfg: ScenarioConfig, ps: list, frame=N
     Each noise realisation is a phase on B, so no column sees the echo's sigma_x
     or the change of frame back, and neither is applied. Every member of the
     pure ensemble the channel makes of the pure rho0 keeps E_f(rho0): that is
-    the average entanglement, and E_f(rho0) - eof the hidden.
+    the average entanglement, and E_f(rho0) - eof the hidden. The (V, T)
+    factors dephase one dephased_state stack per block of values.
     """
     grid = _grid_values(cfg)
     rho0 = cfg.rho0
-    columns = _dephased_columns(rho0 if frame is None else DensityOperator(frame(rho0.matrix), (2, 2)),
-                                np.stack([channel(p, grid) for p in ps]))
+    framed = rho0 if frame is None else DensityOperator(frame(rho0.matrix), (2, 2))
+    factors = np.stack([channel(p, grid) for p in ps])
+    columns = _in_blocks(lambda block: _two_qubit_columns(dephased_state(framed, factors[block])), *factors.shape)
     if any(m in cfg.measures for m in _ENSEMBLE_MEASURES):
         average, eof = eof_from_concurrence(concurrence(rho0)), columns["eof"][0]
         columns["hidden-entanglement"] = [average - eof]
@@ -541,22 +543,19 @@ def _dephasing_columns(channel: Callable, cfg: ScenarioConfig, ps: list, frame=N
 
 
 def _flow_columns(cfg: ScenarioConfig, ps: list[RandomFieldParams]) -> dict:
+    """Flow columns of V field values, one flow_measures stack per block of values."""
     grid = _grid_values(cfg)
-    parts = []
-    for v, p in enumerate(ps):
-        try:
-            conc, dec = flow_measures(cfg.rho0, p, grid)
-        except NumericalError as exc:
-            if not exc.index:
-                raise
-            raise _reindexed(exc, (v,) + exc.index) from exc
-        parts.append({
+
+    def columns(block: slice) -> dict:
+        conc, dec = flow_measures(cfg.rho0, ps[block], grid)
+        return {
             "concurrence": [conc],
             "eof": [eof_from_concurrence(conc)],
             "tripartite": [dec.tripartite],
             "info-decomposition": [dec.total, dec.local, dec.tripartite, dec.bipartite_max, dec.residual],
-        })
-    return _joined(parts)
+        }
+
+    return _in_blocks(columns, len(ps), grid.size)
 
 
 @dataclass(frozen=True)

@@ -214,6 +214,17 @@ class TestRunScenario:
         assert meta["config-hash"].startswith("sha256:")
         assert "kernel-backend" in meta
 
+    @pytest.mark.parametrize("rows", [
+        [[-0.0, 5e-324, 1.7976931348623157e308], [1.0 / 3.0, 0.0, -1e-300], [2.0**53, -2.5, 1e16]],
+        [[-0.0], [5e-324], [1.7976931348623157e308], [1.0 / 3.0]],  # one column
+    ])
+    def test_rows_format_as_each_float(self, rows):
+        res = scenarios.ScenarioResult(metadata=(("format", "x"),), columns=("a", "b", "c")[:len(rows[0])],
+                                       rows=np.array(rows))
+        per_float = "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in rows)
+        head = f"# format = x\n{','.join(res.columns)}\n"
+        assert res.to_csv() == head + per_float
+
     def test_byte_identical_rerun(self):
         cfg = parse_config_text(OU_CFG)
         assert run_scenario(cfg).to_csv() == run_scenario(cfg).to_csv()

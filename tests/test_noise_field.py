@@ -11,7 +11,8 @@ from qrevivals.noise import (
     field_unitary,
 )
 from qrevivals.states import XYZParams, xyz_state
-from qrevivals.tripartite import embed_initial, evolve_abe_grid
+
+from abe_dilation import embed_initial, evolve_abe_grid
 
 X4 = tensor_product(EYE2, SIGMA_X)
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qrevivals import noise
 from qrevivals.linalg import EYE2, SIGMA_X, DensityOperator
 from qrevivals.measures import average_entanglement, concurrence, eof_from_concurrence
 from qrevivals.noise import (
@@ -145,6 +146,24 @@ class TestStaticNoise:
             ens = static_noise_ensemble(bell_state("2+"), p, t, 256)
             assert np.max(np.abs(states[k] - ensemble_mixture(ens))) < 1e-13
 
+    def test_echo_duration_near_the_float_limit(self):
+        # 2 tbar overflows, tbar - (t - tbar) does not: the ensemble's mixture is
+        # the closed form exp(-Var/2), Var = (sigma u)^2 = 0.81; a RuntimeWarning fails
+        p = StaticNoiseParams(sigma=1e-308, echo_time=1.3e308)
+        u, echoed = _echo_effective_duration(p, 1.7e308)
+        assert echoed and u == 1.3e308 - (1.7e308 - 1.3e308)
+        assert ou_phase_variance(p, 1.7e308) == pytest.approx(0.81, rel=1e-14)
+        mixture = ensemble_mixture(static_noise_ensemble(bell_state("2+"), p, 1.7e308))
+        assert np.max(np.abs(static_states("2+", p, [1.7e308]).matrix[0] - mixture)) < 1e-12
+
+    def test_echo_duration_bits_up_to_twice_the_echo_time(self):
+        # t - tbar is exact for tbar < t <= 2 tbar (Sterbenz), so u keeps the bits of 2 tbar - t
+        rng = np.random.default_rng(11)
+        for tbar in (1e-300, 0.37, 4.0, 1e300):
+            t = tbar * (1.0 + rng.random(200))
+            u, echoed = _echo_effective_duration(StaticNoiseParams(1.0, echo_time=tbar), t)
+            assert echoed.all() and np.array_equal(u, 2.0 * tbar - t)
+
     def test_requires_static_regime(self):
         p = StaticNoiseParams(sigma=1.0, correlation_time=5.0)
         with pytest.raises(ValueError):
@@ -244,6 +263,22 @@ class TestOUPhaseVariance:
             echo = ou_phase_variance(StaticNoiseParams(1.0, echo_time=tbar, correlation_time=tau), times)
             free = ou_phase_variance(StaticNoiseParams(1.0, correlation_time=tau), times)
             assert np.array_equal(echo, free), tau
+
+    @pytest.mark.parametrize("echo_time, tau, closed_calls", [
+        (None, np.inf, 0), (3.0, np.inf, 0),  # quasi-static: x = 0 everywhere
+        (None, 40.0, 0), (3.0, 40.0, 0),  # t / tau <= 0.15: every point takes the series
+        (3.0, 4.0, 3),  # t / tau up to 1.5: the closed form, three g(y)/y terms
+    ])
+    def test_closed_form_only_where_a_point_takes_it(self, monkeypatch, echo_time, tau, closed_calls):
+        calls = []
+        original = noise._g_over
+        monkeypatch.setattr(noise, "_g_over", lambda y: calls.append(1) or original(y))
+        p = StaticNoiseParams(1.0, echo_time=echo_time, correlation_time=tau)
+        times = np.linspace(0.0, 6.0, 128)
+        var = ou_phase_variance(p, times)
+        assert len(calls) == closed_calls
+        if np.isfinite(tau):  # the same bits with a point that takes the closed form appended
+            assert np.array_equal(ou_phase_variance(p, np.append(times, 10.0 * tau))[:-1], var)
 
     def test_continuous_across_series_branch(self):
         # the duration t / tau lands just below, on and just above the series limit

@@ -1,6 +1,7 @@
 """The grid-batched (stacked) layer: stacks of density operators, their
-measures, the (T, 8, 8) flows pipeline and the batched runners, each checked
-against per-point evaluation with single matrices."""
+measures, the flows pipeline and its (T, 8, 8) dilation oracle, and the
+batched runners, each checked against per-point evaluation with single
+matrices."""
 import numpy as np
 import pytest
 
@@ -26,7 +27,9 @@ from qrevivals.noise import (
 )
 from qrevivals.scenarios import parse_config_text, run_scenario
 from qrevivals.states import EWLParams, XYZParams, bell_state, ewl_state, xyz_state
-from qrevivals.tripartite import embed_initial, evolve_abe_grid, flow_measures
+from qrevivals.tripartite import flow_measures
+
+from abe_dilation import embed_initial, evolve_abe_grid
 
 
 def random_density(rng, dim):
@@ -192,15 +195,17 @@ class TestFlowPipeline:
             assert np.max(np.abs(batch[k] - oracle)) < 1e-13
 
     def test_needs_no_quadrature_rule(self, monkeypatch):
-        s0 = embed_initial(bell_density("2+"))
+        rho0 = bell_density("2+")
         p = RandomFieldParams(1.0, 0.1)
-        expected = evolve_abe_grid(s0, p, [0.0, 1.0])
+        conc, dec = flow_measures(rho0, p, [0.0, 1.0])
 
         def no_rule(order):
-            raise AssertionError("the flows dilation read a Gauss-Hermite rule")
+            raise AssertionError("the flows read a Gauss-Hermite rule")
 
         monkeypatch.setattr(noise, "_gh_nodes", no_rule)
-        assert np.array_equal(evolve_abe_grid(s0, p, [0.0, 1.0]), expected)
+        conc_again, dec_again = flow_measures(rho0, p, [0.0, 1.0])
+        assert np.array_equal(conc_again, conc)
+        assert all(np.array_equal(vars(dec_again)[k], v) for k, v in vars(dec).items())
 
 
 def test_rtn_rows_equal_per_point_evaluation():

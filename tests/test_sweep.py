@@ -102,6 +102,39 @@ def test_one_dephased_stack_per_block(monkeypatch):
     assert len(calls) == 6
 
 
+# 200 points: the flows of a width sweep run in blocks of two values, the last one partial
+FLOWS_BLOCKS = _cfg("tripartite-flows", "concurrence, eof, tripartite, info-decomposition", 12.0, 200, PURE_XYZ,
+                    {"rabi": 1.0, "width": 0.1})
+
+
+def test_one_flows_block_stack_per_block(monkeypatch):
+    calls = []
+    original = tripartite.dephased_state
+    monkeypatch.setattr(tripartite, "dephased_state", lambda *a, **k: calls.append(1) or original(*a, **k))
+    assert len(sweep(parse_config_text(FLOWS_BLOCKS), "width", [0.0, 0.1, 0.2, 0.3, 0.4])) == 5
+    assert len(calls) == 3
+    flows = dict((c[0], c[1:]) for c in CASES)["tripartite-flows-width"]
+    sweep(parse_config_text(flows[0]), "width", flows[2].split(","))
+    assert len(calls) == 4  # 3 values x 17 times fit one block
+
+
+def test_flows_numerical_error_in_a_later_block_names_the_value(monkeypatch):
+    original = tripartite.field_factors
+
+    def nan_at_width_03(p, times):
+        f = original(p, times)
+        if p.width == 0.3:
+            f = f.copy()
+            f[7] = np.nan
+        return f
+
+    monkeypatch.setattr(tripartite, "field_factors", nan_at_width_03)
+    # value 3 of the sweep is the second of the block that starts at value 2
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match=r"stack index \(3, 7\)") as info:
+        sweep(parse_config_text(FLOWS_BLOCKS), "width", [0.0, 0.1, 0.2, 0.3, 0.4])
+    assert info.value.index == (3, 7)
+
+
 def test_initial_state_built_once_per_sweep(monkeypatch):
     calls = []
     kind = scenarios._INITIAL_KINDS["xyz"]
@@ -152,7 +185,7 @@ def test_flows_numerical_error_names_the_value_and_the_time(monkeypatch):
         return f
 
     monkeypatch.setattr(tripartite, "field_factors", nan_at_width_01)
-    # each value's flows are one (T, 8, 8) stack; its error names the value too
+    # each block of values' flows is one stack; its error names the value too
     with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match=r"stack index \(1, 5\)") as info:
         sweep(parse_config_text(text), "width", [0.0, 0.1, 0.2])
     assert info.value.index == (1, 5)

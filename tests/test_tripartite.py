@@ -1,29 +1,24 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from qrevivals import linalg
 from qrevivals.acceptance import find_local_extrema
 from qrevivals.linalg import DensityOperator, EYE2, SIGMA_X, partial_trace, von_neumann_entropy
 from qrevivals.measures import concurrence, mutual_information, tripartite_correlations
 from qrevivals.noise import FIELD_PHASES, RandomFieldParams, field_channel, field_unitary
-from qrevivals.states import XYZParams, bell_state, xyz_state
-from qrevivals.tripartite import (
-    HybridTripartiteState,
-    embed_initial,
-    evolve_abe_grid,
-    flow_measures,
-    ube_unitary,
-)
+from qrevivals.scenarios import parse_config, run_scenario
+from qrevivals.states import EWLParams, XYZParams, bell_state, ewl_state, xyz_state
+from qrevivals.tripartite import flow_measures
+
+from abe_dilation import HybridTripartiteState, dilation_flow_measures, embed_initial, evolve, ube_unitary
 
 LN2 = np.log(2.0)
 
 
 def fig2_state():
     return xyz_state(XYZParams(1.0, 0.9, 1.0))
-
-
-def evolve(s0, p, times):
-    """The evolved dilations at every time of ``times``, checked as a state stack."""
-    return HybridTripartiteState(DensityOperator(evolve_abe_grid(s0, p, times), (2, 2, 2)))
 
 
 class TestEmbedInitial:
@@ -174,6 +169,60 @@ class TestFlowMeasures:
         # each time is evaluated on its own, so a grid that repeats one is no error
         cs, dec = flow_measures(fig2_state(), RandomFieldParams(1.0), [0.0, 0.0, 1.0])
         assert cs[0] == cs[1] and dec.total[0] == dec.total[1] and cs.shape == (3,)
+
+
+def _density(psi):
+    return DensityOperator(np.outer(psi, psi.conj()), (2, 2))
+
+
+FLOW_INPUTS = {
+    "bell-2+": lambda: _density(bell_state("2+")),
+    "bell-1-": lambda: _density(bell_state("1-")),
+    "xyz-rank-deficient": fig2_state,  # spectrum (0.9, 0.1, 0, 0)
+    "xyz-mixed": lambda: xyz_state(XYZParams(0.6, 0.8, 0.3)),
+    "xyz-pure": lambda: xyz_state(XYZParams(0.6, 1.0, 1.0)),
+    "ewl-complex-pure": lambda: ewl_state(EWLParams(r=1.0, a=0.6 + 0.3j, kind="two-excitation")),
+    "ewl-complex-mixed": lambda: ewl_state(EWLParams(r=0.8, a=0.6 + 0.3j, kind="one-excitation")),
+}
+FLOW_GRIDS = {
+    "period": np.linspace(0.0, 4 * np.pi, 37),  # starts at t = 0
+    "subnormal": np.array([0.0, 5e-324, 5e-324, 1e-320, 1e-320, 2.2e-308]),  # repeated times
+    "huge": np.array([0.0, 1.0, 1e299, 9.9e299, 1e300]),
+}
+
+
+class TestBlockFormAgainstDilation:
+    """The flows from two 4x4 register blocks against the (8, 8) dilation."""
+
+    @pytest.mark.parametrize("grid", FLOW_GRIDS.values(), ids=FLOW_GRIDS.keys())
+    @pytest.mark.parametrize("width", [0.0, 0.3])
+    @pytest.mark.parametrize("state", FLOW_INPUTS.values(), ids=FLOW_INPUTS.keys())
+    def test_rows_match_the_dilation(self, state, width, grid):
+        rho0, p = state(), RandomFieldParams(1.0, width)
+        conc, dec = flow_measures(rho0, p, grid)
+        conc_8, dec_8 = dilation_flow_measures(rho0, p, grid)
+        assert conc.shape == dec.total.shape == grid.shape
+        assert np.max(np.abs(conc - conc_8)) < 1e-12
+        for name, value in vars(dec).items():
+            assert np.max(np.abs(value - getattr(dec_8, name))) < 1e-12, name
+
+    def test_a_list_of_params_gives_one_row_per_value(self):
+        ps = [RandomFieldParams(1.0, w) for w in (0.0, 0.1, 0.3)]
+        grid = np.linspace(0.0, 9.0, 11)
+        conc, dec = flow_measures(fig2_state(), ps, grid)
+        assert conc.shape == dec.tripartite.shape == (3, 11)
+        for v, p in enumerate(ps):
+            conc_v, dec_v = flow_measures(fig2_state(), p, grid)
+            assert np.array_equal(conc[v], conc_v)
+            assert all(np.array_equal(getattr(dec, k)[v], value) for k, value in vars(dec_v).items())
+
+
+def test_no_eight_by_eight_state_on_the_cli_path(monkeypatch):
+    dims = []
+    original = linalg._density_spectrum
+    monkeypatch.setattr(linalg, "_density_spectrum", lambda m: dims.append(m.shape[-1]) or original(m))
+    run_scenario(parse_config(Path(__file__).parent / "golden" / "tripartite-flows.cfg"))
+    assert max(dims) == 4
 
 
 class TestFindLocalExtrema:
