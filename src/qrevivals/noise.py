@@ -475,7 +475,8 @@ def ou_phase_variance(p: StaticNoiseParams, t):
     Q = 2 [2 u g(a)/a + 2 w g(b)/b - g(x)/x] / x; below it the bracket cancels
     to third order and Q is its Taylor series
     (u - w)^2 + 2 sum_{n>=3} (-1)^n x^(n-2) [2 (u^n + w^n) - 1] / n!,
-    summed only when some x is positive: at x = 0 it is (u - w)^2.
+    summed only when some x is positive: at x = 0 it is (u - w)^2. Where x
+    overflows, Var = 2 sigma^2 tau t B, B = 2 u g(a)/a + 2 w g(b)/b - 1 = x Q / 2.
     Returns a float for scalar t, an array otherwise.
     """
     t = np.asarray(t, dtype=float)
@@ -504,6 +505,10 @@ def ou_phase_variance(p: StaticNoiseParams, t):
     q = np.maximum(q, 0.0)
     with np.errstate(over="ignore"):  # a variance beyond the float range is inf
         var = (p.sigma * (t * np.sqrt(q))) ** 2
+        beyond = np.isinf(x)
+        if beyond.any():  # where Q = 2 [...] / x underflows to 0
+            bracket = 2.0 * u * _g_over(a) + 2.0 * w * _g_over(b) - 1.0
+            var = np.where(beyond, p.sigma * (p.sigma * (2.0 * (tau * t) * bracket)), var)
     return float(var) if var.ndim == 0 else var
 
 

@@ -4,10 +4,11 @@ Config grammar (INI-style, parsed strictly: unknown sections or keys are
 errors). Times are dimensionless in each model's natural unit (rabi*t,
 sigma*t, rate*t, or the step index for the stroboscopic channel), and so are
 the params: every model runs at rabi, sigma and rate 1 (with width/rabi and
-coupling/rate) on the times as written. Every model but tripartite-flows is a
-mixture of local unitaries on qubit B, takes any initial-state kind and, for
-a pure input, the hidden and average entanglement, both read off the eof
-column of the one evaluation of the initial state::
+coupling/rate) on the times as written. Every model is a mixture of local
+unitaries on qubit B and takes any initial-state kind; tripartite-flows is the
+field read with the register of its phase, and every other model takes, for a
+pure input, the hidden and average entanglement, both read off the eof column
+of the one evaluation of the initial state::
 
     [scenario]
     model = random-field          ; one of MODELS
@@ -44,7 +45,7 @@ import hashlib
 import io
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -68,7 +69,7 @@ from .noise import (
     stroboscopic_phase_variance,
 )
 from .states import BELL_LABELS, EWLParams, XYZParams, bell_state, ewl_state, xyz_state
-from .tripartite import flow_measures
+from .tripartite import register_decomposition
 
 
 class ConfigError(ValueError):
@@ -407,12 +408,6 @@ def _joined(parts: list[dict]) -> dict:
             for m, cols in parts[0].items()}
 
 
-def _two_qubit_columns(rho: DensityOperator) -> dict:
-    """Concurrence and eof columns of a (..., 4, 4) stack of evolved states."""
-    conc = concurrence(rho)
-    return {"concurrence": [conc], "eof": [eof_from_concurrence(conc)]}
-
-
 # grid points (values x times) per stack: a (V, T) evaluation runs in blocks
 # of whole values, so its memory does not grow with V
 _BLOCK_POINTS = 512
@@ -506,10 +501,6 @@ def _strobo_params(cfg: ScenarioConfig) -> StroboscopicParams:
     )
 
 
-def _field_channel(p: RandomFieldParams, grid):
-    return field_factors(p, grid).real
-
-
 def _gaussian_channel(p: StaticNoiseParams, grid):
     # static noise is the correlation_time = inf limit of the same law
     return np.exp(-0.5 * ou_phase_variance(p, grid))
@@ -519,81 +510,78 @@ def _strobo_channel(p: StroboscopicParams, grid):
     return np.exp(-0.5 * stroboscopic_phase_variance(p, np.rint(grid).astype(int)))
 
 
-def _dephasing_columns(channel: Callable, cfg: ScenarioConfig, ps: list, frame=None) -> dict:
-    """Columns of a two-qubit model: ``channel(p, grid)`` gives the (T,) factors
-    by which it dephases qubit B at one value, in the frame of the local unitary
-    ``frame`` on B (a map of (4, 4) matrices; None for the computational frame).
-
-    Each noise realisation is a phase on B, so no column sees the echo's sigma_x
-    or the change of frame back, and neither is applied. Every member of the
-    pure ensemble the channel makes of the pure rho0 keeps E_f(rho0): that is
-    the average entanglement, and E_f(rho0) - eof the hidden. The (V, T)
-    factors dephase one dephased_state stack per block of values.
-    """
-    grid = _grid_values(cfg)
-    rho0 = cfg.rho0
-    framed = rho0 if frame is None else DensityOperator(frame(rho0.matrix), (2, 2))
-    factors = np.stack([channel(p, grid) for p in ps])
-    columns = _in_blocks(lambda block: _two_qubit_columns(dephased_state(framed, factors[block])), *factors.shape)
-    if any(m in cfg.measures for m in _ENSEMBLE_MEASURES):
-        average, eof = eof_from_concurrence(concurrence(rho0)), columns["eof"][0]
-        columns["hidden-entanglement"] = [average - eof]
-        columns["average-entanglement"] = [np.full(eof.shape, average)]
-    return columns
-
-
-def _flow_columns(cfg: ScenarioConfig, ps: list[RandomFieldParams]) -> dict:
-    """Flow columns of V field values, one flow_measures stack per block of values."""
-    grid = _grid_values(cfg)
-
-    def columns(block: slice) -> dict:
-        conc, dec = flow_measures(cfg.rho0, ps[block], grid)
-        return {
-            "concurrence": [conc],
-            "eof": [eof_from_concurrence(conc)],
-            "tripartite": [dec.tripartite],
-            "info-decomposition": [dec.total, dec.local, dec.tripartite, dec.bipartite_max, dec.residual],
-        }
-
-    return _in_blocks(columns, len(ps), grid.size)
-
-
 @dataclass(frozen=True)
 class _Model:
     keys: dict  # the model section's table, in sorted (echo) order
     measures: tuple[str, ...]
     params: Callable  # ScenarioConfig -> params dataclass; may raise ValueError
-    # (ScenarioConfig, [params of V values]) -> {measure: [(V, T) arrays]}; the
-    # config gives what the values share: grid and initial state (cfg.rho0)
-    evaluate: Callable
+    channel: Callable  # (params, grid) -> (T,) factors by which one value dephases qubit B
+    frame: Callable | None = None  # the local unitary on B whose frame that is, on (4, 4) matrices
 
 
 _FIELD_KEYS = {"rabi": (float, _REQUIRED), "width": (float, _OMITTED)}
 _DEPHASING_KEYS = {"echo-time": (float, _OMITTED), "sigma": (float, _REQUIRED)}
 _MIXTURE_MEASURES = ("concurrence", "eof", "hidden-entanglement", "average-entanglement")
-# the field turns qubit B about +/-x: a z phase in the frame of a Hadamard on B
-_field_evaluate = partial(_dephasing_columns, _field_channel, frame=_x_frame)
-_gaussian_evaluate = partial(_dephasing_columns, _gaussian_channel)
+_FLOW_MEASURES = ("tripartite", "info-decomposition")
 # models that accept the 'trajectories' key of their former Monte-Carlo runner;
 # it is checked and echoed but acts on nothing
 _TRAJECTORY_MODELS = ("ou-noise", "stroboscopic")
 
+# the field turns qubit B about +/-x: a z phase in the frame of a Hadamard on B;
+# tripartite-flows is the field read with the register of its phase
 _MODEL_TABLE = {
-    "random-field": _Model(_FIELD_KEYS, _MIXTURE_MEASURES, _field_params, _field_evaluate),
+    "random-field": _Model(_FIELD_KEYS, _MIXTURE_MEASURES, _field_params, field_factors, _x_frame),
     "random-field-gaussian": _Model({"rabi": (float, _REQUIRED), "width": (float, _REQUIRED)}, _MIXTURE_MEASURES,
-                                    _field_params, _field_evaluate),
-    "static-noise": _Model(_DEPHASING_KEYS, _MIXTURE_MEASURES, _dephasing_params, _gaussian_evaluate),
+                                    _field_params, field_factors, _x_frame),
+    "static-noise": _Model(_DEPHASING_KEYS, _MIXTURE_MEASURES, _dephasing_params, _gaussian_channel),
     "ou-noise": _Model({"correlation-time": (float, _REQUIRED), **_DEPHASING_KEYS}, _MIXTURE_MEASURES,
-                       _dephasing_params, _gaussian_evaluate),
+                       _dephasing_params, _gaussian_channel),
     "rtn": _Model({"coupling": (float, _OMITTED), "g": (float, _OMITTED), "rate": (float, _REQUIRED)},
-                  _MIXTURE_MEASURES, _rtn_params, partial(_dephasing_columns, rtn_coherence)),
+                  _MIXTURE_MEASURES, _rtn_params, rtn_coherence),
     "stroboscopic": _Model({"autocorrelation": (float, _REQUIRED), "echo-after-step": (int, _OMITTED),
-                            "phase-sigma": (float, _REQUIRED)}, _MIXTURE_MEASURES, _strobo_params,
-                           partial(_dephasing_columns, _strobo_channel)),
-    "tripartite-flows": _Model(_FIELD_KEYS, ("concurrence", "eof", "tripartite", "info-decomposition"),
-                               _field_params, _flow_columns),
+                            "phase-sigma": (float, _REQUIRED)}, _MIXTURE_MEASURES, _strobo_params, _strobo_channel),
+    "tripartite-flows": _Model(_FIELD_KEYS, ("concurrence", "eof") + _FLOW_MEASURES, _field_params, field_factors,
+                               _x_frame),
 }
 MODELS = tuple(_MODEL_TABLE)
+
+
+def _evaluate(cfg: ScenarioConfig, ps: list) -> dict:
+    """{measure: [(V, T) arrays]} of the params ``ps`` of V values; the config
+    gives what they share: grid and initial state (cfg.rho0).
+
+    Each noise realisation is a phase on B, so no column sees the echo's sigma_x
+    or the change of frame back, and neither is applied: one dephased_state
+    stack of rho0 in the row's frame, by the real part of the row's factors f,
+    per block of values gives every two-qubit column. Each member of the pure
+    ensemble the channel makes of the pure rho0 keeps E_f(rho0): that is the
+    average entanglement, and E_f(rho0) - eof the hidden. The flow measures
+    alone build a second stack, the register blocks dephased by f and conj f.
+    """
+    row = _MODEL_TABLE[cfg.model]
+    grid = _grid_values(cfg)
+    rho0 = cfg.rho0
+    framed = rho0 if row.frame is None else DensityOperator(row.frame(rho0.matrix), (2, 2))
+    factors = np.stack([row.channel(p, grid) for p in ps])
+    flows = any(m in cfg.measures for m in _FLOW_MEASURES)
+
+    def block_columns(block: slice) -> dict:
+        f = factors[block]
+        rho = dephased_state(framed, f.real)  # checked first: an error names its (value, time)
+        conc = concurrence(rho)
+        out = {"concurrence": [conc], "eof": [eof_from_concurrence(conc)]}
+        if flows:
+            dec = register_decomposition(rho, dephased_state(framed, np.stack([f, f.conj()])))
+            out["tripartite"] = [dec.tripartite]
+            out["info-decomposition"] = [dec.total, dec.local, dec.tripartite, dec.bipartite_max, dec.residual]
+        return out
+
+    columns = _in_blocks(block_columns, *factors.shape)
+    if any(m in cfg.measures for m in _ENSEMBLE_MEASURES):
+        average, eof = eof_from_concurrence(concurrence(rho0)), columns["eof"][0]
+        columns["hidden-entanglement"] = [average - eof]
+        columns["average-entanglement"] = [np.full(eof.shape, average)]
+    return columns
 
 
 def _run(configs: list[ScenarioConfig], parameter=None) -> list[ScenarioResult]:
@@ -602,7 +590,7 @@ def _run(configs: list[ScenarioConfig], parameter=None) -> list[ScenarioResult]:
     result per config."""
     cfg = configs[0]
     columns = _columns_for(cfg)
-    data = _MODEL_TABLE[cfg.model].evaluate(cfg, [c.params for c in configs])
+    data = _evaluate(cfg, [c.params for c in configs])
     rows = _rows(cfg, _grid_values(cfg), data)
     results = []
     for c, r in zip(configs, rows):

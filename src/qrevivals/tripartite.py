@@ -8,8 +8,8 @@ rho0 dephased by field_factors (e = 0) or their conjugate (e = 1). By the joint
 entropy theorem every entropy of the decomposition comes from 4x4 and 2x2
 spectra: S(XE) = ln 2 + 1/2 sum_e S(rho_e^X) for X = AB, A, B, S(E) = ln 2, and
 S(AB), S(A), S(B) are those of 1/2 (rho_0 + rho_1), the two-qubit field
-channel's output. No entropy sees a local unitary on B, so the blocks stay in
-the Hadamard frame, and no (8, 8) matrix is built.
+channel's output. No entropy or concurrence sees a local unitary on B, so both
+stay in the Hadamard frame, and no (8, 8) matrix is built.
 """
 from __future__ import annotations
 
@@ -17,7 +17,20 @@ import numpy as np
 
 from .linalg import DensityOperator, partial_trace, von_neumann_entropy
 from .measures import InformationDecomposition, concurrence, decomposition_from_entropies
-from .noise import RandomFieldParams, _x_frame, apply_b_dephasing, dephased_state, field_factors
+from .noise import RandomFieldParams, _x_frame, dephased_state, field_factors
+
+
+def register_decomposition(rho_ab: DensityOperator, blocks: DensityOperator) -> InformationDecomposition:
+    """The information decomposition of rho_ABE = 1/2 sum_e rho_e (x) |e><e| from
+    its (..., 4, 4) two-qubit states and (2, ..., 4, 4) register blocks rho_e."""
+    ln2 = np.log(2.0)
+
+    def with_register(rho):  # S(XE) from the register blocks rho_e^X, stacked on the first axis
+        return ln2 + von_neumann_entropy(rho).mean(axis=0)
+
+    singles = [von_neumann_entropy(partial_trace(rho_ab, (k,))) for k in (0, 1)] + [ln2]
+    pairs = [von_neumann_entropy(rho_ab)] + [with_register(partial_trace(blocks, (k,))) for k in (0, 1)]
+    return decomposition_from_entropies(with_register(blocks), singles, pairs)
 
 
 def flow_measures(
@@ -37,14 +50,6 @@ def flow_measures(
         f = field_factors(p, grid)
     else:
         f = np.stack([field_factors(q, grid) for q in p])
-    x0 = _x_frame(rho_ab0.matrix)
-    rho_ab = DensityOperator(_x_frame(apply_b_dephasing(x0, f.real)), (2, 2))  # as field_channel
-    blocks = dephased_state(DensityOperator(x0, (2, 2)), np.stack([f, f.conj()]))
-    ln2 = np.log(2.0)
-
-    def with_register(rho):  # S(XE) from the register blocks rho_e^X, stacked on the first axis
-        return ln2 + von_neumann_entropy(rho).mean(axis=0)
-
-    singles = [von_neumann_entropy(partial_trace(rho_ab, (k,))) for k in (0, 1)] + [ln2]
-    pairs = [von_neumann_entropy(rho_ab)] + [with_register(partial_trace(blocks, (k,))) for k in (0, 1)]
-    return concurrence(rho_ab), decomposition_from_entropies(with_register(blocks), singles, pairs)
+    x0 = DensityOperator(_x_frame(rho_ab0.matrix), (2, 2))
+    rho_ab = dephased_state(x0, f.real)  # field_channel's output, in the Hadamard frame of B
+    return concurrence(rho_ab), register_decomposition(rho_ab, dephased_state(x0, np.stack([f, f.conj()])))

@@ -490,7 +490,7 @@ class TestEchoFlags:
     BELL = DensityOperator(np.outer(PSI0, PSI0.conj()), (2, 2))
 
     def assert_states_match(self, model, p, grid, variances, echoed):
-        channel = scenarios._MODEL_TABLE[model].evaluate.args[0]  # the row's (params, grid) -> factors
+        channel = scenarios._MODEL_TABLE[model].channel  # the row's (params, grid) -> factors
         factors = channel(p, grid)
         assert factors.shape == grid.shape and np.any(echoed) and not np.all(echoed)
         for factor, flag, variance in zip(factors, echoed, variances):
@@ -1089,6 +1089,30 @@ class TestEveryTwoQubitModelIsAMixture:
         assert np.all(hidden >= -1e-12)
 
 
+class TestFlowsAreTheField:
+    """tripartite-flows is the field read with the register of its phase: on one
+    input, grid and rabi/width its time, concurrence and eof columns are those
+    of random-field-gaussian, and of random-field at width 0, bit for bit."""
+
+    @staticmethod
+    def columns(text, model, measures, initial):
+        text = re.sub(r"measures = .*", f"measures = {measures}", text.replace("tripartite-flows", model))
+        text = re.sub(r"\[initial-state\]\n(?:\w.*\n)*", f"[initial-state]\n{initial}\n", text)
+        return run_scenario(parse_config_text(text)).rows[:, :3]
+
+    @pytest.mark.parametrize("initial", [BELL, PURE_XYZ, "kind = xyz\nx = 1.0\ny = 0.9\nz = 0.5",
+                                         "kind = ewl\nr = 0.91\na = 0.6+0.3j\nexcitation = two"],
+                             ids=["bell", "pure-xyz", "mixed-xyz", "ewl-two"])
+    @pytest.mark.parametrize("width", ["0.0", "0.3"])
+    def test_two_qubit_columns_are_the_fields(self, initial, width):
+        text = _set(FLOWS_CFG.replace("time-points = 17", "time-points = 101").replace(
+            "time-stop = 6.2831853071795865", "time-stop = 12.0"), "width", width)
+        flows = self.columns(text, "tripartite-flows", "concurrence, eof, tripartite, info-decomposition", initial)
+        fields = ["random-field-gaussian"] + (["random-field"] if width == "0.0" else [])
+        for model in fields:
+            assert self.columns(text, model, "concurrence, eof", initial).tobytes() == flows.tobytes()
+
+
 def _data_rows(path):
     """The numeric rows of a CSV file: its lines after the metadata and the header."""
     body = [line for line in path.read_text().splitlines() if not line.startswith("#")]
@@ -1133,6 +1157,14 @@ class TestClosedFormExtremes:
         psi = qrevivals.bell_state("2+")
         c_bell = qrevivals.concurrence(qrevivals.DensityOperator(np.outer(psi, psi.conj()), (2, 2)))
         assert rows[:, 1].tolist() == [c_bell] * len(rows)
+
+    @pytest.mark.parametrize("stop", ["1e290", "1e300"])
+    def test_ou_overflowing_duration_dephases(self, tmp_path, capsys, stop):
+        # Var = 2 sigma^2 tau t = 2e-10 t past t = 0; at time-stop 1e300, t / tau overflows
+        text = OU_CFG.replace("time-stop = 8.0", f"time-stop = {stop}").replace(
+            "time-points = 9", "time-points = 3").replace("echo-time = 4.0\n", "")
+        rows = self.run(tmp_path, capsys, _set(text, "correlation-time", "1e-10"))
+        assert rows[1:, 1].tolist() == [0.0, 0.0]
 
     SCALES = ("1", "1e-310", "1e-300", "1e100")
 

@@ -331,6 +331,16 @@ class TestOUPhaseVariance:
         assert free == pytest.approx((2.5 * times) ** 2, rel=1e-14)
         assert ou_phase_variance(StaticNoiseParams(1e150, correlation_time=tau), 1e150) == np.inf
 
+    @pytest.mark.parametrize("echo_time", [None, 1e-311, 1.0, 2.835e307])
+    def test_overflowing_duration_is_white_noise(self, echo_time):
+        # t / tau = inf: Var = 2 sigma^2 tau t, not the 0 of an underflowed shape factor,
+        # while the points with a finite t / tau keep the bits they have on their own
+        p = StaticNoiseParams(1.5, echo_time=echo_time, correlation_time=1e-310)
+        times = np.array([0.0, 1e-300, 5.67e307])
+        var = ou_phase_variance(p, times)
+        assert var[2] == pytest.approx(2.0 * 1.5**2 * 1e-310 * 5.67e307, rel=1e-12)
+        assert var[:2].tobytes() == ou_phase_variance(p, times[:2]).tobytes()
+
     def test_vanishing_correlation_time_is_white_noise(self):
         # tau -> 0 at fixed sigma: Var = 2 sigma^2 tau t -> 0, so the factor is 1;
         # t / tau overflows at t = 1e10

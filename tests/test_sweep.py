@@ -2,12 +2,11 @@
 equal ``simulate`` on the config with that value written in, byte for byte,
 apart from the two ``sweep.*`` metadata lines."""
 import dataclasses
-import functools
 
 import numpy as np
 import pytest
 
-from qrevivals import scenarios, tripartite
+from qrevivals import scenarios
 from qrevivals.cli import main
 from qrevivals.linalg import NumericalError
 from qrevivals.scenarios import parse_config_text, sweep
@@ -107,28 +106,51 @@ FLOWS_BLOCKS = _cfg("tripartite-flows", "concurrence, eof, tripartite, info-deco
                     {"rabi": 1.0, "width": 0.1})
 
 
+def _stack_shapes(monkeypatch) -> list:
+    """The factor shape of each dephased_state stack the runner builds from now
+    on: (V, T) for rho_AB, (2, V, T) for the register blocks."""
+    shapes = []
+    original = scenarios.dephased_state
+    monkeypatch.setattr(scenarios, "dephased_state", lambda rho, f: shapes.append(np.shape(f)) or original(rho, f))
+    return shapes
+
+
 def test_one_flows_block_stack_per_block(monkeypatch):
-    calls = []
-    original = tripartite.dephased_state
-    monkeypatch.setattr(tripartite, "dephased_state", lambda *a, **k: calls.append(1) or original(*a, **k))
+    shapes = _stack_shapes(monkeypatch)
     assert len(sweep(parse_config_text(FLOWS_BLOCKS), "width", [0.0, 0.1, 0.2, 0.3, 0.4])) == 5
-    assert len(calls) == 3
+    assert shapes == [(2, 200), (2, 2, 200), (2, 200), (2, 2, 200), (1, 200), (2, 1, 200)]
     flows = dict((c[0], c[1:]) for c in CASES)["tripartite-flows-width"]
     sweep(parse_config_text(flows[0]), "width", flows[2].split(","))
-    assert len(calls) == 4  # 3 values x 17 times fit one block
+    assert shapes[6:] == [(3, 17), (2, 3, 17)]  # 3 values x 17 times fit one block
+
+
+def test_two_qubit_flows_build_no_register_blocks(monkeypatch):
+    shapes = _stack_shapes(monkeypatch)
+    values = [0.0, 0.1, 0.2, 0.3, 0.4]
+    two = sweep(parse_config_text(FLOWS_BLOCKS.replace(", tripartite, info-decomposition", "")), "width", values)
+    assert shapes == [(2, 200), (2, 200), (1, 200)]  # one stack per block: rho_AB
+    four = sweep(parse_config_text(FLOWS_BLOCKS), "width", values)
+    for (_, a), (_, b) in zip(two, four):
+        rows = [line for line in a.to_csv().splitlines() if not line.startswith("#")]
+        assert rows == [",".join(line.split(",")[:3]) for line in b.to_csv().splitlines() if not line.startswith("#")]
+
+
+def _channel_nan_at(monkeypatch, model, key, value, time_index):
+    """The row of ``model`` with a channel whose factor is NaN at ``time_index`` where param ``key`` is ``value``."""
+    row = scenarios._MODEL_TABLE[model]
+
+    def channel(p, grid):
+        f = row.channel(p, grid)
+        if getattr(p, key) == value:
+            f = f.copy()
+            f[time_index] = np.nan
+        return f
+
+    monkeypatch.setitem(scenarios._MODEL_TABLE, model, dataclasses.replace(row, channel=channel))
 
 
 def test_flows_numerical_error_in_a_later_block_names_the_value(monkeypatch):
-    original = tripartite.field_factors
-
-    def nan_at_width_03(p, times):
-        f = original(p, times)
-        if p.width == 0.3:
-            f = f.copy()
-            f[7] = np.nan
-        return f
-
-    monkeypatch.setattr(tripartite, "field_factors", nan_at_width_03)
+    _channel_nan_at(monkeypatch, "tripartite-flows", "width", 0.3, 7)
     # value 3 of the sweep is the second of the block that starts at value 2
     with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match=r"stack index \(3, 7\)") as info:
         sweep(parse_config_text(FLOWS_BLOCKS), "width", [0.0, 0.1, 0.2, 0.3, 0.4])
@@ -154,37 +176,16 @@ def test_initial_state_built_once_per_sweep(monkeypatch):
 
 def test_numerical_error_names_the_value_and_the_time(monkeypatch):
     text = dict((c[0], c[1:]) for c in CASES)["rtn-g-blocks"][0]
-    values = [0.5, 1.0, 2.0, 3.0, 4.0]
-    row = scenarios._MODEL_TABLE["rtn"]
-
-    def nan_at_g3(p, t):
-        q = scenarios.rtn_coherence(p, t)
-        if p.g == 3.0:
-            q = q.copy()
-            q[7] = np.nan
-        return q
-
-    # the row names its channel, rtn_coherence, so the channel is replaced in the row
-    monkeypatch.setitem(scenarios._MODEL_TABLE, "rtn", dataclasses.replace(
-        row, evaluate=functools.partial(scenarios._dephasing_columns, nan_at_g3)))
+    _channel_nan_at(monkeypatch, "rtn", "g", 3.0, 7)
     # value 3 of the sweep is the second of the block that starts at value 2
     with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match=r"stack index \(3, 7\)") as info:
-        sweep(parse_config_text(text), "g", values)
+        sweep(parse_config_text(text), "g", [0.5, 1.0, 2.0, 3.0, 4.0])
     assert info.value.index == (3, 7)
 
 
 def test_flows_numerical_error_names_the_value_and_the_time(monkeypatch):
     text = dict((c[0], c[1:]) for c in CASES)["tripartite-flows-width"][0]
-    original = tripartite.field_factors
-
-    def nan_at_width_01(p, times):
-        f = original(p, times)
-        if p.width == 0.1:
-            f = f.copy()
-            f[5] = np.nan
-        return f
-
-    monkeypatch.setattr(tripartite, "field_factors", nan_at_width_01)
+    _channel_nan_at(monkeypatch, "tripartite-flows", "width", 0.1, 5)
     # each block of values' flows is one stack; its error names the value too
     with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match=r"stack index \(1, 5\)") as info:
         sweep(parse_config_text(text), "width", [0.0, 0.1, 0.2])
