@@ -5,10 +5,12 @@ broadening of the Rabi frequency), Ornstein-Uhlenbeck dephasing with an
 optional echo pulse (quasi-static at an infinite correlation time, by the same
 law ``ou_phase_variance``), random telegraph noise, and the four-step
 stroboscopic dephasing channel.
-All have one shape, a random phase on qubit B: its average scales the
-|0><1|_B coherences by a closed-form factor f(t) (``apply_b_dephasing``), in
-the frame of a Hadamard on B for the field. The Monte-Carlo path samplers
-(``*_mc_*``) and the Gauss-Hermite ensembles are oracles that check them.
+All have one shape, a random phase about a Pauli axis P of qubit B: its
+average is the one-Pauli channel rho -> ((1 + f) rho + (1 - f) P rho P)/2 by a
+closed-form factor f(t) (``apply_b_dephasing``), the phase flip (P = sigma_z)
+for the noises and the bit flip (P = sigma_x) for the field. The Monte-Carlo
+path samplers (``*_mc_*``) and the Gauss-Hermite ensembles are oracles that
+check them.
 
 Conventions used throughout:
 
@@ -34,7 +36,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .linalg import DensityOperator, EYE2, SIGMA_X
+from .linalg import DensityOperator, EYE2, SIGMA_X, SIGMA_Z
 from .measures import WeightedPureEnsemble
 from .states import EWLParams
 
@@ -254,9 +256,9 @@ def field_factors(p: RandomFieldParams, times) -> np.ndarray:
     """E[exp(-i Omega t)] = exp(-width^2 t^2) (cos(rabi t) - i sin(rabi t)) at
     every time of ``times``, over the Rabi frequency Omega ~ N(rabi, 2 width^2).
 
-    Phase FIELD_PHASES[e] turns qubit B about -/+ x by Omega t, a z phase in the
-    frame of a Hadamard on B: there its |0><1|_B coherences pick up this factor
-    (e = 0) or its conjugate (e = 1), and the two-phase mixture the real part."""
+    Phase FIELD_PHASES[e] turns qubit B about -/+ x by Omega t: its |+><-|_B
+    coherences pick up this factor (e = 0) or its conjugate (e = 1), and the
+    two-phase mixture the real part."""
     times = np.asarray(times, dtype=float).reshape(-1)
     with np.errstate(over="ignore"):  # exp(-inf) = 0 is the limit
         damp = np.exp(-((p.width * times) ** 2))
@@ -264,20 +266,11 @@ def field_factors(p: RandomFieldParams, times) -> np.ndarray:
     return damp * (np.cos(theta) - 1j * np.sin(theta))
 
 
-_H4 = np.kron(EYE2, np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex))
-
-
-def _x_frame(mat4: np.ndarray) -> np.ndarray:
-    """A (..., 4, 4) stack in the frame of a Hadamard on qubit B, its own inverse."""
-    return 0.5 * (_H4 @ mat4 @ _H4)
-
-
 def field_channel(rho0: DensityOperator, p: RandomFieldParams, times) -> DensityOperator:
     """The two-qubit field channel applied to ``rho0`` at every time of
-    ``times``: a (T, 4, 4) DensityOperator stack, the x-frame dephasing of
-    qubit B by the real part of field_factors."""
-    out = apply_b_dephasing(_x_frame(rho0.matrix), field_factors(p, times).real)
-    return DensityOperator(_x_frame(out), (2, 2))
+    ``times``: a (T, 4, 4) DensityOperator stack, the bit flip of qubit B
+    (dephasing about sigma_x) by the real part of field_factors."""
+    return dephased_state(rho0, field_factors(p, times).real, axis=SIGMA_X)
 
 
 def random_field_ensemble(
@@ -300,22 +293,32 @@ def random_field_ensemble(
 _X4 = np.kron(EYE2, SIGMA_X)
 
 
-def apply_b_dephasing(mat4: np.ndarray, factor, echoed=False) -> np.ndarray:
-    """Pure dephasing of qubit B: the |0><1|_B coherences pick up ``factor``
-    (|factor| <= 1), followed by a sigma_x on B when ``echoed``. Arrays of
-    factors and echo flags give a (..., 4, 4) stack, one matrix per factor."""
-    f2 = np.ones(np.shape(factor) + (2, 2), dtype=complex)
-    f2[..., 0, 1] = factor
-    f2[..., 1, 0] = np.conj(factor)
-    out = mat4 * np.tile(f2, (2, 2))  # kron(ones(2, 2), f2) on the last two axes
+def apply_b_dephasing(mat4: np.ndarray, factor, echoed=False, axis=SIGMA_Z) -> np.ndarray:
+    """Dephasing of qubit B about the Pauli ``axis`` P: the coherences from its
+    +1 to its -1 eigenstate pick up ``factor`` f (|f| <= 1), followed by a
+    sigma_x on B when ``echoed``. Arrays of factors and echo flags give a
+    (..., 4, 4) stack, one matrix per factor.
+
+    With rho_s, rho_a = (rho +/- P rho P)/2 on B, the output is
+    rho_s + Re f rho_a - i Im f rho_a P; for a real f, the one-Pauli channel
+    ((1 + f) rho + (1 - f) P rho P)/2."""
+    p4 = np.zeros((4, 4), dtype=complex)
+    p4[:2, :2] = p4[2:, 2:] = axis  # 1 (x) P
+    flipped = p4 @ mat4 @ p4
+    sym, anti = 0.5 * (mat4 + flipped), 0.5 * (mat4 - flipped)
+    factor = np.asarray(factor)
+    out = factor.real[..., None, None] * anti
+    out += sym
+    if np.iscomplexobj(factor):
+        out -= (1j * factor.imag)[..., None, None] * (anti @ p4)
     echoed = np.asarray(echoed)
     if echoed.any():
         out = np.where(echoed[..., None, None], _X4 @ out @ _X4, out)
     return out
 
 
-def dephased_state(rho0: DensityOperator, factor, echoed=False) -> DensityOperator:
-    return DensityOperator(apply_b_dephasing(rho0.matrix, factor, echoed), (2, 2))
+def dephased_state(rho0: DensityOperator, factor, echoed=False, axis=SIGMA_Z) -> DensityOperator:
+    return DensityOperator(apply_b_dephasing(rho0.matrix, factor, echoed, axis), (2, 2))
 
 
 def _phase_partials(theta: np.ndarray) -> tuple:

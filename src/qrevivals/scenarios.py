@@ -52,7 +52,7 @@ import numpy as np
 
 from . import __version__ as _pkg_version
 from . import kernels
-from .linalg import DensityOperator, NumericalError, _stack_where
+from .linalg import DensityOperator, NumericalError, SIGMA_X, SIGMA_Z, _stack_where
 from .measures import concurrence, eof_from_concurrence
 from .noise import (
     MC_BATCH,
@@ -61,7 +61,6 @@ from .noise import (
     RandomFieldParams,
     StaticNoiseParams,
     StroboscopicParams,
-    _x_frame,
     dephased_state,
     field_factors,
     ou_phase_variance,
@@ -391,23 +390,6 @@ def _columns_for(cfg: ScenarioConfig) -> tuple[str, ...]:
     return ("time",) + tuple(c for m in cfg.measures for c in _COLUMNS.get(m, (m.replace("-", "_"),)))
 
 
-def _rows(cfg: ScenarioConfig, values: np.ndarray, columns: dict) -> np.ndarray:
-    """(V, T, n_cols): the grid values, then the columns of each requested
-    measure in config order; ``columns`` maps a measure to its list of (V, T)
-    arrays."""
-    cols = [np.broadcast_to(values, columns[cfg.measures[0]][0].shape)]
-    for m in cfg.measures:
-        cols += columns[m]
-    return np.stack(cols, axis=-1)
-
-
-def _joined(parts: list[dict]) -> dict:
-    """Column dicts of consecutive values joined along the value axis; a (T,)
-    column is one value."""
-    return {m: [np.concatenate([np.atleast_2d(p[m][k]) for p in parts]) for k in range(len(cols))]
-            for m, cols in parts[0].items()}
-
-
 # grid points (values x times) per stack: a (V, T) evaluation runs in blocks
 # of whole values, so its memory does not grow with V
 _BLOCK_POINTS = 512
@@ -418,8 +400,8 @@ def _reindexed(exc: NumericalError, index: tuple) -> NumericalError:
     return type(exc)(str(exc).replace(_stack_where(exc.index), _stack_where(index)), index)
 
 
-def _in_blocks(evaluate: Callable, n_values: int, n_times: int) -> dict:
-    """Columns of a (V, T) evaluation, ``evaluate(block)`` on a slice of whole
+def _in_blocks(evaluate: Callable, n_values: int, n_times: int) -> np.ndarray:
+    """Rows of a (V, T) evaluation, ``evaluate(block)`` on a slice of whole
     values at a time, joined. The stack index (value, ...) of a NumericalError
     counts values from the first, not from the block's."""
     size = max(1, _BLOCK_POINTS // n_times)
@@ -431,7 +413,7 @@ def _in_blocks(evaluate: Callable, n_values: int, n_times: int) -> dict:
             if start == 0 or not exc.index:
                 raise
             raise _reindexed(exc, (start + exc.index[0],) + exc.index[1:]) from exc
-    return _joined(parts)
+    return np.concatenate(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +498,7 @@ class _Model:
     measures: tuple[str, ...]
     params: Callable  # ScenarioConfig -> params dataclass; may raise ValueError
     channel: Callable  # (params, grid) -> (T,) factors by which one value dephases qubit B
-    frame: Callable | None = None  # the local unitary on B whose frame that is, on (4, 4) matrices
+    axis: np.ndarray  # the Pauli on B about which it dephases
 
 
 _FIELD_KEYS = {"rabi": (float, _REQUIRED), "width": (float, _OMITTED)}
@@ -527,61 +509,63 @@ _FLOW_MEASURES = ("tripartite", "info-decomposition")
 # it is checked and echoed but acts on nothing
 _TRAJECTORY_MODELS = ("ou-noise", "stroboscopic")
 
-# the field turns qubit B about +/-x: a z phase in the frame of a Hadamard on B;
-# tripartite-flows is the field read with the register of its phase
+# the field turns qubit B about +/-x, so it dephases about sigma_x (a bit
+# flip), the noises about sigma_z; tripartite-flows is the field read with the
+# register of its phase
 _MODEL_TABLE = {
-    "random-field": _Model(_FIELD_KEYS, _MIXTURE_MEASURES, _field_params, field_factors, _x_frame),
+    "random-field": _Model(_FIELD_KEYS, _MIXTURE_MEASURES, _field_params, field_factors, SIGMA_X),
     "random-field-gaussian": _Model({"rabi": (float, _REQUIRED), "width": (float, _REQUIRED)}, _MIXTURE_MEASURES,
-                                    _field_params, field_factors, _x_frame),
-    "static-noise": _Model(_DEPHASING_KEYS, _MIXTURE_MEASURES, _dephasing_params, _gaussian_channel),
+                                    _field_params, field_factors, SIGMA_X),
+    "static-noise": _Model(_DEPHASING_KEYS, _MIXTURE_MEASURES, _dephasing_params, _gaussian_channel, SIGMA_Z),
     "ou-noise": _Model({"correlation-time": (float, _REQUIRED), **_DEPHASING_KEYS}, _MIXTURE_MEASURES,
-                       _dephasing_params, _gaussian_channel),
+                       _dephasing_params, _gaussian_channel, SIGMA_Z),
     "rtn": _Model({"coupling": (float, _OMITTED), "g": (float, _OMITTED), "rate": (float, _REQUIRED)},
-                  _MIXTURE_MEASURES, _rtn_params, rtn_coherence),
+                  _MIXTURE_MEASURES, _rtn_params, rtn_coherence, SIGMA_Z),
     "stroboscopic": _Model({"autocorrelation": (float, _REQUIRED), "echo-after-step": (int, _OMITTED),
-                            "phase-sigma": (float, _REQUIRED)}, _MIXTURE_MEASURES, _strobo_params, _strobo_channel),
+                            "phase-sigma": (float, _REQUIRED)}, _MIXTURE_MEASURES, _strobo_params, _strobo_channel,
+                           SIGMA_Z),
     "tripartite-flows": _Model(_FIELD_KEYS, ("concurrence", "eof") + _FLOW_MEASURES, _field_params, field_factors,
-                               _x_frame),
+                               SIGMA_X),
 }
 MODELS = tuple(_MODEL_TABLE)
 
 
-def _evaluate(cfg: ScenarioConfig, ps: list) -> dict:
-    """{measure: [(V, T) arrays]} of the params ``ps`` of V values; the config
-    gives what they share: grid and initial state (cfg.rho0).
+def _evaluate(cfg: ScenarioConfig, ps: list) -> np.ndarray:
+    """(V, T, n_cols) rows of the params ``ps`` of V values: the grid values,
+    then the columns of each requested measure in config order. The config
+    gives what the values share: grid and initial state (cfg.rho0).
 
-    Each noise realisation is a phase on B, so no column sees the echo's sigma_x
-    or the change of frame back, and neither is applied: one dephased_state
-    stack of rho0 in the row's frame, by the real part of the row's factors f,
-    per block of values gives every two-qubit column. Each member of the pure
-    ensemble the channel makes of the pure rho0 keeps E_f(rho0): that is the
-    average entanglement, and E_f(rho0) - eof the hidden. The flow measures
-    alone build a second stack, the register blocks dephased by f and conj f.
+    Each noise realisation is a phase on B, so no column sees the echo's
+    sigma_x, and it is not applied: one dephased_state stack of rho0 about the
+    row's axis, by the real part of the row's factors f, per block of values
+    gives every two-qubit column. Each member of the pure ensemble the channel
+    makes of the pure rho0 keeps E_f(rho0): that is the average entanglement,
+    and E_f(rho0) - eof the hidden. The flow measures alone build a second
+    stack, the register blocks dephased by f and conj f.
     """
     row = _MODEL_TABLE[cfg.model]
     grid = _grid_values(cfg)
     rho0 = cfg.rho0
-    framed = rho0 if row.frame is None else DensityOperator(row.frame(rho0.matrix), (2, 2))
     factors = np.stack([row.channel(p, grid) for p in ps])
     flows = any(m in cfg.measures for m in _FLOW_MEASURES)
+    average = eof_from_concurrence(concurrence(rho0)) if any(m in cfg.measures for m in _ENSEMBLE_MEASURES) else None
 
-    def block_columns(block: slice) -> dict:
+    def block_rows(block: slice) -> np.ndarray:
         f = factors[block]
-        rho = dephased_state(framed, f.real)  # checked first: an error names its (value, time)
+        rho = dephased_state(rho0, f.real, axis=row.axis)  # checked first: an error names its (value, time)
         conc = concurrence(rho)
-        out = {"concurrence": [conc], "eof": [eof_from_concurrence(conc)]}
+        eof = eof_from_concurrence(conc)
+        columns = {"concurrence": [conc], "eof": [eof]}
+        if average is not None:
+            columns["hidden-entanglement"] = [average - eof]
+            columns["average-entanglement"] = [np.full(eof.shape, average)]
         if flows:
-            dec = register_decomposition(rho, dephased_state(framed, np.stack([f, f.conj()])))
-            out["tripartite"] = [dec.tripartite]
-            out["info-decomposition"] = [dec.total, dec.local, dec.tripartite, dec.bipartite_max, dec.residual]
-        return out
+            dec = register_decomposition(rho, dephased_state(rho0, np.stack([f, f.conj()]), axis=row.axis))
+            columns["tripartite"] = [dec.tripartite]
+            columns["info-decomposition"] = [dec.total, dec.local, dec.tripartite, dec.bipartite_max, dec.residual]
+        return np.stack([np.broadcast_to(grid, conc.shape)] + [c for m in cfg.measures for c in columns[m]], axis=-1)
 
-    columns = _in_blocks(block_columns, *factors.shape)
-    if any(m in cfg.measures for m in _ENSEMBLE_MEASURES):
-        average, eof = eof_from_concurrence(concurrence(rho0)), columns["eof"][0]
-        columns["hidden-entanglement"] = [average - eof]
-        columns["average-entanglement"] = [np.full(eof.shape, average)]
-    return columns
+    return _in_blocks(block_rows, *factors.shape)
 
 
 def _run(configs: list[ScenarioConfig], parameter=None) -> list[ScenarioResult]:
@@ -590,8 +574,7 @@ def _run(configs: list[ScenarioConfig], parameter=None) -> list[ScenarioResult]:
     result per config."""
     cfg = configs[0]
     columns = _columns_for(cfg)
-    data = _evaluate(cfg, [c.params for c in configs])
-    rows = _rows(cfg, _grid_values(cfg), data)
+    rows = _evaluate(cfg, [c.params for c in configs])
     results = []
     for c, r in zip(configs, rows):
         sweep_info = None if parameter is None else (parameter, c.param(parameter))

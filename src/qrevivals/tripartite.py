@@ -3,21 +3,20 @@ and a two-state classical register E whose basis states label the field phase.
 
 The joint state is classical-quantum, rho_ABE = 1/2 sum_e rho_e (x) |e><e|:
 register block rho_e is rho0 with qubit B turned by phase FIELD_PHASES[e],
-averaged over the Rabi frequency, which in the frame of a Hadamard on B is
-rho0 dephased by field_factors (e = 0) or their conjugate (e = 1). By the joint
-entropy theorem every entropy of the decomposition comes from 4x4 and 2x2
-spectra: S(XE) = ln 2 + 1/2 sum_e S(rho_e^X) for X = AB, A, B, S(E) = ln 2, and
-S(AB), S(A), S(B) are those of 1/2 (rho_0 + rho_1), the two-qubit field
-channel's output. No entropy or concurrence sees a local unitary on B, so both
-stay in the Hadamard frame, and no (8, 8) matrix is built.
+averaged over the Rabi frequency, which is rho0 dephased about sigma_x on B by
+field_factors (e = 0) or their conjugate (e = 1). By the joint entropy theorem
+every entropy of the decomposition comes from 4x4 and 2x2 spectra:
+S(XE) = ln 2 + 1/2 sum_e S(rho_e^X) for X = AB, A, B, S(E) = ln 2, and S(AB),
+S(A), S(B) are those of 1/2 (rho_0 + rho_1), the two-qubit field channel's
+output. No (8, 8) matrix is built.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DensityOperator, partial_trace, von_neumann_entropy
+from .linalg import DensityOperator, SIGMA_X, partial_trace, von_neumann_entropy
 from .measures import InformationDecomposition, concurrence, decomposition_from_entropies
-from .noise import RandomFieldParams, _x_frame, dephased_state, field_factors
+from .noise import RandomFieldParams, dephased_state, field_factors
 
 
 def register_decomposition(rho_ab: DensityOperator, blocks: DensityOperator) -> InformationDecomposition:
@@ -50,6 +49,6 @@ def flow_measures(
         f = field_factors(p, grid)
     else:
         f = np.stack([field_factors(q, grid) for q in p])
-    x0 = DensityOperator(_x_frame(rho_ab0.matrix), (2, 2))
-    rho_ab = dephased_state(x0, f.real)  # field_channel's output, in the Hadamard frame of B
-    return concurrence(rho_ab), register_decomposition(rho_ab, dephased_state(x0, np.stack([f, f.conj()])))
+    rho_ab = dephased_state(rho_ab0, f.real, axis=SIGMA_X)  # field_channel's output
+    blocks = dephased_state(rho_ab0, np.stack([f, f.conj()]), axis=SIGMA_X)
+    return concurrence(rho_ab), register_decomposition(rho_ab, blocks)

@@ -9,9 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qrevivals.linalg import DensityOperator, EYE2, partial_trace, tensor_product
+from qrevivals.linalg import DensityOperator, EYE2, SIGMA_X, partial_trace, tensor_product
 from qrevivals.measures import concurrence, information_decomposition
-from qrevivals.noise import FIELD_PHASES, RandomFieldParams, _x_frame, apply_b_dephasing, field_factors, field_unitary
+from qrevivals.noise import FIELD_PHASES, RandomFieldParams, apply_b_dephasing, field_factors, field_unitary
 
 P_ENV = (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
 
@@ -62,13 +62,13 @@ def evolve_abe_grid(s0: HybridTripartiteState, p: RandomFieldParams, times) -> n
     """(1_A (x) U_BE) rho (1_A (x) U_BE)^dag at every time of ``times``, as a
     (T, 8, 8) array, averaged over the Gaussian Rabi frequency when the field
     width is nonzero. The state has no register coherences, so each register
-    block evolves under its own field phase: in the frame of a Hadamard on B,
-    block e is dephased by field_factors (e = 0) or their conjugate (e = 1)."""
+    block evolves under its own field phase: block e is dephased about sigma_x
+    on B by field_factors (e = 0) or their conjugate (e = 1)."""
     m0 = s0.rho.matrix.reshape((2,) * 6)  # [a, b, e, a', b', e']
     f = field_factors(p, times)
     out = np.zeros((f.size,) + (2,) * 6, dtype=complex)
     for e, factor in enumerate((f, f.conj())):
-        block = _x_frame(apply_b_dephasing(_x_frame(m0[:, :, e, :, :, e].reshape(4, 4)), factor))
+        block = apply_b_dephasing(m0[:, :, e, :, :, e].reshape(4, 4), factor, axis=SIGMA_X)
         out[:, :, :, e, :, :, e] = block.reshape((-1,) + (2,) * 4)
     return out.reshape(-1, 8, 8)
 

@@ -40,6 +40,7 @@ from qrevivals.scenarios import (
     sweep,
 )
 from qrevivals.states import bell_state
+from qrevivals.tripartite import flow_measures
 
 FIELD_CFG = """
 [scenario]
@@ -189,16 +190,23 @@ class TestRunScenario:
         "kind = xyz\nx = 0.2\ny = 0.5\nz = 0.9",
         "kind = ewl\nr = 0.9\na = 0.6+0.3j\nexcitation = two",
     ])
-    def test_field_runner_keeps_the_channel_frame(self, initial):
-        # the runner dephases the input in the Hadamard frame of B and skips the
-        # change back, which no measure sees: the concurrence of field_channel,
-        # at the unit-scale params (rabi 1, width/rabi) on the grid as written
-        text = FIELD_CFG.replace("kind = xyz\nx = 1.0\ny = 0.9\nz = 1.0", initial)
+    def test_field_runner_is_the_library_channel(self, initial):
+        # the runner dephases the input about sigma_x on B by the call the
+        # library makes, at the unit-scale params (rabi 1, width/rabi) on the
+        # grid as written: field_channel's concurrence and flow_measures' rows, bit for bit
+        text = FIELD_CFG.replace("kind = xyz\nx = 1.0\ny = 0.9\nz = 1.0", initial).replace("rabi = 1.0", "rabi = 2.0")
         text = text.replace("random-field", "random-field-gaussian").replace("width = 0.0", "width = 0.2")
-        cfg = parse_config_text(text.replace("rabi = 1.0", "rabi = 2.0"))
+        cfg = parse_config_text(text)
         assert cfg.params == RandomFieldParams(rabi=1.0, width=0.1)
-        want = concurrence(field_channel(cfg.rho0, cfg.params, np.linspace(0.0, 2 * np.pi, 17)))
-        assert np.max(np.abs(run_scenario(cfg).rows[:, 1] - want)) < 1e-12 and np.ptp(want) > 0.1
+        grid = np.linspace(0.0, 2 * np.pi, 17)
+        want = concurrence(field_channel(cfg.rho0, cfg.params, grid))
+        assert run_scenario(cfg).rows[:, 1].tobytes() == want.tobytes() and np.ptp(want) > 0.1
+        flows = parse_config_text(text.replace("random-field-gaussian", "tripartite-flows").replace(
+            "concurrence, eof", "concurrence, eof, tripartite, info-decomposition"))
+        conc, dec = flow_measures(flows.rho0, flows.params, grid)
+        want = np.stack([grid, conc, eof_from_concurrence(conc), dec.tripartite, dec.total, dec.local,
+                         dec.tripartite, dec.bipartite_max, dec.residual], axis=-1)
+        assert run_scenario(flows).rows.tobytes() == want.tobytes()
 
     def test_csv_shape_and_metadata(self):
         res = run_scenario(parse_config_text(FIELD_CFG))
@@ -1111,6 +1119,32 @@ class TestFlowsAreTheField:
         fields = ["random-field-gaussian"] + (["random-field"] if width == "0.0" else [])
         for model in fields:
             assert self.columns(text, model, "concurrence, eof", initial).tobytes() == flows.tobytes()
+
+
+class TestFieldConcurrenceIsExact:
+    """The field is the bit flip of qubit B by r = exp(-(width t / rabi)^2) cos t
+    (t in rabi*t units). It keeps an xyz input with x = z = 1 Bell-diagonal,
+    with C = max(0, max(y, 1 - y)(1 + |r|) - 1), and gives a Bell input
+    C = |r|. On the benchmark's flows config (xyz (1, 0.9, 1), width 0.1,
+    160 points to 4 pi) both field concurrence columns keep to that within 1e-13."""
+
+    @pytest.mark.parametrize("initial, exact", [
+        ("kind = xyz\nx = 1.0\ny = 0.9\nz = 1.0", lambda r: np.maximum(0.0, 0.9 * (1.0 + np.abs(r)) - 1.0)),
+        (BELL, np.abs),
+    ], ids=["xyz", "bell"])
+    @pytest.mark.parametrize("model, measures", [
+        ("random-field-gaussian", "concurrence, eof"),
+        ("tripartite-flows", "concurrence, eof, tripartite, info-decomposition"),
+    ])
+    def test_concurrence_column(self, model, measures, initial, exact):
+        text = _set(FLOWS_CFG.replace("time-stop = 6.2831853071795865", "time-stop = 12.566370614359172").replace(
+            "time-points = 17", "time-points = 160"), "width", "0.1")
+        text = re.sub(r"measures = .*", f"measures = {measures}", text.replace("tripartite-flows", model))
+        text = re.sub(r"\[initial-state\]\n(?:\w.*\n)*", f"[initial-state]\n{initial}\n", text)
+        rows = run_scenario(parse_config_text(text)).rows
+        t = rows[:, 0]
+        r = np.exp(-((0.1 * t) ** 2)) * np.cos(t)
+        assert np.max(np.abs(rows[:, 1] - exact(r))) <= 1e-13
 
 
 def _data_rows(path):

@@ -190,7 +190,7 @@ class TestGaussianAveragedMap:
         (0.0, 9.0, None), (0.15, 9.0, 64), (0.15, 9.0, 128), (0.3, 20.0, 64), (0.3, 40.0, 256),
     ])
     def test_grid_matches_channel_oracle(self, width, t_stop, order):
-        # the x-frame dephasing of field_channel, and the register blocks of the
+        # the sigma_x dephasing of field_channel, and the register blocks of the
         # flows dilation, against the Gauss-Hermite ensemble of
         # RandomUnitaryChannel, point by point
         rho0 = fig2_state()

@@ -111,7 +111,8 @@ def _stack_shapes(monkeypatch) -> list:
     on: (V, T) for rho_AB, (2, V, T) for the register blocks."""
     shapes = []
     original = scenarios.dephased_state
-    monkeypatch.setattr(scenarios, "dephased_state", lambda rho, f: shapes.append(np.shape(f)) or original(rho, f))
+    monkeypatch.setattr(scenarios, "dephased_state",
+                        lambda rho, f, **kw: shapes.append(np.shape(f)) or original(rho, f, **kw))
     return shapes
 
 
