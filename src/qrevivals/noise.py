@@ -596,7 +596,8 @@ def rtn_coherence(p: RTNParams, t):
     # most sqrt(1 + (gamma/mu)^2)), though there gamma t or mu t may be inf
     with np.errstate(over="ignore", invalid="ignore"):
         damp = np.exp(-gamma * t)
-        if np.isclose(v, gamma, rtol=1e-12, atol=0.0):
+        # np.isclose(v, gamma, rtol=1e-12, atol=0.0): equal infinities are close
+        if v == gamma or (abs(v - gamma) <= 1e-12 * abs(gamma) and math.isfinite(gamma)):
             q = np.where(damp > 0.0, damp * (1.0 + gamma * t), 0.0)
         elif v < gamma:
             x = v / gamma

@@ -636,6 +636,12 @@ class TestCLI:
         assert len(err.strip().splitlines()) == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.cfg"]  # nothing written
 
+    def test_sweep_collision_quotes_the_values_as_written(self, tmp_path, capsys):
+        cfg = self.write(tmp_path, RTN_CFG)
+        argv = ["sweep", "--config", cfg, "--param", "g", "--values", "1, 1.0", "--out", str(tmp_path / "s.csv")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"config error: --values: '1' and '1.0' would both write {tmp_path}/s__g=1.csv\n"
+
     def test_sweep_to_stdout_keeps_close_values(self, tmp_path, capsys):
         cfg = self.write(tmp_path, RTN_CFG)
         assert main(["sweep", "--config", cfg, "--param", "g", "--values", "1.0000001,1.0000002"]) == 0
@@ -675,21 +681,50 @@ class TestCLI:
         assert main(["sweep", "--config", cfg, "--param", "g", "--values", "a,b"]) == 1
 
     @pytest.mark.parametrize("argv", [
-        ["sweep", "--param", "g", "--values", "-1,2"],  # argparse reads -1,2 as an option
-        ["simulate", "--out"],
-        ["simulate", "--threads", "two"],
-        ["simulate", "--unknown"],
+        ["sweep", "--config", "CFG", "--param", "g", "--values", "-1,2"],  # -1,2 reads as an option
+        ["simulate", "--config", "CFG", "--out"],
+        ["simulate", "--config", "CFG", "--threads", "two"],
+        ["simulate", "--config", "CFG", "--unknown"],
         [],
+        ["nope", "--config", "CFG"],
+        ["simulate"],
+        ["simulate", "--config", "CFG", "--param", "g"],
+        ["simulate", "--config", "CFG", "stray"],
+        ["selftest", "--threads", "two"],
     ])
     def test_usage_error_is_a_one_line_config_error(self, tmp_path, capsys, argv):
         cfg = self.write(tmp_path, RTN_CFG)
-        assert main(argv[:1] + ["--config", cfg] + argv[1:] if argv else argv) == 1
+        assert main([cfg if a == "CFG" else a for a in argv]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: qrevivals") and len(err.strip().splitlines()) == 1
         if "-1,2" in argv:
             assert "--values=-1,2" in err
             assert main(["sweep", "--config", cfg, "--param", "g", "--values=-1,2"]) == 1
             assert capsys.readouterr().err == "config error: [rtn] g=-1.0 must be >= 0\n"
+
+    def test_abbreviated_and_repeated_options(self, tmp_path, capsys):
+        cfg = self.write(tmp_path, RTN_CFG)
+        assert main(["simulate", "--config", cfg]) == 0
+        full = capsys.readouterr().out
+        assert main(["simulate", "--conf", str(tmp_path / "missing.cfg"), "--co=" + cfg]) == 0
+        assert capsys.readouterr().out == full
+
+    @pytest.mark.parametrize("argv", [
+        ["-h"], ["--help"], ["--version"], ["simulate", "-h"], ["sweep", "--config", "x.cfg", "--he"], ["selftest", "-h"],
+    ])
+    def test_help_and_version_print_to_stdout(self, capsys, argv):
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        if argv == ["--version"]:
+            assert out == f"qrevivals {qrevivals.__version__}\n"
+        elif argv[0] in cli._COMMANDS:  # every option of the command's table, with its help
+            assert out.startswith(f"usage: qrevivals {argv[0]} [-h]")
+            assert all(f"  {name} {name[2:].upper()}  " in out and help_ in out
+                       for name, (_, _, help_) in cli._COMMANDS[argv[0]][1].items())
+        else:
+            assert out.startswith("usage: qrevivals [-h] [--version]")
+            assert all(f"  {name}  " in out for name in cli._COMMANDS)
 
     def test_cli_threads_byte_identical(self, tmp_path):
         cfg = self.write(tmp_path, OU_CFG)
@@ -885,6 +920,27 @@ class TestOutputFiles:
         err = capsys.readouterr().err
         assert err.startswith("config error: cannot write output file")
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("config, argv", [
+        ("t.cfg", ["simulate", "--out", "t.cfg"]),
+        ("t.cfg", ["simulate", "--out", "./t.cfg"]),
+        ("s__g=1.cfg", ["sweep", "--param", "g", "--values", "2,1", "--out", "s.cfg"]),
+    ])
+    def test_output_naming_the_config_is_refused(self, tmp_path, capsys, monkeypatch, config, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / config).write_text(RTN_CFG, encoding="utf-8")
+        assert main(argv + ["--config", config]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: output file") and "is the config file" in err
+        assert len(err.strip().splitlines()) == 1
+        assert (tmp_path / config).read_text(encoding="utf-8") == RTN_CFG
+        assert sorted(p.name for p in tmp_path.iterdir()) == [config]  # nothing written
+
+    @pytest.mark.parametrize("out", [".", "/", ""])
+    def test_sweep_output_without_a_file_name_is_a_config_error(self, tmp_path, capsys, out):
+        argv = ["sweep", "--config", self.write(tmp_path, RTN_CFG), "--param", "g", "--values", "5", "--out", out]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"config error: cannot write output file {out!r}: not a file name\n"
 
     def test_sweep_rejects_non_integer_value_of_integer_key(self, tmp_path, capsys):
         out = tmp_path / "strobo.csv"
@@ -1246,9 +1302,16 @@ def test_names_the_benchmark_runner_calls_resolve():
 
 
 def test_cli_import_leaves_the_acceptance_suite_out():
-    # simulate and sweep never load the selftest code; selftest imports it itself
+    # simulate and sweep never load the selftest code; selftest imports it
+    # itself. The command line is read without argparse (nor its gettext and
+    # locale), which cost more than a small simulate's rows
     src = str(Path(qrevivals.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, qrevivals.cli; print('qrevivals.cli' in sys.modules, 'qrevivals.acceptance' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
-    assert out.split() == ["True", "False"]
+    code = (
+        "import os, sys, qrevivals.cli\n"
+        "assert qrevivals.cli.main(['simulate', '--config', sys.argv[1], '--out', os.devnull]) == 0\n"
+        "print(*(m in sys.modules for m in ('qrevivals.cli', 'qrevivals.acceptance', 'argparse', 'gettext', 'locale')))"
+    )
+    cfg = str(GOLDEN / "rtn.cfg")
+    out = subprocess.run([sys.executable, "-c", code, cfg], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["True", "False", "False", "False", "False"]

@@ -54,6 +54,27 @@ class TestAnalyticCoherence:
         assert abs(below - at) < 1e-7
         assert abs(above - at) < 1e-7
 
+    # the crossover branch is taken where np.isclose(coupling, rate, rtol=1e-12,
+    # atol=0) holds: of the ratios 1 +- 1e-12 and 1 +- 2e-12 only 1 - 1e-12 in
+    # float arithmetic, |coupling - rate| = 1e-12 rate exactly at rate 1e12, and
+    # equal infinities; these values were recorded with that call
+    @pytest.mark.parametrize("rate, coupling, expected", [
+        (1.0, 1 + 1e-12, [1.0, 0.9097959895687732, 0.19914827347055955, 1.741825243695175e-16]),
+        (1.0, 1 - 1e-12, [1.0, 0.9097959895689501, 0.19914827347145578, 1.7418252446695514e-16]),
+        (1.0, 1 + 2e-12, [1.0, 0.9097959895685963, 0.19914827346966346, 1.741825242721016e-16]),
+        (1.0, 1 - 2e-12, [1.0, 0.9097959895693039, 0.19914827347324807, 1.741825246618093e-16]),
+        (1e12, 1e12 + 1, [1.0, 0.9097959895689501, 0.19914827347145578, 1.7418252446695514e-16]),
+        (1e12, 1e12 + 2, [1.0, 0.9097959895685963, 0.19914827346966346, 1.7418252427209725e-16]),
+        (np.inf, np.inf, [0.0] * 4),
+        (np.inf, 1.0, [np.nan] * 4),
+        (1.0, np.inf, [np.nan] * 4),
+    ])
+    def test_crossover_branch_pinned(self, rate, coupling, expected):
+        t = np.array([0.0, 0.5, 3.0, 40.0])
+        with np.errstate(invalid="ignore"):
+            q = rtn_coherence(RTNParams(rate=rate, coupling=coupling), t / rate if np.isfinite(rate) else t)
+        np.testing.assert_array_equal(q, expected)
+
     def test_finite_where_the_hyperbolic_form_overflows(self):
         # the former form exp(-gamma t) [cosh(d t) + (gamma/d) sinh(d t)] gives
         # NaN once d t passes ~710; compare wherever it is finite
