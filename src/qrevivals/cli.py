@@ -212,11 +212,14 @@ def _cmd_simulate(args) -> int:
 
 def _sweep_paths(base: str, param: str, values: list, texts: list[str]) -> list[str]:
     """One output path per value, ``{stem}__{param}={value:g}{suffix}`` beside
-    ``base``; refuses values whose names collide, quoting their ``texts``, so
-    that no file is overwritten by a later value of the same sweep."""
+    ``base``; refuses a ``base`` that names a directory, and values whose names
+    collide, quoting their ``texts``, so that no file is overwritten by a later
+    value of the same sweep."""
     p = Path(base)
     if not p.name:
         raise ConfigError(f"cannot write output file {base!r}: not a file name")
+    if os.path.isdir(base):  # one that ends in a separator and is missing fails _check_out_dir
+        raise ConfigError(f"cannot write output file {base!r}: Is a directory")
     head, suffix = f"{str(p)[:-len(p.name)]}{p.stem}__{param}=", p.suffix or ".csv"
     paths = [f"{head}{value:g}{suffix}" for value in values]
     first = {}

@@ -6,9 +6,9 @@ sigma*t, rate*t, or the step index for the stroboscopic channel), and so are
 the params: every model runs at rabi, sigma and rate 1 (with width/rabi and
 coupling/rate) on the times as written. Every model is a mixture of local
 unitaries on qubit B and takes any initial-state kind; tripartite-flows is the
-field read with the register of its phase, and every other model takes, for a
-pure input, the hidden and average entanglement, both read off the eof column
-of the one evaluation of the initial state::
+field read with the register of its phase, and every other model takes the
+hidden and average entanglement, both read off the eof column of the one
+evaluation of the initial state::
 
     [scenario]
     model = random-field          ; one of MODELS
@@ -180,8 +180,8 @@ def _build(section: str, builder, *args, **kwargs):
         raise ConfigError(f"[{section}] {str(exc).replace('_', '-')}") from exc
 
 
-# most grid points of a scenario: at the cap the (2, T, 4, 4) complex stack of
-# the flows' register blocks takes 32 MiB
+# most grid points of a scenario: at the cap each (T, 4, 4) complex stack, the
+# flows' register stack included, takes 16 MiB
 MAX_TIME_POINTS = 2**16
 
 
@@ -239,10 +239,6 @@ class ScenarioConfig:
         kind = _INITIAL_KINDS[_one_of("initial-state", "kind", self.initial_kind, _INITIAL_KINDS)]
         _build("initial-state", kind.params, **dict(self.initial_params))
         object.__setattr__(self, "params", _build(self.model, row.params, self))
-        if any(m in self.measures for m in _ENSEMBLE_MEASURES):
-            top = self.rho0.eigenvalues()[0]
-            if top < 1.0 - 1e-10:
-                raise ConfigError(f"hidden/average entanglement need a pure initial state (largest eigenvalue {top:.6g})")
 
     def param(self, key: str, default=None):
         for k, v in self.model_params:
@@ -538,10 +534,11 @@ def _evaluate(cfg: ScenarioConfig, ps: list) -> np.ndarray:
     Each noise realisation is a phase on B, so no column sees the echo's
     sigma_x, and it is not applied: one dephased_state stack of rho0 about the
     row's axis, by the real part of the row's factors f, per block of values
-    gives every two-qubit column. Each member of the pure ensemble the channel
-    makes of the pure rho0 keeps E_f(rho0): that is the average entanglement,
-    and E_f(rho0) - eof the hidden. The flow measures alone build a second
-    stack, the register blocks dephased by f and conj f.
+    gives every two-qubit column. Each realisation of the channel is a local
+    unitary on B, so it keeps E_f(rho0), pure or mixed: that is the average
+    entanglement, and E_f(rho0) - eof the hidden. The flow measures alone
+    build a second stack, rho0 dephased by |f|, which has the spectra of the
+    register blocks.
     """
     row = _MODEL_TABLE[cfg.model]
     grid = _grid_values(cfg)
@@ -560,7 +557,7 @@ def _evaluate(cfg: ScenarioConfig, ps: list) -> np.ndarray:
             columns["hidden-entanglement"] = [average - eof]
             columns["average-entanglement"] = [np.full(eof.shape, average)]
         if flows:
-            dec = register_decomposition(rho, dephased_state(rho0, np.stack([f, f.conj()]), axis=row.axis))
+            dec = register_decomposition(rho0, rho, f, row.axis)
             columns["tripartite"] = [dec.tripartite]
             columns["info-decomposition"] = [dec.total, dec.local, dec.tripartite, dec.bipartite_max, dec.residual]
         return np.stack([np.broadcast_to(grid, conc.shape)] + [c for m in cfg.measures for c in columns[m]], axis=-1)

@@ -4,11 +4,12 @@ and a two-state classical register E whose basis states label the field phase.
 The joint state is classical-quantum, rho_ABE = 1/2 sum_e rho_e (x) |e><e|:
 register block rho_e is rho0 with qubit B turned by phase FIELD_PHASES[e],
 averaged over the Rabi frequency, which is rho0 dephased about sigma_x on B by
-field_factors (e = 0) or their conjugate (e = 1). By the joint entropy theorem
-every entropy of the decomposition comes from 4x4 and 2x2 spectra:
-S(XE) = ln 2 + 1/2 sum_e S(rho_e^X) for X = AB, A, B, S(E) = ln 2, and S(AB),
-S(A), S(B) are those of 1/2 (rho_0 + rho_1), the two-qubit field channel's
-output. No (8, 8) matrix is built.
+f = field_factors (e = 0) or conj f (e = 1). Knowing the sign of the phase
+leaves only the spread of Omega: rho_e is rho0 dephased by |f| = e^{-width^2
+t^2}, then turned about sigma_x on B. So by the joint entropy theorem S(XE) =
+ln 2 + S(D_|f|(rho0)^X) for X = AB, A, B, S(E) = ln 2, and S(AB), S(A) =
+S(rho0^A), S(B) are those of the field channel's output, rho0 dephased by Re f.
+At width 0, S(ABE) = ln 2 + S(rho0) at every time. No (8, 8) matrix is built.
 """
 from __future__ import annotations
 
@@ -19,17 +20,16 @@ from .measures import InformationDecomposition, concurrence, decomposition_from_
 from .noise import RandomFieldParams, dephased_state, field_factors
 
 
-def register_decomposition(rho_ab: DensityOperator, blocks: DensityOperator) -> InformationDecomposition:
-    """The information decomposition of rho_ABE = 1/2 sum_e rho_e (x) |e><e| from
-    its (..., 4, 4) two-qubit states and (2, ..., 4, 4) register blocks rho_e."""
+def register_decomposition(rho0: DensityOperator, rho_ab: DensityOperator, f, axis) -> InformationDecomposition:
+    """The information decomposition of rho_ABE = 1/2 sum_e rho_e (x) |e><e|, rho_e
+    rho0 dephased about the Pauli ``axis`` on B by ``f`` (e = 0) or conj f (e = 1),
+    from ``rho_ab``, their mean: the (..., 4, 4) stack of rho0 dephased by Re f."""
     ln2 = np.log(2.0)
-
-    def with_register(rho):  # S(XE) from the register blocks rho_e^X, stacked on the first axis
-        return ln2 + von_neumann_entropy(rho).mean(axis=0)
-
-    singles = [von_neumann_entropy(partial_trace(rho_ab, (k,))) for k in (0, 1)] + [ln2]
-    pairs = [von_neumann_entropy(rho_ab)] + [with_register(partial_trace(blocks, (k,))) for k in (0, 1)]
-    return decomposition_from_entropies(with_register(blocks), singles, pairs)
+    blocks = dephased_state(rho0, np.abs(f), axis=axis)  # each rho_e up to a local unitary on B
+    s_a = np.full(np.shape(f), von_neumann_entropy(partial_trace(rho0, (0,))))
+    singles = [s_a, von_neumann_entropy(partial_trace(rho_ab, (1,))), ln2]
+    pairs = [von_neumann_entropy(rho_ab), ln2 + s_a, ln2 + von_neumann_entropy(partial_trace(blocks, (1,)))]
+    return decomposition_from_entropies(ln2 + von_neumann_entropy(blocks), singles, pairs)
 
 
 def flow_measures(
@@ -40,7 +40,7 @@ def flow_measures(
     params, as (V, T) arrays, one row per value. The decomposition's tau is the
     genuine tripartite correlation.
 
-    The AB state is checked before the register blocks, so a factor that makes
+    The AB state is checked before the register stack, so a factor that makes
     no state raises a NumericalError naming its (value, time)."""
     grid = np.asarray(grid, dtype=float).reshape(-1)
     if grid.size == 0:
@@ -50,5 +50,4 @@ def flow_measures(
     else:
         f = np.stack([field_factors(q, grid) for q in p])
     rho_ab = dephased_state(rho_ab0, f.real, axis=SIGMA_X)  # field_channel's output
-    blocks = dephased_state(rho_ab0, np.stack([f, f.conj()]), axis=SIGMA_X)
-    return concurrence(rho_ab), register_decomposition(rho_ab, blocks)
+    return concurrence(rho_ab), register_decomposition(rho_ab0, rho_ab, f, SIGMA_X)

@@ -21,6 +21,7 @@ from qrevivals.measures import (
 )
 from qrevivals.noise import (
     RandomFieldParams,
+    RandomUnitaryChannel,
     RTNParams,
     StaticNoiseParams,
     StroboscopicParams,
@@ -166,10 +167,21 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="exactly one"):
             parse_config_text(RTN_CFG.replace("g = 5.0\n", ""))
 
-    def test_ensemble_measures_need_pure_state(self):
-        bad = FIELD_CFG.replace("concurrence, eof", "hidden-entanglement")
-        with pytest.raises(ConfigError, match="pure initial state"):
-            parse_config_text(bad)
+    def test_ensemble_measures_take_a_mixed_state(self):
+        # each Gauss-Hermite member of the field turns qubit B of the mixed rho0
+        # by a local unitary, so it keeps E_f(rho0): the members' weighted mean
+        # E_f is the average entanglement, less E_f of their mixture the hidden
+        cfg = scenarios.parse_config(GOLDEN / "random-field-gaussian-mixed-xyz.cfg")
+        assert np.allclose(cfg.rho0.eigenvalues(), [0.7, 0.3, 0.0, 0.0])
+        rows = run_scenario(cfg).rows  # time, concurrence, eof, hidden, average
+        for t, _, _, hidden, average in rows:
+            ch = RandomUnitaryChannel.gaussian_field(1.0, cfg.param("width"), t, cfg.quadrature_order)
+            u4 = ch._lifted()
+            members = DensityOperator(u4 @ cfg.rho0.matrix @ u4.conj().swapaxes(-1, -2), (2, 2))
+            mean = ch.weights @ eof_from_concurrence(concurrence(members))
+            assert abs(average - mean) < 1e-14
+            assert abs(hidden - (mean - eof_from_concurrence(concurrence(ch.apply(cfg.rho0))))) < 1e-12
+        assert np.ptp(rows[:, 3]) > 0.2  # the grid crosses entangled and dark times
 
     def test_bell_label_validated(self):
         bad = OU_CFG.replace("label = 2+", "label = 9+")
@@ -941,6 +953,18 @@ class TestOutputFiles:
         argv = ["sweep", "--config", self.write(tmp_path, RTN_CFG), "--param", "g", "--values", "5", "--out", out]
         assert main(argv) == 1
         assert capsys.readouterr().err == f"config error: cannot write output file {out!r}: not a file name\n"
+
+    @pytest.mark.parametrize("out", ["results", "results/", "nodir/"])
+    def test_sweep_output_naming_a_directory_is_refused(self, tmp_path, capsys, monkeypatch, out):
+        # as simulate refuses it: one line, exit 1, and no file beside the directory
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "results").mkdir()
+        argv = ["sweep", "--config", self.write(tmp_path, RTN_CFG), "--param", "g", "--values", "1,2", "--out", out]
+        assert main(argv) == 1
+        reason = "no such directory" if out == "nodir/" else "Is a directory"
+        assert capsys.readouterr().err == f"config error: cannot write output file {out!r}: {reason}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["results", "scenario.cfg"]
+        assert not any((tmp_path / "results").iterdir())
 
     def test_sweep_rejects_non_integer_value_of_integer_key(self, tmp_path, capsys):
         out = tmp_path / "strobo.csv"

@@ -10,7 +10,9 @@ new row within 2 standard errors of the estimate it replaced. The inputs and
 measures the dephasing models took once every two-qubit model ran as a
 local-unitary mixture (``static-noise-pure-xyz``, ``rtn-bell``,
 ``ou-noise-hidden``, ``stroboscopic-hidden``) were recorded then, each first
-checked against an ensemble oracle or closed form (``tests/test_cli.py``).
+checked against an ensemble oracle or closed form (``tests/test_cli.py``);
+``random-field-gaussian-mixed-xyz`` when a mixed input took them, checked
+against the field's Gauss-Hermite members applied to it.
 Rows must agree within 1e-12, and the metadata (config echo and
 ``config-hash`` included) line for line; only the ``version.*`` lines may
 differ.

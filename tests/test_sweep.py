@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from qrevivals import scenarios
+from qrevivals import scenarios, tripartite
 from qrevivals.cli import main
 from qrevivals.linalg import NumericalError
 from qrevivals.scenarios import parse_config_text, sweep
@@ -108,21 +108,28 @@ FLOWS_BLOCKS = _cfg("tripartite-flows", "concurrence, eof, tripartite, info-deco
 
 def _stack_shapes(monkeypatch) -> list:
     """The factor shape of each dephased_state stack the runner builds from now
-    on: (V, T) for rho_AB, (2, V, T) for the register blocks."""
+    on: (V, T) for rho_AB and for the register stack; every factor must be
+    real."""
     shapes = []
     original = scenarios.dephased_state
-    monkeypatch.setattr(scenarios, "dephased_state",
-                        lambda rho, f, **kw: shapes.append(np.shape(f)) or original(rho, f, **kw))
+
+    def recorded(rho, f, **kw):
+        assert np.isrealobj(f), "a complex-factor stack"
+        shapes.append(np.shape(f))
+        return original(rho, f, **kw)
+
+    for module in (scenarios, tripartite):
+        monkeypatch.setattr(module, "dephased_state", recorded)
     return shapes
 
 
 def test_one_flows_block_stack_per_block(monkeypatch):
     shapes = _stack_shapes(monkeypatch)
     assert len(sweep(parse_config_text(FLOWS_BLOCKS), "width", [0.0, 0.1, 0.2, 0.3, 0.4])) == 5
-    assert shapes == [(2, 200), (2, 2, 200), (2, 200), (2, 2, 200), (1, 200), (2, 1, 200)]
+    assert shapes == [(2, 200), (2, 200), (2, 200), (2, 200), (1, 200), (1, 200)]
     flows = dict((c[0], c[1:]) for c in CASES)["tripartite-flows-width"]
     sweep(parse_config_text(flows[0]), "width", flows[2].split(","))
-    assert shapes[6:] == [(3, 17), (2, 3, 17)]  # 3 values x 17 times fit one block
+    assert shapes[6:] == [(3, 17), (3, 17)]  # 3 values x 17 times fit one block
 
 
 def test_two_qubit_flows_build_no_register_blocks(monkeypatch):
@@ -166,8 +173,7 @@ def test_initial_state_built_once_per_sweep(monkeypatch):
     flows = dict((c[0], c[1:]) for c in CASES)["tripartite-flows-width"]
     assert len(sweep(parse_config_text(flows[0]), "width", flows[2].split(","))) == 3
     assert len(calls) == 1
-    # the purity check of the hidden entanglement reads the state of every value's
-    # config, and configs that differ only in the model section share one state
+    # configs that differ only in the model section share one state
     pure = "[initial-state]\nkind = xyz\nx = 0.8\ny = 1.0\nz = 0.5\n"
     field = _cfg("random-field-gaussian", "concurrence, hidden-entanglement", 12.0, 17, pure,
                  {"rabi": 1.0, "width": 0.1})

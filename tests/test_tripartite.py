@@ -192,7 +192,8 @@ FLOW_GRIDS = {
 
 
 class TestBlockFormAgainstDilation:
-    """The flows from two 4x4 register blocks against the (8, 8) dilation."""
+    """The flows from the AB stack and one stack dephased by |f| against the
+    (8, 8) dilation, and the constants that form takes from rho0."""
 
     @pytest.mark.parametrize("grid", FLOW_GRIDS.values(), ids=FLOW_GRIDS.keys())
     @pytest.mark.parametrize("width", [0.0, 0.3])
@@ -205,6 +206,14 @@ class TestBlockFormAgainstDilation:
         assert np.max(np.abs(conc - conc_8)) < 1e-12
         for name, value in vars(dec).items():
             assert np.max(np.abs(value - getattr(dec_8, name))) < 1e-12, name
+        # S(A) = S(rho0^A) and S(AE) = ln 2 + S(rho0^A) at every time; at
+        # width 0 each register block is rho0 turned by a local unitary
+        rho = evolve(embed_initial(rho0), p, grid).rho
+        s_a0 = von_neumann_entropy(partial_trace(rho0, (0,)))
+        assert np.max(np.abs(von_neumann_entropy(partial_trace(rho, (0,))) - s_a0)) < 1e-12
+        assert np.max(np.abs(von_neumann_entropy(partial_trace(rho, (0, 2))) - (LN2 + s_a0))) < 1e-12
+        if width == 0.0:
+            assert np.max(np.abs(von_neumann_entropy(rho) - (LN2 + von_neumann_entropy(rho0)))) < 1e-12
 
     def test_a_list_of_params_gives_one_row_per_value(self):
         ps = [RandomFieldParams(1.0, w) for w in (0.0, 0.1, 0.3)]
