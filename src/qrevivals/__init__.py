@@ -22,6 +22,7 @@ from .measures import (
     WeightedPureEnsemble,
     average_entanglement,
     concurrence,
+    dephased_concurrence,
     eof_from_concurrence,
     hidden_entanglement,
     information_decomposition,
@@ -68,6 +69,7 @@ __all__ = [
     "average_entanglement",
     "bell_state",
     "concurrence",
+    "dephased_concurrence",
     "dephased_state",
     "eof_from_concurrence",
     "ewl_state",

@@ -100,18 +100,6 @@ def hermitian_eigenvalues(m, herm_tol: float = 1e-8) -> np.ndarray:
     return np.where((vals < 0.0) & (vals > -EIG_DUST), 0.0, vals)
 
 
-def clip_positive_spectrum(values) -> np.ndarray:
-    """Clip eigenvalue dust in (-EIG_DUST, 0) to zero; raise for anything lower."""
-    values = np.asarray(values, dtype=float)
-    if np.any(values <= -EIG_DUST):
-        raise PositivityError(
-            f"negative eigenvalue {values.min():.3e} below the -{EIG_DUST:g} dust window"
-        )
-    out = values.copy()
-    out[out < 0.0] = 0.0
-    return out
-
-
 def _density_spectrum(m) -> np.ndarray:
     """Validate a density matrix, or each matrix of a stack (..., d, d), and
     return the spectra in descending order with eigenvalue dust clipped to 0.
@@ -201,12 +189,3 @@ def von_neumann_entropy(rho: DensityOperator):
     s = -np.sum(p * np.log(np.where(p > 0.0, p, 1.0)), axis=-1)
     s = s + 0.0  # -0.0 guard for pure states
     return float(s) if s.ndim == 0 else s
-
-
-def matrix_sqrt_psd(m) -> np.ndarray:
-    """Principal square root of a Hermitian PSD matrix (or of each matrix of a
-    stack) via eigendecomposition."""
-    m = _as_stack(m)
-    vals, vecs = np.linalg.eigh(m)
-    vals = clip_positive_spectrum(vals)
-    return (vecs * np.sqrt(vals)[..., None, :]) @ np.swapaxes(vecs, -1, -2).conj()

@@ -4,7 +4,11 @@ decomposition, and average/hidden entanglement of pure-state ensembles.
 
 Concurrence, mutual information, tripartite correlations and the
 decomposition take a DensityOperator holding one matrix (and return floats)
-or a stack of them (and return one value per matrix, as arrays).
+or a stack of them (and return one value per matrix, as arrays). The
+concurrence of a state dephased on qubit B, the output of every channel,
+needs no state: concurrence_kernel reduces rho0 and the Pauli axis to a k x k
+kernel (k <= 4) once, and takes the real factors (a float for a scalar, an
+array for an array).
 
 Entropy units: natural log (nats) for every mutual-information/decomposition
 quantity; base 2 only inside the binary entropy of the entanglement of
@@ -17,11 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    EIG_DUST,
     DensityOperator,
+    NumericalError,
     SIGMA_Y,
-    clip_positive_spectrum,
-    hermitian_eigenvalues,
-    matrix_sqrt_psd,
+    SIGMA_Z,
+    _first_failure,
     partial_trace,
     tensor_product,
     von_neumann_entropy,
@@ -40,24 +45,77 @@ def _value(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
+def _from_lambdas(lam) -> np.ndarray:
+    """max(0, lambda_1 - lambda_2 - ...) from descending singular values."""
+    c = lam[..., 0] - lam[..., 1:].sum(axis=-1)
+    # rounding can carry a maximally entangled state a few ulps past 1
+    return np.where(c > 0.0, np.minimum(c, 1.0), 0.0)
+
+
 def concurrence(rho: DensityOperator):
     """Wootters concurrence of a two-qubit state (or of each state of a stack).
 
-    Computed from the Hermitian form sqrt(rho) (sy(x)sy) rho* (sy(x)sy) sqrt(rho),
-    whose spectrum equals that of rho (sy(x)sy) rho* (sy(x)sy); complex
-    conjugation is taken in the canonical basis. Eigenvalues below 1e-13 of
-    the largest are rank dust and zeroed, otherwise their square roots would
-    pollute the result at the 1e-8 level for rank-deficient states.
+    For any factor rho = W W^dagger, the lambda_i are the singular values of
+    the symmetric W^T (sy(x)sy) W (Wootters, PRL 80, 2245 (1998)); here W =
+    V sqrt(p) from one eigh. No square root of a product is taken, so a small
+    lambda_i of a rank-deficient state keeps its value to rounding instead of
+    the square root of its rounding.
     """
     _require_two_qubits(rho)
-    s = matrix_sqrt_psd(rho.matrix)
-    flipped = _YY @ rho.matrix.conj() @ _YY
-    chi = clip_positive_spectrum(hermitian_eigenvalues(s @ flipped @ s))
-    chi = np.where(chi < 1e-13 * chi[..., :1], 0.0, chi)
-    roots = np.sqrt(chi)
-    c = roots[..., 0] - roots[..., 1] - roots[..., 2] - roots[..., 3]
-    # rounding can carry a maximally entangled state a few ulps past 1
-    return _value(np.where(c > 0.0, np.minimum(c, 1.0), 0.0))
+    p, v = np.linalg.eigh(rho.matrix)
+    w = v * np.sqrt(np.maximum(p, 0.0))[..., None, :]
+    return _value(_from_lambdas(np.linalg.svd(np.swapaxes(w, -1, -2) @ _YY @ w, compute_uv=False)))
+
+
+def concurrence_kernel(rho0: DensityOperator, axis=SIGMA_Z):
+    """The function f -> concurrence of rho0 dephased about the Pauli ``axis``
+    on B by the real factor f, ((1 + f) rho0 + (1 - f) P rho0 P)/2 with P = 1 (x)
+    axis, for an array of factors (a float for a scalar).
+
+    With A = V sqrt(p) from one eigh of rho0 (weights at or below 1e-13 of the
+    largest dropped), W(f) = W0 D(f) factors the output, W0 = [A, PA] and D(f)
+    = diag(sqrt((1 + f)/2) 1_r, sqrt((1 - f)/2) 1_r). One QR, W0^T = Q0 R0, and
+    one eigh of Q0^dagger diag(1_r, -1_r) Q0 = V0 diag(z) V0^dagger then give
+    the lambda_i as the singular values of E K0 E, with K0 = V0^dagger R0
+    (sy(x)sy) R0^T conj(V0) and E = diag(sqrt((1 + f z)/2)), since D(f)^2 =
+    (1 + f diag(1_r, -1_r))/2 is affine in f. K0 is k x k, k = min(2r, 4), so
+    each factor costs one k x k SVD, and (1 - f)/2 enters as written, exact as
+    |f| -> 1.
+
+    A factor must be finite with |f| <= 1 within EIG_DUST, else a
+    NumericalError names the first bad one (its stack index); it is then
+    clipped into [-1, 1].
+    """
+    _require_two_qubits(rho0)
+    if rho0.matrix.ndim != 2:
+        raise ValueError(f"expected one state, got a stack of shape {rho0.matrix.shape}")
+    p, v = np.linalg.eigh(rho0.matrix)
+    keep = p > 1e-13 * p[-1]
+    a = v[:, keep] * np.sqrt(p[keep])
+    w0 = np.concatenate([a, (axis @ a.reshape(2, 2, -1)).reshape(4, -1)], axis=1)  # [A, (1 (x) axis) A]
+    q0, r0 = np.linalg.qr(w0.T)
+    signs = np.repeat([1.0, -1.0], a.shape[1])
+    z, v0 = np.linalg.eigh((q0.conj().T * signs) @ q0)
+    z = np.clip(z, -1.0, 1.0)
+    k0 = v0.conj().T @ r0 @ _YY @ r0.T @ v0.conj()
+
+    def kernel(f):
+        f = np.asarray(f)
+        if np.iscomplexobj(f):
+            raise ValueError("dephasing factors must be real")
+        idx, where = _first_failure(np.abs(f) <= 1.0 + EIG_DUST)  # negated: a NaN fails
+        if idx is not None:
+            raise NumericalError(f"dephasing factor {float(f[idx]):.17g}{where} not in [-1, 1] within {EIG_DUST:g}", idx)
+        e = np.sqrt(0.5 * (1.0 + np.clip(f, -1.0, 1.0)[..., None] * z))
+        return _value(_from_lambdas(np.linalg.svd(e[..., :, None] * k0 * e[..., None, :], compute_uv=False)))
+
+    return kernel
+
+
+def dephased_concurrence(rho0: DensityOperator, f, axis=SIGMA_Z):
+    """Concurrence of rho0 dephased about the Pauli ``axis`` on B by each real
+    factor of ``f``: ``concurrence_kernel(rho0, axis)(f)``."""
+    return concurrence_kernel(rho0, axis)(f)
 
 
 def concurrence_pure(psi) -> float:

@@ -53,7 +53,7 @@ import numpy as np
 from . import __version__ as _pkg_version
 from . import kernels
 from .linalg import DensityOperator, NumericalError, SIGMA_X, SIGMA_Z, _stack_where
-from .measures import concurrence, eof_from_concurrence
+from .measures import concurrence_kernel, eof_from_concurrence
 from .noise import (
     MC_BATCH,
     RNG_DESCRIPTION,
@@ -532,32 +532,35 @@ def _evaluate(cfg: ScenarioConfig, ps: list) -> np.ndarray:
     gives what the values share: grid and initial state (cfg.rho0).
 
     Each noise realisation is a phase on B, so no column sees the echo's
-    sigma_x, and it is not applied: one dephased_state stack of rho0 about the
-    row's axis, by the real part of the row's factors f, per block of values
-    gives every two-qubit column. Each realisation of the channel is a local
-    unitary on B, so it keeps E_f(rho0), pure or mixed: that is the average
-    entanglement, and E_f(rho0) - eof the hidden. The flow measures alone
-    build a second stack, rho0 dephased by |f|, which has the spectra of the
-    register blocks.
+    sigma_x, and it is not applied: every row is rho0 dephased about the
+    row's axis by the real part of its factor f. One measures.concurrence_kernel
+    of rho0 per call gives the concurrence and eof of every block from the
+    factors alone (a k x k SVD per point, k <= 4; no state stack), and its
+    check of the factors names a bad one by its (value, time). Each
+    realisation of the channel is a local unitary on B, so it keeps E_f(rho0),
+    pure or mixed: that is the average entanglement (the kernel at f = 1),
+    and E_f(rho0) - eof the hidden. The flow measures alone build state
+    stacks per block: rho0 dephased by Re f, whose entropies they read, and
+    rho0 dephased by |f|, which has the spectra of the register blocks.
     """
     row = _MODEL_TABLE[cfg.model]
     grid = _grid_values(cfg)
     rho0 = cfg.rho0
     factors = np.stack([row.channel(p, grid) for p in ps])
     flows = any(m in cfg.measures for m in _FLOW_MEASURES)
-    average = eof_from_concurrence(concurrence(rho0)) if any(m in cfg.measures for m in _ENSEMBLE_MEASURES) else None
+    kernel = concurrence_kernel(rho0, row.axis)
+    average = eof_from_concurrence(kernel(1.0)) if any(m in cfg.measures for m in _ENSEMBLE_MEASURES) else None
 
     def block_rows(block: slice) -> np.ndarray:
         f = factors[block]
-        rho = dephased_state(rho0, f.real, axis=row.axis)  # checked first: an error names its (value, time)
-        conc = concurrence(rho)
+        conc = kernel(f.real)
         eof = eof_from_concurrence(conc)
         columns = {"concurrence": [conc], "eof": [eof]}
         if average is not None:
             columns["hidden-entanglement"] = [average - eof]
             columns["average-entanglement"] = [np.full(eof.shape, average)]
         if flows:
-            dec = register_decomposition(rho0, rho, f, row.axis)
+            dec = register_decomposition(rho0, dephased_state(rho0, f.real, axis=row.axis), f, row.axis)
             columns["tripartite"] = [dec.tripartite]
             columns["info-decomposition"] = [dec.total, dec.local, dec.tripartite, dec.bipartite_max, dec.residual]
         return np.stack([np.broadcast_to(grid, conc.shape)] + [c for m in cfg.measures for c in columns[m]], axis=-1)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import DensityOperator, SIGMA_X, partial_trace, von_neumann_entropy
-from .measures import InformationDecomposition, concurrence, decomposition_from_entropies
+from .measures import InformationDecomposition, decomposition_from_entropies, dephased_concurrence
 from .noise import RandomFieldParams, dephased_state, field_factors
 
 
@@ -40,8 +40,9 @@ def flow_measures(
     params, as (V, T) arrays, one row per value. The decomposition's tau is the
     genuine tripartite correlation.
 
-    The AB state is checked before the register stack, so a factor that makes
-    no state raises a NumericalError naming its (value, time)."""
+    The concurrence comes from measures.dephased_concurrence, which checks
+    the factors first, so a factor that makes no state raises a
+    NumericalError naming its (value, time)."""
     grid = np.asarray(grid, dtype=float).reshape(-1)
     if grid.size == 0:
         raise ValueError("grid must be nonempty")
@@ -49,5 +50,6 @@ def flow_measures(
         f = field_factors(p, grid)
     else:
         f = np.stack([field_factors(q, grid) for q in p])
+    conc = dephased_concurrence(rho_ab0, f.real, SIGMA_X)
     rho_ab = dephased_state(rho_ab0, f.real, axis=SIGMA_X)  # field_channel's output
-    return concurrence(rho_ab), register_decomposition(rho_ab0, rho_ab, f, SIGMA_X)
+    return conc, register_decomposition(rho_ab0, rho_ab, f, SIGMA_X)

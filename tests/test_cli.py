@@ -11,11 +11,12 @@ import pytest
 import qrevivals
 from qrevivals import cli, scenarios
 from qrevivals.cli import main
-from qrevivals.linalg import DensityOperator, NumericalError, PositivityError
+from qrevivals.linalg import SIGMA_X, DensityOperator, NumericalError, PositivityError
 from qrevivals.measures import (
     WeightedPureEnsemble,
     average_entanglement,
     concurrence,
+    dephased_concurrence,
     eof_from_concurrence,
     hidden_entanglement,
 )
@@ -27,6 +28,7 @@ from qrevivals.noise import (
     StroboscopicParams,
     dephased_state,
     field_channel,
+    field_factors,
     ou_phase_variance,
     random_field_ensemble,
     rtn_coherence,
@@ -205,14 +207,17 @@ class TestRunScenario:
     def test_field_runner_is_the_library_channel(self, initial):
         # the runner dephases the input about sigma_x on B by the call the
         # library makes, at the unit-scale params (rabi 1, width/rabi) on the
-        # grid as written: field_channel's concurrence and flow_measures' rows, bit for bit
+        # grid as written: dephased_concurrence by Re field_factors and
+        # flow_measures' rows, bit for bit, and the former is the concurrence
+        # of field_channel's states
         text = FIELD_CFG.replace("kind = xyz\nx = 1.0\ny = 0.9\nz = 1.0", initial).replace("rabi = 1.0", "rabi = 2.0")
         text = text.replace("random-field", "random-field-gaussian").replace("width = 0.0", "width = 0.2")
         cfg = parse_config_text(text)
         assert cfg.params == RandomFieldParams(rabi=1.0, width=0.1)
         grid = np.linspace(0.0, 2 * np.pi, 17)
-        want = concurrence(field_channel(cfg.rho0, cfg.params, grid))
+        want = dephased_concurrence(cfg.rho0, field_factors(cfg.params, grid).real, SIGMA_X)
         assert run_scenario(cfg).rows[:, 1].tobytes() == want.tobytes() and np.ptp(want) > 0.1
+        assert np.max(np.abs(want - concurrence(field_channel(cfg.rho0, cfg.params, grid)))) < 1e-14
         flows = parse_config_text(text.replace("random-field-gaussian", "tripartite-flows").replace(
             "concurrence, eof", "concurrence, eof, tripartite, info-decomposition"))
         conc, dec = flow_measures(flows.rho0, flows.params, grid)
@@ -1245,6 +1250,28 @@ def test_params_are_at_unit_scale():
     assert parse_config_text(_set(RTN_CFG, "rate", "4.0")).params == RTNParams(rate=1.0, coupling=5.0)
 
 
+# near |f| = 1 the true lambda_2 = (1 - |f|)/2 of a dephased Bell state is
+# below 1e-6 of lambda_1; the concurrence must keep it, C = |Re f|
+SHORT_TIME_MODELS = {
+    "static-noise": {"sigma": 1.0},
+    "ou-noise": {"sigma": 1.0, "correlation-time": 1.0},
+    "random-field": {"rabi": 1.0},
+    "random-field-gaussian": {"rabi": 1.0, "width": 0.5},
+    "rtn": {"rate": 1.0, "g": 0.5},
+}
+
+
+@pytest.mark.parametrize("model", SHORT_TIME_MODELS)
+def test_short_time_bell_concurrence_is_the_factor(model):
+    params = "".join(f"{k} = {v}\n" for k, v in SHORT_TIME_MODELS[model].items())
+    cfg = parse_config_text(
+        f"[scenario]\nmodel = {model}\nmeasures = concurrence\ntime-start = 0.0\ntime-stop = 0.002\n"
+        f"time-points = 11\n[initial-state]\nkind = bell\nlabel = 2+\n[{model}]\n{params}")
+    f = scenarios._MODEL_TABLE[model].channel(cfg.params, np.linspace(0.0, 0.002, 11)).real
+    assert 1.0 - f[-1] > 1e-7  # the grid reaches the factors the former cut lost
+    assert np.max(np.abs(run_scenario(cfg).rows[:, 1] - np.abs(f))) <= 1e-15
+
+
 class TestClosedFormExtremes:
     """Configs whose closed forms would square an overflowing scale: each runs
     to a finite CSV with every concurrence in [0, 1]."""
@@ -1269,8 +1296,8 @@ class TestClosedFormExtremes:
         # white noise of vanishing strength: Var = 2 sigma^2 tau t ~ 1e-299
         rows = self.run(tmp_path, capsys, _set(OU_CFG, "correlation-time", "1e-300"))
         psi = qrevivals.bell_state("2+")
-        c_bell = qrevivals.concurrence(qrevivals.DensityOperator(np.outer(psi, psi.conj()), (2, 2)))
-        assert rows[:, 1].tolist() == [c_bell] * len(rows)
+        c_bell = qrevivals.dephased_concurrence(qrevivals.DensityOperator(np.outer(psi, psi.conj()), (2, 2)), 1.0)
+        assert rows[:, 1].tolist() == [c_bell] * len(rows) and abs(c_bell - 1.0) <= 1e-15
 
     @pytest.mark.parametrize("stop", ["1e290", "1e300"])
     def test_ou_overflowing_duration_dephases(self, tmp_path, capsys, stop):

@@ -8,9 +8,7 @@ from qrevivals.linalg import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    clip_positive_spectrum,
     hermitian_eigenvalues,
-    matrix_sqrt_psd,
     partial_trace,
     tensor_product,
     von_neumann_entropy,
@@ -125,16 +123,6 @@ class TestHermitianEigenvalues:
             hermitian_eigenvalues(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
-class TestClipPositiveSpectrum:
-    def test_raises_below_window(self):
-        with pytest.raises(PositivityError):
-            clip_positive_spectrum(np.array([0.5, -1e-9]))
-
-    def test_clips_dust(self):
-        out = clip_positive_spectrum(np.array([0.5, -1e-12]))
-        assert out[1] == 0.0
-
-
 class TestDensityOperator:
     def test_rejects_bad_trace(self):
         with pytest.raises(ValueError, match="trace"):
@@ -230,10 +218,3 @@ class TestEntropy:
             u = random_unitary(rng, rho.dim)
             rotated = DensityOperator(u @ rho.matrix @ u.conj().T, dims)
             assert abs(von_neumann_entropy(rotated) - von_neumann_entropy(rho)) < 1e-9
-
-
-def test_matrix_sqrt_roundtrip():
-    rng = np.random.default_rng(29)
-    rho = random_density(rng, (2, 2))
-    s = matrix_sqrt_psd(rho.matrix)
-    assert np.allclose(s @ s, rho.matrix, atol=1e-12)

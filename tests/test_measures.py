@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qrevivals.linalg import DensityOperator, EYE2, tensor_product
+from qrevivals.linalg import SIGMA_X, SIGMA_Z, DensityOperator, EYE2, NumericalError, tensor_product
 from qrevivals.measures import (
     InformationDecomposition,
     WeightedPureEnsemble,
@@ -9,6 +9,7 @@ from qrevivals.measures import (
     binary_entropy,
     concurrence,
     concurrence_pure,
+    dephased_concurrence,
     eof_from_concurrence,
     eof_stderr,
     hidden_entanglement,
@@ -16,7 +17,13 @@ from qrevivals.measures import (
     mutual_information,
     tripartite_correlations,
 )
-from qrevivals.noise import RandomFieldParams, random_field_ensemble, static_noise_ensemble, StaticNoiseParams
+from qrevivals.noise import (
+    RandomFieldParams,
+    StaticNoiseParams,
+    dephased_state,
+    random_field_ensemble,
+    static_noise_ensemble,
+)
 from qrevivals.states import BELL_LABELS, EWLParams, XYZParams, bell_state, ewl_state, xyz_state
 
 LN2 = np.log(2.0)
@@ -92,6 +99,58 @@ class TestConcurrence:
     def test_rejects_wrong_dims(self):
         with pytest.raises(ValueError):
             concurrence(DensityOperator(np.eye(8) / 8, (2, 2, 2)))
+
+
+class TestDephasedConcurrence:
+    # f = +/-(1 - 10^-k): the true lambda_2 = (1 - |f|)/2 of a dephased Bell
+    # state is far below the 1e-13 of lambda_1 at which a spectrum of
+    # lambda^2 loses it
+    NEAR_ONE = 1.0 - np.logspace(-16, -1, 16)
+    AXES = pytest.mark.parametrize("axis", [SIGMA_X, SIGMA_Z], ids=["x", "z"])
+
+    @AXES
+    @pytest.mark.parametrize("label", BELL_LABELS)
+    def test_bell_stack_is_the_factor_near_one(self, label, axis):
+        rho = pure(bell_state(label))
+        f = np.concatenate([self.NEAR_ONE, -self.NEAR_ONE, [1.0, -1.0, 0.0]])
+        assert np.max(np.abs(concurrence(dephased_state(rho, f, axis=axis)) - np.abs(f))) <= 1e-15
+        assert np.max(np.abs(dephased_concurrence(rho, f, axis) - np.abs(f))) <= 1e-15
+
+    @AXES
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_equals_concurrence_of_the_dephased_stack(self, rank, axis):
+        rng = np.random.default_rng(100 + rank)
+        for _ in range(5):
+            g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+            rho = density(g @ g.conj().T / np.sum(np.abs(g) ** 2))
+            f = np.concatenate([rng.uniform(-1.0, 1.0, 50), [1.0, -1.0, 0.0]])
+            want = concurrence(dephased_state(rho, f, axis=axis))
+            assert np.max(np.abs(dephased_concurrence(rho, f, axis) - want)) < 1e-14
+        assert dephased_concurrence(rho, 1.0, axis) == dephased_concurrence(rho, [1.0], axis)[0]
+
+    def test_shape_follows_the_factors(self):
+        rho = density(xyz_state(XYZParams(1.0, 0.9, 1.0)).matrix)
+        assert isinstance(dephased_concurrence(rho, 0.5), float)
+        assert dephased_concurrence(rho, np.full((3, 2), 0.5)).shape == (3, 2)
+        with pytest.raises(ValueError, match="stack"):
+            dephased_concurrence(density(np.stack([rho.matrix] * 2)), 0.5)
+
+    def test_product_state_stays_separable(self):
+        # |0>|+> about x: A and P A are parallel, a rank-deficient factor
+        rho = pure(np.kron([1.0, 0.0], [1.0, 1.0]) / np.sqrt(2.0))
+        assert np.all(dephased_concurrence(rho, np.linspace(-1.0, 1.0, 9), SIGMA_X) == 0.0)
+
+    def test_bad_factor_names_its_stack_index(self):
+        rho = pure(bell_state("2+"))
+        with pytest.raises(NumericalError, match=r"stack index \(1, 0\)") as info:
+            dephased_concurrence(rho, np.array([[0.5, 0.2], [np.nan, 1.0]]))
+        assert info.value.index == (1, 0)
+        with pytest.raises(NumericalError, match="stack index 1"):
+            dephased_concurrence(rho, [0.5, -1.0 - 1e-9])
+        with pytest.raises(ValueError, match="real"):
+            dephased_concurrence(rho, [0.5 + 0.1j])
+        # dust within 1e-10 of the unit interval is clipped onto it
+        assert dephased_concurrence(rho, 1.0 + 1e-11) == dephased_concurrence(rho, 1.0)
 
 
 class TestEntanglementOfFormation:

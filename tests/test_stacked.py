@@ -15,7 +15,7 @@ from qrevivals.linalg import (
     partial_trace,
     von_neumann_entropy,
 )
-from qrevivals.measures import concurrence, eof_from_concurrence, information_decomposition
+from qrevivals.measures import concurrence, dephased_concurrence, eof_from_concurrence, information_decomposition
 from qrevivals.noise import (
     FIELD_PHASES,
     RTNParams,
@@ -233,5 +233,5 @@ g = 0.9
     p = RTNParams(rate=1.0, coupling=0.9)
     ewl = EWLParams(r=0.8, a=0.6 + 0.3j, kind="two-excitation")
     for row in rows:
-        c = concurrence(dephased_state(ewl_state(ewl), rtn_coherence(p, [row[0]])))[0]
+        c = dephased_concurrence(ewl_state(ewl), rtn_coherence(p, [row[0]]))[0]
         assert row[1] == c and row[2] == eof_from_concurrence(c)

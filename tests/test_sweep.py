@@ -81,24 +81,25 @@ def test_sweep_file_equals_its_simulate(tmp_path, text, key, values, threads):
         assert _without_sweep_lines(swept) == _without_sweep_lines(sim.read_text(encoding="utf-8"))
 
 
-def test_one_dephased_stack_per_block(monkeypatch):
-    calls = []
-    original = scenarios.dephased_state
-    monkeypatch.setattr(scenarios, "dephased_state", lambda *a, **k: calls.append(1) or original(*a, **k))
+def test_one_concurrence_kernel_per_evaluation(monkeypatch):
+    kernels, stacks = [], []
+    original = scenarios.concurrence_kernel
+    monkeypatch.setattr(scenarios, "concurrence_kernel", lambda *a, **k: kernels.append(1) or original(*a, **k))
+    monkeypatch.setattr(scenarios, "dephased_state", lambda *a, **k: stacks.append(1))
     rtn = dict((c[0], c[1:]) for c in CASES)["rtn-g-blocks"]
     assert len(sweep(parse_config_text(rtn[0]), "g", rtn[2].split(","))) == 5
-    assert len(calls) == 3  # 200 points: two values per block
+    assert len(kernels) == 1  # 200 points: three blocks of two values, one kernel
     strobo = dict((c[0], c[1:]) for c in CASES)["stroboscopic-autocorrelation"]
     sweep(parse_config_text(strobo[0]), "autocorrelation", [0.0, 0.25, 0.5, 0.75, 1.0])
-    assert len(calls) == 4  # 5 values x 5 steps fit one block
-    # the field is dephasing too: its values stack like every other model's
+    assert len(kernels) == 2
     field = _cfg("random-field-gaussian", "concurrence, eof", 12.0, 17, PURE_XYZ, {"rabi": 1.0, "width": 0.1})
     sweep(parse_config_text(field), "width", [0.0, 0.1, 0.3])
-    assert len(calls) == 5  # 3 values x 17 times fit one block
-    # the hidden and average entanglement are read off the eof column of that one stack
+    assert len(kernels) == 3
+    # the hidden and average entanglement read E_f(rho0) off the same kernel, at f = 1
     hidden = _cfg("random-field", "concurrence, eof, hidden-entanglement", 12.0, 17, PURE_XYZ, {"rabi": 1.0})
     scenarios.run_scenario(parse_config_text(hidden))
-    assert len(calls) == 6
+    assert len(kernels) == 4
+    assert stacks == []  # the two-qubit measures build no state stack
 
 
 # 200 points: the flows of a width sweep run in blocks of two values, the last one partial
@@ -136,7 +137,7 @@ def test_two_qubit_flows_build_no_register_blocks(monkeypatch):
     shapes = _stack_shapes(monkeypatch)
     values = [0.0, 0.1, 0.2, 0.3, 0.4]
     two = sweep(parse_config_text(FLOWS_BLOCKS.replace(", tripartite, info-decomposition", "")), "width", values)
-    assert shapes == [(2, 200), (2, 200), (1, 200)]  # one stack per block: rho_AB
+    assert shapes == []  # the concurrence kernel needs no state stack
     four = sweep(parse_config_text(FLOWS_BLOCKS), "width", values)
     for (_, a), (_, b) in zip(two, four):
         rows = [line for line in a.to_csv().splitlines() if not line.startswith("#")]
@@ -173,11 +174,12 @@ def test_initial_state_built_once_per_sweep(monkeypatch):
     flows = dict((c[0], c[1:]) for c in CASES)["tripartite-flows-width"]
     assert len(sweep(parse_config_text(flows[0]), "width", flows[2].split(","))) == 3
     assert len(calls) == 1
-    # configs that differ only in the model section share one state
+    # separate runs of configs that differ only in the model section share one state
     pure = "[initial-state]\nkind = xyz\nx = 0.8\ny = 1.0\nz = 0.5\n"
-    field = _cfg("random-field-gaussian", "concurrence, hidden-entanglement", 12.0, 17, pure,
-                 {"rabi": 1.0, "width": 0.1})
-    assert len(sweep(parse_config_text(field), "width", [0.0, 0.05, 0.1, 0.3])) == 4
+    for model, params in (("random-field-gaussian", {"rabi": 1.0, "width": 0.1}), ("static-noise", {"sigma": 1.0}),
+                          ("rtn", {"rate": 1.0, "g": 2.5})):
+        scenarios.run_scenario(parse_config_text(_cfg(model, "concurrence, hidden-entanglement", 12.0, 17, pure,
+                                                      params)))
     assert len(calls) == 2
 
 
