@@ -24,7 +24,11 @@ Conventions used throughout:
   of the thread count used to evaluate them.
 * The telegraph oracle draws each trajectory's flip count and flip times and
   sums its cosines once per flip, not once per (trajectory, time), so its
-  work grows with the flips plus the grid times (``_rtn_cos_sums``).
+  work grows with the flips plus the grid times (``_rtn_cos_sums``). Each
+  flip finds its grid bin, the first grid time at or after it, in a table of
+  equal cells of the grid built once per call: it starts at the count of
+  grid times below its cell and steps over those of its cell below it, which
+  gives the integer np.searchsorted gives (``_grid_bins``).
 """
 from __future__ import annotations
 
@@ -535,8 +539,9 @@ def _ou_update(p: StaticNoiseParams, dt: np.ndarray):
 
 def _check_grid(times) -> np.ndarray:
     times = np.asarray(times, dtype=float).reshape(-1)
-    if times.size == 0 or np.any(np.diff(times) <= 0.0) or times[0] < 0.0:
-        raise ValueError("times must be a nonempty strictly increasing nonnegative grid")
+    # np.diff(times) <= 0 is False at a NaN, so finiteness is its own check
+    if times.size == 0 or not np.all(np.isfinite(times)) or np.any(np.diff(times) <= 0.0) or times[0] < 0.0:
+        raise ValueError("times must be a nonempty strictly increasing nonnegative finite grid")
     return times
 
 
@@ -611,13 +616,65 @@ def rtn_coherence(p: RTNParams, t):
     return float(q) if q.ndim == 0 else q
 
 
-def _rtn_cos_sums(flips, counts, times, coupling) -> tuple[np.ndarray, np.ndarray]:
+# compare passes per key (one on a uniform grid) beyond which _grid_bins hands
+# the grid to np.searchsorted: on a batch of 16 000 flips (2-vCPU Xeon VM) each
+# pass adds about 25 us to a 66 us lookup, against about 430 us for
+# np.searchsorted, so eight passes still take about half as long
+_MAX_BIN_PASSES = 8
+
+
+def _grid_bins(times):
+    """The function x -> np.searchsorted(times, x), integer for integer, for an
+    ascending grid: the number of grid times below each key.
+
+    [times[0], times[-1]] is cut into 2 len(times) equal cells, and keys and grid
+    times go to cells by one formula, clip((x - times[0]) * scale). It is
+    monotone in x even in floating point (a correctly rounded difference or
+    product by a positive number keeps the order of its inputs), so the grid
+    times in cells below a key's cell are below the key and those in cells above
+    it above: only the grid times of its own cell are left open. A key starts at
+    the count below its cell and takes one compare-and-step pass per grid time
+    of the fullest cell (one pass on a uniform grid, whose cells hold at most one
+    time each). A grid of zero span, such as the one-point grid [t], or one that
+    crowds more than _MAX_BIN_PASSES times into a cell is searched with
+    np.searchsorted instead.
+    """
+    n_cells = 2 * times.size
+    span = float(times[-1] - times[0])
+    scale = n_cells / span if span > 0.0 else 0.0
+    if not 0.0 < scale < math.inf:
+        return functools.partial(np.searchsorted, times)
+
+    def cells(x):
+        with np.errstate(over="ignore"):  # far keys scale to +/-inf and are clipped
+            return np.clip((x - times[0]) * scale, 0, n_cells - 1).astype(np.intp)
+
+    grid_cells = cells(times)
+    passes = int(np.bincount(grid_cells).max())
+    if passes > _MAX_BIN_PASSES:
+        return functools.partial(np.searchsorted, times)
+    below = np.searchsorted(grid_cells, np.arange(n_cells))  # grid times in lower cells
+    # the first grid time past a key's cell exceeds the key, so no key steps
+    # past its cell; the appended inf stops keys at or beyond the last time
+    capped = np.append(times, np.inf)
+
+    def bins(x):
+        k = below[cells(x)]
+        for _ in range(passes):
+            k += capped[k] < x
+        return k
+
+    return bins
+
+
+def _rtn_cos_sums(flips, counts, times, coupling, grid_bins) -> tuple[np.ndarray, np.ndarray]:
     """Sums over trajectories of cos(v I(t)) and cos^2(v I(t)) at each grid
     time, I(t) = int_0^t xi the integral of a +/-1 telegraph signal that starts
     at +1 and flips at each of its row's times.
 
     ``flips`` holds the rows' flip times one row after another, each row
-    ascending; ``counts`` the number of flips per row; ``times`` is ascending.
+    ascending; ``counts`` the number of flips per row; ``times`` is ascending
+    and ``grid_bins`` is ``_grid_bins(times)``.
 
     After m flips I(t) = q_m + sigma_m t, with sigma_m = (-1)^m and
     q_m = 2 (s_1 - s_2 + s_3 - ...) over the first m flips, so
@@ -631,22 +688,34 @@ def _rtn_cos_sums(flips, counts, times, coupling) -> tuple[np.ndarray, np.ndarra
     n_rows, n_t = counts.size, times.size
     starts = np.cumsum(counts) - counts
     first = starts[counts > 0]  # each row's first flip
-    # sigma_{m-1} of the m-th flip of a row; q by one cumulative sum over all
-    # rows, restarted per row by subtracting its value where the row starts
-    sign_before = 1.0 - 2.0 * ((np.arange(flips.size) - np.repeat(starts, counts)) & 1)
-    partial = np.cumsum(2.0 * sign_before * flips)
+    # sigma_{m-1} of the m-th flip of a row, flip i of the batch, is
+    # (-1)^(i - start) = (-1)^start (-1)^i; q by one cumulative sum over all
+    # rows, restarted per row by subtracting its value where the row starts.
+    # The arrays are reused in place, which changes no value.
+    sign_before = np.repeat(1.0 - 2.0 * (starts & 1), counts)
+    sign_before[1::2] *= -1.0
+    partial = np.multiply(2.0, sign_before)
+    partial *= flips
+    np.cumsum(partial, out=partial)
     q = partial - np.repeat(np.concatenate([[0.0], partial])[starts], counts)
-    c, s = np.cos(coupling * q), np.sin(coupling * q)
-    s *= -sign_before  # sigma_m sin(v q_m)
-    values = np.stack([c, s, c * c - s * s, 2.0 * c * s])  # and at the double angle
-    start = np.array([1.0, 0.0, 1.0, 0.0])  # the same before any flip
-    steps = np.diff(values, axis=1, prepend=start[:, None])
-    steps[:, first] = values[:, first] - start[:, None]
-    # one bincount for the four sums, sum k in bins k (n_t + 1) onwards; a flip
-    # after times[-1] lands in the extra bin n_t, which is dropped
-    bins = np.searchsorted(times, flips) + (n_t + 1) * np.arange(4)[:, None]
-    binned = np.bincount(bins.ravel(), steps.ravel(), minlength=4 * (n_t + 1)).reshape(4, n_t + 1)
-    cos_q, sin_q, cos_2q, sin_2q = n_rows * start[:, None] + np.cumsum(binned[:, :n_t], axis=1)
+    q *= coupling
+    c, s = np.cos(q), np.sin(q)
+    s *= np.negative(sign_before, out=sign_before)  # sigma_m sin(v q_m)
+    cos_2q = np.multiply(c, c, out=q)  # and at the double angle
+    cos_2q -= np.square(s, out=sign_before)
+    sin_2q = np.multiply(2.0, c, out=partial)
+    sin_2q *= s
+    # a flip after times[-1] lands in the extra bin n_t, which is dropped
+    bins = grid_bins(flips)
+    step = np.empty_like(flips)
+    sums = []
+    # one bincount per quantity, from its value before any flip
+    for value, before in ((c, 1.0), (s, 0.0), (cos_2q, 1.0), (sin_2q, 0.0)):
+        np.subtract(value[1:], value[:-1], out=step[1:])
+        step[first] = value[first] - before
+        binned = np.bincount(bins, step, minlength=n_t + 1)[:n_t]
+        sums.append(n_rows * before + np.cumsum(binned))
+    cos_q, sin_q, cos_2q, sin_2q = sums
     vt = coupling * times
     cos_sum = np.cos(vt) * cos_q - np.sin(vt) * sin_q
     cos2_sum = 0.5 * (n_rows + np.cos(2.0 * vt) * cos_2q - np.sin(2.0 * vt) * sin_2q)
@@ -668,14 +737,16 @@ def rtn_mc_coherence_grid(
         raise ValueError(f"trajectories={trajectories} below the minimum of 10000")
     times = _check_grid(times)
     t_max = float(times[-1])
+    grid_bins = _grid_bins(times)
 
     def draw(rng, b):
         counts = rng.poisson(p.rate * t_max, size=b)
         padded = np.full((b, counts.max()), np.inf)
-        filled = np.arange(padded.shape[1]) < counts[:, None]
-        padded[filled] = rng.uniform(0.0, t_max, size=counts.sum())
+        flat = padded.reshape(-1)
+        filled = np.flatnonzero(np.arange(padded.shape[1]) < counts[:, None])  # row by row
+        flat[filled] = rng.uniform(0.0, t_max, size=counts.sum())
         padded.sort(axis=1)
-        return (*_rtn_cos_sums(padded[filled], counts, times, p.coupling), b)
+        return (*_rtn_cos_sums(flat[filled], counts, times, p.coupling, grid_bins), b)
 
     parts = _mc_batches(seed, trajectories, threads, draw)
     s1 = sum(q[0] for q in parts)

@@ -153,19 +153,26 @@ class TestMonteCarloOracle:
         b = rtn_mc_coherence_grid(p, [1.0, 5.0], 10_000, 31, threads=8)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
-    @pytest.mark.parametrize("trajectories, digest", [
-        pytest.param(10_001, "8bf21edab66c37bae64b1e9995a79e03d9fbd40eacb88c9047f4e11625655eec", id="10001"),
-        pytest.param(12_000, "f3357cf9006173df716992445978e60f825df9a52802472d22f28a63f209eef3", id="12000"),
+    @pytest.mark.parametrize("times, trajectories, digest", [
+        pytest.param(np.linspace(0.0, 12.0, 49), 10_001,
+                     "8bf21edab66c37bae64b1e9995a79e03d9fbd40eacb88c9047f4e11625655eec", id="10001"),
+        pytest.param(np.linspace(0.0, 12.0, 49), 12_000,
+                     "f3357cf9006173df716992445978e60f825df9a52802472d22f28a63f209eef3", id="12000"),
+        # five grid times share the first of 98 equal cells of [0, 12]
+        pytest.param(12.0 * np.linspace(0.0, 1.0, 49) ** 2, 10_001,
+                     "70325572754e5c63543f2643ba4614f99b3e24cabfffe00e3d373ae4ea4b5275", id="quadratic-10001"),
+        # a sixth of the flips fall before the first grid time
+        pytest.param(np.linspace(2.0, 12.0, 41), 10_001,
+                     "147bba3470f465187c2d59e9112272e5d0b8a0f7a2171893f962723b2b5fb45d", id="from-2-10001"),
     ])
     @pytest.mark.parametrize("threads", [1, 2, 8])
-    def test_bytes_pinned(self, trajectories, digest, threads):
+    def test_bytes_pinned(self, times, trajectories, digest, threads):
         # SHA-256 of the means and standard errors of the Poisson-count draws
         # and per-flip cosine sums (numpy 2.4, x86-64), recorded once these
         # outputs agreed with the closed form within 4 SE at every time: a
         # rewrite that keeps the draws must not move a bit; 10 001 ends on a
         # batch of 1809 rows
         p = RTNParams(rate=1.0, coupling=2.5)
-        times = np.linspace(0.0, 12.0, 49)
         mean, se = rtn_mc_coherence_grid(p, times, trajectories, 7, threads)
         assert np.all(np.abs(mean - rtn_coherence(p, times)) <= 4.0 * se)
         assert hashlib.sha256(mean.tobytes() + se.tobytes()).hexdigest() == digest
@@ -173,6 +180,11 @@ class TestMonteCarloOracle:
     def test_trajectory_floor(self):
         with pytest.raises(ValueError):
             rtn_mc_coherence_grid(RTNParams(rate=1.0, coupling=1.0), [1.0], 5000, 1)
+
+    @pytest.mark.parametrize("times", [[0.0, np.nan, 1.0], [0.5, np.inf]])
+    def test_non_finite_grid_time_is_refused(self, times):
+        with pytest.raises(ValueError, match="finite grid"):
+            rtn_mc_coherence_grid(RTNParams(rate=1.0, coupling=1.0), times, 10_000, 1)
 
 
 class TestRTNConcurrence:
