@@ -180,8 +180,8 @@ def criterion_4(threads: int = 1) -> CriterionResult:
         var = ou_phase_variance(p, 2 * tbar)
         c_exact = float(np.exp(-0.5 * var))
         efs.append(eof_from_concurrence(c_exact))
-        est = ou_mc_dephasing_factors(p, [2 * tbar], n_traj, DEFAULT_SEED, threads)
-        c_mc, se_c = abs(est.factors[0]), float(est.se_abs[0])
+        mean, se = ou_mc_dephasing_factors(p, [2 * tbar], n_traj, DEFAULT_SEED, threads)
+        c_mc, se_c = float(mean[0]), float(se[0])
         z_scores.append(abs(c_mc - c_exact) / se_c)
     monotone = efs[0] < efs[1] < efs[2]
     # p, var, c_exact and the estimate now belong to the last pass, sigma*tau = 1000
@@ -193,7 +193,7 @@ def criterion_4(threads: int = 1) -> CriterionResult:
         (monotone, f"E_f(2tbar) increases with tau: {np.round(efs, 6).tolist()}"),
         (
             max(z_scores) <= 3.0,
-            f"path oracle |C(2tbar)| vs exact exp(-Var/2): |dC|/SE = {np.round(z_scores, 2).tolist()} (<=3)",
+            f"path oracle C(2tbar) vs exact exp(-Var/2): |dC|/SE = {np.round(z_scores, 2).tolist()} (<=3)",
         ),
         (
             dev <= 3.0 * se_ef,
@@ -304,9 +304,9 @@ def criterion_8(threads: int = 1) -> CriterionResult:
         exact = np.exp(-0.5 * stroboscopic_phase_variance(p, steps))
         echoed = steps > (4 if echo is None else echo)
         efs[echo] = eof_from_concurrence(concurrence(dephased_state(rho0, exact, echoed)))
-        est = stroboscopic_mc_dephasing_factors(p, 10_000, DEFAULT_SEED, threads)
+        mean, se = stroboscopic_mc_dephasing_factors(p, 10_000, DEFAULT_SEED, threads)
         # a refocused step has SE 0 (every sequence carries the same zero phase): 1e-12 floors 3*SE
-        z = np.abs(np.abs(est.factors) - exact) / np.maximum(est.se_abs, 1e-12 / 3.0)
+        z = np.abs(mean - exact) / np.maximum(se, 1e-12 / 3.0)
         worst_z = max(worst_z, float(np.max(z)))
     decreasing = bool(np.all(np.diff(efs[None]) < 0.0))
     ef4 = efs[2][3]
@@ -392,7 +392,7 @@ def _oracle_outputs(threads: int) -> list[np.ndarray]:
                                  4097, DEFAULT_SEED, threads)
     strobo = stroboscopic_mc_dephasing_factors(StroboscopicParams(phase_sigma=0.6, autocorrelation=0.5,
                                                                   echo_after_step=2), 8193, DEFAULT_SEED, threads)
-    return [*rtn, ou.factors, ou.se_abs, strobo.factors, strobo.se_abs]
+    return [*rtn, *ou, *strobo]
 
 
 def criterion_10(threads: int = 1) -> CriterionResult:

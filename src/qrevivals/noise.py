@@ -18,10 +18,13 @@ Conventions used throughout:
   measure computed downstream is invariant under those local unitaries.
 * The echo pulse is an instantaneous sigma_x inserted between propagation
   segments.
-* The oracles' Monte-Carlo trajectories are partitioned into fixed-size
-  batches; batch b draws from an independent stream spawned from the seed,
-  and batch results are reduced in batch order, so results are independent
-  of the thread count used to evaluate them.
+* Every Monte-Carlo oracle estimates its factor as the mean of cos theta over
+  its trajectories, with the standard error of that mean (``_mean_and_se``):
+  each phase theta is symmetric about 0, so E[sin theta] = 0 and
+  E[exp(-i theta)] = E[cos theta]. Trajectories are partitioned into
+  fixed-size batches; batch b draws from an independent stream spawned from
+  the seed, and batch sums are reduced in batch order, so results are
+  independent of the thread count used to evaluate them.
 * The telegraph oracle draws each trajectory's flip count and flip times and
   sums its cosines once per flip, not once per (trajectory, time), so its
   work grows with the flips plus the grid times (``_rtn_cos_sums``). Each
@@ -34,7 +37,6 @@ from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -325,53 +327,6 @@ def dephased_state(rho0: DensityOperator, factor, echoed=False, axis=SIGMA_Z) ->
     return DensityOperator(apply_b_dephasing(rho0.matrix, factor, echoed, axis), (2, 2))
 
 
-def _phase_partials(theta: np.ndarray) -> tuple:
-    """Per-batch sums needed for the mean of exp(-i theta) and its errors."""
-    c = np.cos(theta)
-    s = np.sin(theta)
-    return (
-        c.sum(axis=0),
-        s.sum(axis=0),
-        (c * c).sum(axis=0),
-        (s * s).sum(axis=0),
-        (c * s).sum(axis=0),
-        theta.shape[0],
-    )
-
-
-@dataclass(frozen=True)
-class DephasingEstimate:
-    """Monte-Carlo estimate of the dephasing factors <exp(-i theta(t))> with
-    the standard error of the factor magnitude at each time."""
-
-    factors: np.ndarray  # complex, one per time
-    se_abs: np.ndarray  # standard error of |factor|
-    trajectories: int
-
-
-def _combine_phase_partials(partials: list[tuple]) -> DephasingEstimate:
-    s_c = sum(p[0] for p in partials)
-    s_s = sum(p[1] for p in partials)
-    s_cc = sum(p[2] for p in partials)
-    s_ss = sum(p[3] for p in partials)
-    s_cs = sum(p[4] for p in partials)
-    n = sum(p[5] for p in partials)
-    mean_c = s_c / n
-    mean_s = s_s / n
-    factors = mean_c - 1j * mean_s
-    if n > 1:
-        var_c = np.maximum(0.0, (s_cc - n * mean_c**2) / (n - 1))
-        var_s = np.maximum(0.0, (s_ss - n * mean_s**2) / (n - 1))
-        cov = (s_cs - n * mean_c * mean_s) / (n - 1)
-    else:
-        var_c = var_s = cov = np.zeros_like(mean_c)
-    mag = np.abs(factors)
-    g_c = np.where(mag > 0.0, mean_c / np.where(mag > 0.0, mag, 1.0), 1.0)
-    g_s = np.where(mag > 0.0, mean_s / np.where(mag > 0.0, mag, 1.0), 0.0)
-    se = np.sqrt(np.maximum(0.0, g_c**2 * var_c + 2 * g_c * g_s * cov + g_s**2 * var_s) / n)
-    return DephasingEstimate(factors=factors, se_abs=se, trajectories=n)
-
-
 def _batch_sizes(n: int) -> list[int]:
     sizes = [MC_BATCH] * (n // MC_BATCH)
     if n % MC_BATCH:
@@ -380,8 +335,10 @@ def _batch_sizes(n: int) -> list[int]:
 
 
 @functools.cache
-def _pool(threads: int) -> ThreadPoolExecutor:
+def _pool(threads: int):
     """One worker pool per thread count, kept for the life of the process."""
+    from concurrent.futures import ThreadPoolExecutor  # only the threaded oracles load it
+
     return ThreadPoolExecutor(max_workers=threads)
 
 
@@ -393,7 +350,10 @@ def _map_ordered(fn, n_batches: int, threads: int) -> list:
 
 def _mc_batches(seed: int, trajectories: int, threads: int, draw) -> list:
     """``draw(rng, size)`` of each fixed-size batch of ``trajectories``, in batch
-    order; batch i draws from the i-th stream spawned from ``seed``."""
+    order; batch i draws from the i-th stream spawned from ``seed``. A standard
+    error needs at least two trajectories."""
+    if trajectories < 2:
+        raise ValueError(f"trajectories={trajectories} must be >= 2")
     sizes = _batch_sizes(trajectories)
     streams = np.random.SeedSequence(seed).spawn(len(sizes))
 
@@ -401,6 +361,18 @@ def _mc_batches(seed: int, trajectories: int, threads: int, draw) -> list:
         return draw(np.random.default_rng(streams[i]), sizes[i])
 
     return _map_ordered(work, len(sizes), threads)
+
+
+def _mean_and_se(parts: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
+    """The mean of cos theta over every trajectory and its standard error, from
+    each batch's (sum of cos theta, sum of cos^2 theta, trajectories), summed
+    in batch order."""
+    s1 = sum(q[0] for q in parts)
+    s2 = sum(q[1] for q in parts)
+    n = sum(q[2] for q in parts)
+    mean = s1 / n
+    var = np.maximum(0.0, (s2 - n * mean**2) / (n - 1))
+    return mean, np.sqrt(var / n)
 
 
 # ---------------------------------------------------------------------------
@@ -547,11 +519,11 @@ def _check_grid(times) -> np.ndarray:
 
 def ou_mc_dephasing_factors(
     p: StaticNoiseParams, times, trajectories: int, seed: int, threads: int = 1
-) -> DephasingEstimate:
+) -> tuple[np.ndarray, np.ndarray]:
     """Monte-Carlo oracle of exp(-ou_phase_variance / 2): the mean of
-    exp(-i theta(t)) over stationary OU paths on an ascending grid, stepped
+    cos theta(t) over stationary OU paths on an ascending grid, stepped
     exactly (_ou_update) from one anchor to the next (0, the grid times and the
-    echo time), so no step size biases it."""
+    echo time), so no step size biases it. Returns (means, standard errors)."""
     if p.is_static:
         raise ValueError("ou_mc_dephasing_factors requires a finite correlation_time")
     times = _check_grid(times)
@@ -569,9 +541,10 @@ def ou_mc_dephasing_factors(
             n1, n2 = normals[:, 2 * k + 1], normals[:, 2 * k + 2]
             theta[:, k + 1] = theta[:, k] + signs[k] * (drift[k] * x + cross[k] * n1 + cond[k] * n2)
             x = mu[k] * x + sd_x[k] * n1
-        return _phase_partials(theta[:, cols])
+        cos = np.cos(theta[:, cols])
+        return cos.sum(0), (cos * cos).sum(0), size
 
-    return _combine_phase_partials(_mc_batches(seed, trajectories, threads, draw))
+    return _mean_and_se(_mc_batches(seed, trajectories, threads, draw))
 
 
 # ---------------------------------------------------------------------------
@@ -748,13 +721,7 @@ def rtn_mc_coherence_grid(
         padded.sort(axis=1)
         return (*_rtn_cos_sums(flat[filled], counts, times, p.coupling, grid_bins), b)
 
-    parts = _mc_batches(seed, trajectories, threads, draw)
-    s1 = sum(q[0] for q in parts)
-    s2 = sum(q[1] for q in parts)
-    n = sum(q[2] for q in parts)
-    mean = s1 / n
-    var = np.maximum(0.0, (s2 - n * mean**2) / (n - 1))
-    return mean, np.sqrt(var / n)
+    return _mean_and_se(_mc_batches(seed, trajectories, threads, draw))
 
 
 def rtn_concurrence(ewl: EWLParams, p: RTNParams, t):
@@ -797,11 +764,11 @@ def stroboscopic_phase_variance(p: StroboscopicParams, steps) -> np.ndarray:
 
 def stroboscopic_mc_dephasing_factors(
     p: StroboscopicParams, sequences: int, seed: int, threads: int = 1
-) -> DephasingEstimate:
+) -> tuple[np.ndarray, np.ndarray]:
     """Monte-Carlo oracle of exp(-stroboscopic_phase_variance / 2) after steps
-    1..p.steps: the mean of exp(-i Theta_k) over phase sequences drawn by the
+    1..p.steps: the mean of cos Theta_k over phase sequences drawn by the
     AR(1) recursion x_k = mu x_{k-1} + sigma sqrt(1 - mu^2) z_k from a
-    stationary x_1 = sigma z_1."""
+    stationary x_1 = sigma z_1. Returns (means, standard errors)."""
     mu, sigma = p.autocorrelation, p.phase_sigma
     innov = sigma * np.sqrt(1.0 - mu * mu)
     signs = _echo_signs(p)
@@ -812,6 +779,7 @@ def stroboscopic_mc_dephasing_factors(
         x[:, 0] = sigma * z[:, 0]
         for k in range(1, p.steps):
             x[:, k] = mu * x[:, k - 1] + innov * z[:, k]
-        return _phase_partials(np.cumsum(x * signs, axis=1))
+        cos = np.cos(np.cumsum(x * signs, axis=1))
+        return cos.sum(0), (cos * cos).sum(0), size
 
-    return _combine_phase_partials(_mc_batches(seed, sequences, threads, draw))
+    return _mean_and_se(_mc_batches(seed, sequences, threads, draw))

@@ -61,7 +61,6 @@ from .noise import (
     RandomFieldParams,
     StaticNoiseParams,
     StroboscopicParams,
-    dephased_state,
     field_factors,
     ou_phase_variance,
     rtn_coherence,
@@ -560,7 +559,7 @@ def _evaluate(cfg: ScenarioConfig, ps: list) -> np.ndarray:
             columns["hidden-entanglement"] = [average - eof]
             columns["average-entanglement"] = [np.full(eof.shape, average)]
         if flows:
-            dec = register_decomposition(rho0, dephased_state(rho0, f.real, axis=row.axis), f, row.axis)
+            dec = register_decomposition(rho0, f, row.axis)
             columns["tripartite"] = [dec.tripartite]
             columns["info-decomposition"] = [dec.total, dec.local, dec.tripartite, dec.bipartite_max, dec.residual]
         return np.stack([np.broadcast_to(grid, conc.shape)] + [c for m in cfg.measures for c in columns[m]], axis=-1)

@@ -20,11 +20,12 @@ from .measures import InformationDecomposition, decomposition_from_entropies, de
 from .noise import RandomFieldParams, dephased_state, field_factors
 
 
-def register_decomposition(rho0: DensityOperator, rho_ab: DensityOperator, f, axis) -> InformationDecomposition:
+def register_decomposition(rho0: DensityOperator, f, axis) -> InformationDecomposition:
     """The information decomposition of rho_ABE = 1/2 sum_e rho_e (x) |e><e|, rho_e
     rho0 dephased about the Pauli ``axis`` on B by ``f`` (e = 0) or conj f (e = 1),
-    from ``rho_ab``, their mean: the (..., 4, 4) stack of rho0 dephased by Re f."""
+    at every factor of the array ``f``. Their mean rho_AB is rho0 dephased by Re f."""
     ln2 = np.log(2.0)
+    rho_ab = dephased_state(rho0, f.real, axis=axis)
     blocks = dephased_state(rho0, np.abs(f), axis=axis)  # each rho_e up to a local unitary on B
     s_a = np.full(np.shape(f), von_neumann_entropy(partial_trace(rho0, (0,))))
     singles = [s_a, von_neumann_entropy(partial_trace(rho_ab, (1,))), ln2]
@@ -51,5 +52,4 @@ def flow_measures(
     else:
         f = np.stack([field_factors(q, grid) for q in p])
     conc = dephased_concurrence(rho_ab0, f.real, SIGMA_X)
-    rho_ab = dephased_state(rho_ab0, f.real, axis=SIGMA_X)  # field_channel's output
-    return conc, register_decomposition(rho_ab0, rho_ab, f, SIGMA_X)
+    return conc, register_decomposition(rho_ab0, f, SIGMA_X)

@@ -3,7 +3,10 @@
 Each test prints its PASS/FAIL line (visible with ``pytest -s`` and in the
 CLI ``selftest``) and asserts the criterion outcome.
 """
+import hashlib
 import sys
+
+import pytest
 
 from qrevivals import acceptance
 
@@ -60,3 +63,16 @@ def test_criterion_9_channel_properties():
 
 def test_criterion_10_determinism():
     _run(acceptance.criterion_10)
+
+
+@pytest.mark.parametrize("threads", [1, 8])
+def test_oracle_means_pinned(threads):
+    # SHA-256 of the OU and stroboscopic means of criterion 10's configs
+    # (numpy 2.4, x86-64), recorded as the real part of the oracles' former
+    # complex estimate: a rewrite that keeps the draws and cosine sums must
+    # not move a bit
+    _, _, ou_mean, _, strobo_mean, _ = acceptance._oracle_outputs(threads)
+    assert hashlib.sha256(ou_mean.tobytes()).hexdigest() == (
+        "d8e1a672174ecdd1e3583263672fa16b353bad7f9fdf843fd7c18d5f0eba981a")
+    assert hashlib.sha256(strobo_mean.tobytes()).hexdigest() == (
+        "513fde766f71dc9f92c0581728dd51f2fa639b2ba2fa4bc9560cd6d818c9465a")

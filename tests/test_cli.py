@@ -1355,14 +1355,16 @@ def test_names_the_benchmark_runner_calls_resolve():
 def test_cli_import_leaves_the_acceptance_suite_out():
     # simulate and sweep never load the selftest code; selftest imports it
     # itself. The command line is read without argparse (nor its gettext and
-    # locale), which cost more than a small simulate's rows
+    # locale), which cost more than a small simulate's rows, and without the
+    # thread pool's concurrent.futures, which only a threaded oracle loads
     src = str(Path(qrevivals.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = (
         "import os, sys, qrevivals.cli\n"
         "assert qrevivals.cli.main(['simulate', '--config', sys.argv[1], '--out', os.devnull]) == 0\n"
-        "print(*(m in sys.modules for m in ('qrevivals.cli', 'qrevivals.acceptance', 'argparse', 'gettext', 'locale')))"
+        "mods = ('qrevivals.cli', 'qrevivals.acceptance', 'argparse', 'gettext', 'locale', 'concurrent.futures')\n"
+        "print(*(m in sys.modules for m in mods))"
     )
     cfg = str(GOLDEN / "rtn.cfg")
     out = subprocess.run([sys.executable, "-c", code, cfg], env=env, capture_output=True, text=True, check=True).stdout
-    assert out.split() == ["True", "False", "False", "False", "False"]
+    assert out.split() == ["True", "False", "False", "False", "False", "False"]

@@ -195,38 +195,44 @@ class TestOUPathOracle:
     def test_free_decay_matches_exact_variance(self):
         p = StaticNoiseParams(sigma=1.0, correlation_time=3.0)
         times = np.array([0.5, 1.0, 2.0, 4.0])
-        est = ou_mc_dephasing_factors(p, times, 20_000, 11)
+        mean, se = ou_mc_dephasing_factors(p, times, 20_000, 11)
         expected = np.exp(-0.5 * ou_phase_variance(p, times))
-        assert np.all(np.abs(np.abs(est.factors) - expected) <= 3.5 * np.maximum(est.se_abs, 1e-12))
+        assert np.all(np.abs(mean - expected) <= 3.5 * np.maximum(se, 1e-12))
 
     @pytest.mark.parametrize("stau", [0.05, 1.0, 10.0, 1000.0])
     def test_echo_grid_matches_exact_variance(self, stau):
         # one step per grid interval whatever tau: the update has no step bias
         p = StaticNoiseParams(sigma=1.0, echo_time=4.0, correlation_time=stau)
         times = np.linspace(0.0, 8.0, 9)
-        est = ou_mc_dephasing_factors(p, times, 20_000, 13)
+        mean, se = ou_mc_dephasing_factors(p, times, 20_000, 13)
         expected = np.exp(-0.5 * ou_phase_variance(p, times))
-        assert np.all(np.abs(np.abs(est.factors) - expected) <= 4.0 * np.maximum(est.se_abs, 1e-12)), stau
+        assert np.all(np.abs(mean - expected) <= 4.0 * np.maximum(se, 1e-12)), stau
 
     def test_echo_between_grid_times(self):
         # the echo at 1.3 is a step boundary of its own
         p = StaticNoiseParams(sigma=0.2, echo_time=1.3, correlation_time=2.0)
-        est = ou_mc_dephasing_factors(p, [1.0, 2.0, 2.6], 20_000, 29)
+        mean, se = ou_mc_dephasing_factors(p, [1.0, 2.0, 2.6], 20_000, 29)
         expected = np.exp(-0.5 * ou_phase_variance(p, [1.0, 2.0, 2.6]))
-        assert np.all(np.abs(np.abs(est.factors) - expected) <= 4.0 * est.se_abs)
+        assert np.all(np.abs(mean - expected) <= 4.0 * se)
 
     def test_zero_sigma_and_time_zero(self):
-        est = ou_mc_dephasing_factors(StaticNoiseParams(sigma=0.0, correlation_time=2.0), [0.0, 3.0], 1000, 5)
-        assert est.factors.tolist() == [1.0, 1.0] and est.se_abs.tolist() == [0.0, 0.0]
-        est = ou_mc_dephasing_factors(StaticNoiseParams(sigma=1.0, correlation_time=2.0), [0.0, 3.0], 1000, 5)
-        assert est.factors[0] == 1.0 and est.se_abs[0] == 0.0
+        mean, se = ou_mc_dephasing_factors(StaticNoiseParams(sigma=0.0, correlation_time=2.0), [0.0, 3.0], 1000, 5)
+        assert mean.tolist() == [1.0, 1.0] and se.tolist() == [0.0, 0.0]
+        mean, se = ou_mc_dephasing_factors(StaticNoiseParams(sigma=1.0, correlation_time=2.0), [0.0, 3.0], 1000, 5)
+        assert mean[0] == 1.0 and se[0] == 0.0
 
     def test_seed_and_thread_count(self):
         p = StaticNoiseParams(sigma=1.0, echo_time=2.0, correlation_time=7.0)
         a = ou_mc_dephasing_factors(p, [1.0, 3.0], 4097, 99, threads=1)
         b = ou_mc_dephasing_factors(p, [1.0, 3.0], 4097, 99, threads=8)
-        assert a.factors.tobytes() == b.factors.tobytes() and a.se_abs.tobytes() == b.se_abs.tobytes()
-        assert not np.array_equal(a.factors, ou_mc_dephasing_factors(p, [1.0, 3.0], 4097, 100).factors)
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
+        assert not np.array_equal(a[0], ou_mc_dephasing_factors(p, [1.0, 3.0], 4097, 100)[0])
+
+    @pytest.mark.parametrize("trajectories", [-5, 0, 1])
+    def test_fewer_than_two_trajectories_are_refused(self, trajectories):
+        # a standard error needs two; no count below that runs a batch
+        with pytest.raises(ValueError, match=">= 2"):
+            ou_mc_dephasing_factors(StaticNoiseParams(sigma=1.0, correlation_time=2.0), [1.0], trajectories, 1)
 
     def test_requires_finite_correlation_time_and_a_grid(self):
         with pytest.raises(ValueError):

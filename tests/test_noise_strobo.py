@@ -98,8 +98,8 @@ class TestStaticPhases:
         p = params(echo_after_step=2)
         c4 = concurrence(strobo_states("1-", p))[3]
         assert abs(c4 - 1.0) < 1e-12
-        est = stroboscopic_mc_dephasing_factors(p, 10_000, 404)
-        assert est.factors[3] == 1.0 and est.se_abs[3] == 0.0  # every sequence refocuses identically
+        mean, se = stroboscopic_mc_dephasing_factors(p, 10_000, 404)
+        assert mean[3] == 1.0 and se[3] == 0.0  # every sequence refocuses identically
 
     def test_echo_intermediate_step_still_dephased(self):
         p = params(echo_after_step=2)
@@ -114,8 +114,8 @@ class TestRecursionOracle:
                                     dict(autocorrelation=0.9, echo_after_step=1)])
     def test_matches_closed_form(self, kw):
         p = params(**kw)
-        est = stroboscopic_mc_dephasing_factors(p, 50_000, 404)
-        assert np.all(np.abs(np.abs(est.factors) - factors(p)) <= 4.0 * np.maximum(est.se_abs, 1e-12))
+        mean, se = stroboscopic_mc_dephasing_factors(p, 50_000, 404)
+        assert np.all(np.abs(mean - factors(p)) <= 4.0 * np.maximum(se, 1e-12))
 
     def test_lag_one_autocorrelation_realized(self):
         # direct check of the AR(1) phase stream statistics
@@ -136,8 +136,14 @@ class TestRecursionOracle:
         p = params(autocorrelation=0.5, echo_after_step=2)
         a = stroboscopic_mc_dephasing_factors(p, 8192, 1, threads=1)
         b = stroboscopic_mc_dephasing_factors(p, 8192, 1, threads=8)
-        assert a.factors.tobytes() == b.factors.tobytes() and a.se_abs.tobytes() == b.se_abs.tobytes()
-        assert not np.array_equal(a.factors, stroboscopic_mc_dephasing_factors(p, 8192, 2).factors)
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
+        assert not np.array_equal(a[0], stroboscopic_mc_dephasing_factors(p, 8192, 2)[0])
+
+    @pytest.mark.parametrize("sequences", [-5, 0, 1])
+    def test_fewer_than_two_sequences_are_refused(self, sequences):
+        # a standard error needs two; no count below that runs a batch
+        with pytest.raises(ValueError, match=">= 2"):
+            stroboscopic_mc_dephasing_factors(params(), sequences, 1)
 
 
 @pytest.mark.parametrize("threads", [1, 3])

@@ -85,7 +85,8 @@ def test_one_concurrence_kernel_per_evaluation(monkeypatch):
     kernels, stacks = [], []
     original = scenarios.concurrence_kernel
     monkeypatch.setattr(scenarios, "concurrence_kernel", lambda *a, **k: kernels.append(1) or original(*a, **k))
-    monkeypatch.setattr(scenarios, "dephased_state", lambda *a, **k: stacks.append(1))
+    # every state stack of a scenario is built in tripartite.register_decomposition
+    monkeypatch.setattr(tripartite, "dephased_state", lambda *a, **k: stacks.append(1))
     rtn = dict((c[0], c[1:]) for c in CASES)["rtn-g-blocks"]
     assert len(sweep(parse_config_text(rtn[0]), "g", rtn[2].split(","))) == 5
     assert len(kernels) == 1  # 200 points: three blocks of two values, one kernel
@@ -112,15 +113,14 @@ def _stack_shapes(monkeypatch) -> list:
     on: (V, T) for rho_AB and for the register stack; every factor must be
     real."""
     shapes = []
-    original = scenarios.dephased_state
+    original = tripartite.dephased_state
 
     def recorded(rho, f, **kw):
         assert np.isrealobj(f), "a complex-factor stack"
         shapes.append(np.shape(f))
         return original(rho, f, **kw)
 
-    for module in (scenarios, tripartite):
-        monkeypatch.setattr(module, "dephased_state", recorded)
+    monkeypatch.setattr(tripartite, "dephased_state", recorded)
     return shapes
 
 
