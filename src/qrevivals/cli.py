@@ -6,9 +6,10 @@ command line and the -h pages both use; the reader follows argparse's rules
 option, a negative number as a value) without loading argparse.
 
 Exit codes: 0 success (-h and --version included), 1 configuration error (a
-command line the reader rejects, an output file that cannot be written or
-that is the config included), 3 numerical failure (a state that fails its
-validity checks, or a LAPACK error). Every failure prints one line on stderr.
+command line the reader rejects, an output file or a stdout that cannot be
+written, an output file that is the config included), 3 numerical failure (a
+state that fails its validity checks, or a LAPACK error). Every failure
+prints one line on stderr.
 """
 from __future__ import annotations
 
@@ -260,20 +261,29 @@ def _fail(kind: str, exc: Exception, code: int) -> int:
     return code
 
 
+def _drop_stdout():
+    """Point the stdout descriptor at the null device, so that the flush at
+    interpreter exit has nowhere to fail (stdout with no descriptor has none)."""
+    try:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except (OSError, ValueError):
+        pass
+
+
 def main(argv=None) -> int:
     try:
         args = _read_argv(sys.argv[1:] if argv is None else list(argv))
-        if args is None:  # -h or --version
-            return 0
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        return _cmd_selftest(args)
+        commands = {"simulate": _cmd_simulate, "sweep": _cmd_sweep, "selftest": _cmd_selftest}
+        code = 0 if args is None else commands[args.command](args)  # None: -h or --version
+        sys.stdout.flush()  # so that a buffered write fails here
+        return code
     except ConfigError as exc:
         return _fail("config error", exc, 1)
     except (NumericalError, np.linalg.LinAlgError) as exc:
         return _fail("numerical error", exc, 3)
+    except OSError as exc:  # stdout: a full disk, a closed pipe
+        _drop_stdout()
+        return _fail("config error", f"cannot write output: {exc.strerror or exc}", 1)
 
 
 if __name__ == "__main__":

@@ -60,19 +60,13 @@ def _as_stack(m) -> np.ndarray:
     return m
 
 
-def _stack_where(idx: tuple) -> str:
-    """The " at stack index ..." suffix that names ``idx`` in a message (empty
-    for a single matrix)."""
-    return f" at stack index {idx[0] if len(idx) == 1 else idx}" if idx else ""
-
-
 def _first_failure(ok: np.ndarray):
     """Index of the first False entry of ``ok`` (None if all hold), and its
-    " at stack index ..." suffix for messages."""
+    " at stack index ..." suffix for messages (empty for a single matrix)."""
     if ok.all():
         return None, ""
     idx = tuple(int(i) for i in np.unravel_index(int(np.argmin(ok)), ok.shape))
-    return idx, _stack_where(idx)
+    return idx, f" at stack index {idx[0] if len(idx) == 1 else idx}" if idx else ""
 
 
 def tensor_product(a, b) -> np.ndarray:
@@ -185,7 +179,10 @@ def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
 def von_neumann_entropy(rho: DensityOperator):
     """S(rho) = -sum_i p_i ln p_i in nats, with 0 ln 0 := 0; a float, or an
     array with one entropy per matrix of a stack."""
-    p = rho.eigenvalues()
-    s = -np.sum(p * np.log(np.where(p > 0.0, p, 1.0)), axis=-1)
-    s = s + 0.0  # -0.0 guard for pure states
+    s = _entropy(rho.eigenvalues())
     return float(s) if s.ndim == 0 else s
+
+
+def _entropy(p) -> np.ndarray:
+    """-sum p ln p in nats along the last axis, never -0.0; a weight <= 0 adds nothing."""
+    return -np.sum(p * np.log(np.where(p > 0.0, p, 1.0)), axis=-1) + 0.0

@@ -5,10 +5,10 @@ decomposition, and average/hidden entanglement of pure-state ensembles.
 Concurrence, mutual information, tripartite correlations and the
 decomposition take a DensityOperator holding one matrix (and return floats)
 or a stack of them (and return one value per matrix, as arrays). The
-concurrence of a state dephased on qubit B, the output of every channel,
-needs no state: concurrence_kernel reduces rho0 and the Pauli axis to a k x k
-kernel (k <= 4) once, and takes the real factors (a float for a scalar, an
-array for an array).
+concurrence and the entropies of a state dephased on qubit B, the output of
+every channel, need no state: concurrence_kernel reduces rho0 and the Pauli
+axis to k x k pieces (k <= 4) once, a DephasingKernel, which takes the real
+factors (a float for a scalar, an array for an array).
 
 Entropy units: natural log (nats) for every mutual-information/decomposition
 quantity; base 2 only inside the binary entropy of the entanglement of
@@ -26,6 +26,7 @@ from .linalg import (
     NumericalError,
     SIGMA_Y,
     SIGMA_Z,
+    _entropy,
     _first_failure,
     partial_trace,
     tensor_product,
@@ -67,10 +68,17 @@ def concurrence(rho: DensityOperator):
     return _value(_from_lambdas(np.linalg.svd(np.swapaxes(w, -1, -2) @ _YY @ w, compute_uv=False)))
 
 
-def concurrence_kernel(rho0: DensityOperator, axis=SIGMA_Z):
-    """The function f -> concurrence of rho0 dephased about the Pauli ``axis``
-    on B by the real factor f, ((1 + f) rho0 + (1 - f) P rho0 P)/2 with P = 1 (x)
-    axis, for an array of factors (a float for a scalar).
+def _check_factors(f):
+    idx, where = _first_failure(np.abs(f) <= 1.0 + EIG_DUST)  # negated: a NaN fails
+    if idx is not None:
+        raise NumericalError(f"dephasing factor {f[idx]:.17g}{where} not in the unit disc within {EIG_DUST:g}", idx)
+
+
+class DephasingKernel:
+    """rho(f) = ((1 + f) rho0 + (1 - f) P rho0 P)/2, rho0 dephased about the Pauli
+    P = 1 (x) axis on B by a real factor f, from k x k pieces of rho0: its call
+    is the concurrence of rho(f) (a float for a scalar f), and ``entropies``
+    gives S(rho(f)), S(rho(f)^B) and S(rho0^A), which no map on B moves.
 
     With A = V sqrt(p) from one eigh of rho0 (weights at or below 1e-13 of the
     largest dropped), W(f) = W0 D(f) factors the output, W0 = [A, PA] and D(f)
@@ -82,34 +90,57 @@ def concurrence_kernel(rho0: DensityOperator, axis=SIGMA_Z):
     each factor costs one k x k SVD, and (1 - f)/2 enters as written, exact as
     |f| -> 1.
 
-    A factor must be finite with |f| <= 1 within EIG_DUST, else a
-    NumericalError names the first bad one (its stack index); it is then
-    clipped into [-1, 1].
+    The same pieces factor the state, rho(f) = B E^2 B^dagger, B = R0^T conj(V0),
+    so ``entropies`` takes its nonzero spectrum from E G0 E, G0 = B^dagger B =
+    V0^T conj(R0) R0^T conj(V0), one k x k eigvalsh per factor. A dropped
+    weight p moves S(rho(f)) by at most p (ln 2 - ln p), 3.1e-12 at the cut.
+    A factor must be finite with |f| <= 1 within EIG_DUST, else a NumericalError
+    names the first bad one (its stack index); it is then clipped into [-1, 1].
     """
-    _require_two_qubits(rho0)
-    if rho0.matrix.ndim != 2:
-        raise ValueError(f"expected one state, got a stack of shape {rho0.matrix.shape}")
-    p, v = np.linalg.eigh(rho0.matrix)
-    keep = p > 1e-13 * p[-1]
-    a = v[:, keep] * np.sqrt(p[keep])
-    w0 = np.concatenate([a, (axis @ a.reshape(2, 2, -1)).reshape(4, -1)], axis=1)  # [A, (1 (x) axis) A]
-    q0, r0 = np.linalg.qr(w0.T)
-    signs = np.repeat([1.0, -1.0], a.shape[1])
-    z, v0 = np.linalg.eigh((q0.conj().T * signs) @ q0)
-    z = np.clip(z, -1.0, 1.0)
-    k0 = v0.conj().T @ r0 @ _YY @ r0.T @ v0.conj()
 
-    def kernel(f):
+    def __init__(self, rho0: np.ndarray, axis):
+        p, v = np.linalg.eigh(rho0)
+        keep = p > 1e-13 * p[-1]
+        a = v[:, keep] * np.sqrt(p[keep])
+        w0 = np.concatenate([a, (axis @ a.reshape(2, 2, -1)).reshape(4, -1)], axis=1)  # [A, (1 (x) axis) A]
+        q0, r0 = np.linalg.qr(w0.T)
+        signs = np.repeat([1.0, -1.0], a.shape[1])
+        z, v0 = np.linalg.eigh((q0.conj().T * signs) @ q0)
+        self.z = np.clip(z, -1.0, 1.0)
+        self.k0 = v0.conj().T @ r0 @ _YY @ r0.T @ v0.conj()
+        self.b = r0.T @ v0.conj()  # rho(f) = B E^2 B^dagger
+        self.rho0, self.axis = rho0, axis
+
+    def _sandwich(self, m, f):
+        """E m E for each real factor of ``f``, checked and clipped into [-1, 1]."""
         f = np.asarray(f)
         if np.iscomplexobj(f):
             raise ValueError("dephasing factors must be real")
-        idx, where = _first_failure(np.abs(f) <= 1.0 + EIG_DUST)  # negated: a NaN fails
-        if idx is not None:
-            raise NumericalError(f"dephasing factor {float(f[idx]):.17g}{where} not in [-1, 1] within {EIG_DUST:g}", idx)
-        e = np.sqrt(0.5 * (1.0 + np.clip(f, -1.0, 1.0)[..., None] * z))
-        return _value(_from_lambdas(np.linalg.svd(e[..., :, None] * k0 * e[..., None, :], compute_uv=False)))
+        _check_factors(f)
+        e = np.sqrt(0.5 * (1.0 + np.clip(f, -1.0, 1.0)[..., None] * self.z))
+        return e[..., :, None] * m * e[..., None, :]
 
-    return kernel
+    def __call__(self, f):
+        return _value(_from_lambdas(np.linalg.svd(self._sandwich(self.k0, f), compute_uv=False)))
+
+    def entropies(self, f) -> tuple[np.ndarray, np.ndarray, float]:
+        """S(rho(f)) and S(rho(f)^B) for each real factor of ``f``, and S(rho0^A), in nats."""
+        s_ab = _entropy(np.linalg.eigvalsh(self._sandwich(self.b.conj().T @ self.b, f)))  # E G0 E
+        m, p = self.rho0.reshape(2, 2, 2, 2), self.axis
+        rho_b = np.trace(m, axis1=0, axis2=2)
+        # the Bloch vector of rho0^B keeps its part along the axis, r_par, and f scales the rest, r_perp
+        r_par2, r_perp2 = np.trace(rho_b @ p).real ** 2, 0.5 * np.sum(np.abs(rho_b - p @ rho_b @ p) ** 2)
+        r = np.sqrt(r_par2 + np.minimum(np.square(f), 1.0) * r_perp2)
+        s_b = _entropy(np.stack([0.5 * (1.0 + r), 0.5 * (1.0 - r)], axis=-1))
+        return s_ab, s_b, float(_entropy(np.linalg.eigvalsh(np.trace(m, axis1=1, axis2=3))))
+
+
+def concurrence_kernel(rho0: DensityOperator, axis=SIGMA_Z) -> DephasingKernel:
+    """The DephasingKernel of the two-qubit state rho0 about the Pauli ``axis`` on B."""
+    _require_two_qubits(rho0)
+    if rho0.matrix.ndim != 2:
+        raise ValueError(f"expected one state, got a stack of shape {rho0.matrix.shape}")
+    return DephasingKernel(rho0.matrix, axis)
 
 
 def dephased_concurrence(rho0: DensityOperator, f, axis=SIGMA_Z):

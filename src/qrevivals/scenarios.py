@@ -52,8 +52,8 @@ import numpy as np
 
 from . import __version__ as _pkg_version
 from . import kernels
-from .linalg import DensityOperator, NumericalError, SIGMA_X, SIGMA_Z, _stack_where
-from .measures import concurrence_kernel, eof_from_concurrence
+from .linalg import DensityOperator, SIGMA_X, SIGMA_Z
+from .measures import _check_factors, concurrence_kernel, eof_from_concurrence
 from .noise import (
     MC_BATCH,
     RNG_DESCRIPTION,
@@ -179,8 +179,7 @@ def _build(section: str, builder, *args, **kwargs):
         raise ConfigError(f"[{section}] {str(exc).replace('_', '-')}") from exc
 
 
-# most grid points of a scenario: at the cap each (T, 4, 4) complex stack, the
-# flows' register stack included, takes 16 MiB
+# most grid points of a scenario: at the cap a (T, 4, 4) complex array takes 16 MiB
 MAX_TIME_POINTS = 2**16
 
 
@@ -385,30 +384,9 @@ def _columns_for(cfg: ScenarioConfig) -> tuple[str, ...]:
     return ("time",) + tuple(c for m in cfg.measures for c in _COLUMNS.get(m, (m.replace("-", "_"),)))
 
 
-# grid points (values x times) per stack: a (V, T) evaluation runs in blocks
+# grid points (values x times) per block: a (V, T) evaluation runs in blocks
 # of whole values, so its memory does not grow with V
 _BLOCK_POINTS = 512
-
-
-def _reindexed(exc: NumericalError, index: tuple) -> NumericalError:
-    """``exc`` naming the stack index ``index`` in place of its own."""
-    return type(exc)(str(exc).replace(_stack_where(exc.index), _stack_where(index)), index)
-
-
-def _in_blocks(evaluate: Callable, n_values: int, n_times: int) -> np.ndarray:
-    """Rows of a (V, T) evaluation, ``evaluate(block)`` on a slice of whole
-    values at a time, joined. The stack index (value, ...) of a NumericalError
-    counts values from the first, not from the block's."""
-    size = max(1, _BLOCK_POINTS // n_times)
-    parts = []
-    for start in range(0, n_values, size):
-        try:
-            parts.append(evaluate(slice(start, start + size)))
-        except NumericalError as exc:
-            if start == 0 or not exc.index:
-                raise
-            raise _reindexed(exc, (start + exc.index[0],) + exc.index[1:]) from exc
-    return np.concatenate(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -532,22 +510,19 @@ def _evaluate(cfg: ScenarioConfig, ps: list) -> np.ndarray:
 
     Each noise realisation is a phase on B, so no column sees the echo's
     sigma_x, and it is not applied: every row is rho0 dephased about the
-    row's axis by the real part of its factor f. One measures.concurrence_kernel
-    of rho0 per call gives the concurrence and eof of every block from the
-    factors alone (a k x k SVD per point, k <= 4; no state stack), and its
-    check of the factors names a bad one by its (value, time). Each
+    row's axis by the real part of its factor f. The (V, T) factors are
+    checked once, so a bad one is named by its (value, time). One
+    measures.concurrence_kernel of rho0 per call gives every column from the
+    factors alone, in blocks of whole values, with no state stack. Each
     realisation of the channel is a local unitary on B, so it keeps E_f(rho0),
     pure or mixed: that is the average entanglement (the kernel at f = 1),
-    and E_f(rho0) - eof the hidden. The flow measures alone build state
-    stacks per block: rho0 dephased by Re f, whose entropies they read, and
-    rho0 dephased by |f|, which has the spectra of the register blocks.
+    and E_f(rho0) - eof the hidden.
     """
     row = _MODEL_TABLE[cfg.model]
     grid = _grid_values(cfg)
-    rho0 = cfg.rho0
     factors = np.stack([row.channel(p, grid) for p in ps])
-    flows = any(m in cfg.measures for m in _FLOW_MEASURES)
-    kernel = concurrence_kernel(rho0, row.axis)
+    _check_factors(factors)
+    kernel = concurrence_kernel(cfg.rho0, row.axis)
     average = eof_from_concurrence(kernel(1.0)) if any(m in cfg.measures for m in _ENSEMBLE_MEASURES) else None
 
     def block_rows(block: slice) -> np.ndarray:
@@ -558,13 +533,14 @@ def _evaluate(cfg: ScenarioConfig, ps: list) -> np.ndarray:
         if average is not None:
             columns["hidden-entanglement"] = [average - eof]
             columns["average-entanglement"] = [np.full(eof.shape, average)]
-        if flows:
-            dec = register_decomposition(rho0, f, row.axis)
+        if any(m in cfg.measures for m in _FLOW_MEASURES):
+            dec = register_decomposition(kernel, f)
             columns["tripartite"] = [dec.tripartite]
             columns["info-decomposition"] = [dec.total, dec.local, dec.tripartite, dec.bipartite_max, dec.residual]
         return np.stack([np.broadcast_to(grid, conc.shape)] + [c for m in cfg.measures for c in columns[m]], axis=-1)
 
-    return _in_blocks(block_rows, *factors.shape)
+    size = max(1, _BLOCK_POINTS // grid.size)
+    return np.concatenate([block_rows(slice(start, start + size)) for start in range(0, len(ps), size)])
 
 
 def _run(configs: list[ScenarioConfig], parameter=None) -> list[ScenarioResult]:

@@ -3,8 +3,8 @@ tripartite flows: qubits A, B plus a two-state classical register E whose
 basis states label the field phase. The joint state stays block-diagonal in
 E, and tracing E out reproduces the two-qubit channel exactly.
 ``qrevivals.tripartite.flow_measures`` computes the same flows from the
-two-qubit state and one 4x4 stack of rho0 dephased by |f|, which has the
-spectra of the register blocks, without building this state.
+k x k pieces of rho0 in its concurrence kernel (k <= 4), at Re f and at |f|,
+without building this state or any other.
 """
 from dataclasses import dataclass
 

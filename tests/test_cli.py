@@ -1,4 +1,6 @@
 import dataclasses
+import errno
+import io
 import os
 import re
 import subprocess
@@ -970,6 +972,36 @@ class TestOutputFiles:
         assert capsys.readouterr().err == f"config error: cannot write output file {out!r}: {reason}\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["results", "scenario.cfg"]
         assert not any((tmp_path / "results").iterdir())
+
+    STDOUT_COMMANDS = [["simulate", "--config", str(GOLDEN / "rtn.cfg")],
+                       ["sweep", "--config", str(GOLDEN / "rtn.cfg"), "--param", "g", "--values", "1,2"],
+                       ["--version"], ["-h"], ["simulate", "-h"]]
+
+    @pytest.mark.parametrize("fails", ["write", "flush"])
+    @pytest.mark.parametrize("argv", STDOUT_COMMANDS, ids=["simulate", "sweep", "version", "help", "simulate-help"])
+    def test_unwritable_stdout_is_a_config_error(self, capsys, monkeypatch, argv, fails):
+        # a full disk behind stdout, raised by the write or, for buffered
+        # text, by the flush; the stream has no descriptor to point elsewhere
+        class FullStdout(io.StringIO):
+            def full(self, *args):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        stdout = FullStdout()
+        setattr(stdout, fails, stdout.full)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"config error: cannot write output: {os.strerror(errno.ENOSPC)}\n"
+
+    def test_closed_pipe_prints_one_line(self):
+        # nothing more at interpreter exit, where Python flushes stdout again
+        src = str(Path(qrevivals.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.Popen([sys.executable, "-m", "qrevivals.cli", "simulate", "--config", str(GOLDEN / "rtn.cfg")],
+                                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        proc.stdout.close()  # long before the process writes its rows
+        err = proc.stderr.read()
+        assert proc.wait() == 1
+        assert err == f"config error: cannot write output: {os.strerror(errno.EPIPE)}\n"
 
     def test_sweep_rejects_non_integer_value_of_integer_key(self, tmp_path, capsys):
         out = tmp_path / "strobo.csv"

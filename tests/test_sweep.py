@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from qrevivals import scenarios, tripartite
+from qrevivals import linalg, measures, scenarios
 from qrevivals.cli import main
 from qrevivals.linalg import NumericalError
 from qrevivals.scenarios import parse_config_text, sweep
@@ -81,12 +81,22 @@ def test_sweep_file_equals_its_simulate(tmp_path, text, key, values, threads):
         assert _without_sweep_lines(swept) == _without_sweep_lines(sim.read_text(encoding="utf-8"))
 
 
+def _validated(monkeypatch) -> list:
+    """The shape of each matrix or stack that a DensityOperator validates from
+    now on; the runner's initial state is built on first use, so none is
+    cached."""
+    shapes = []
+    original = linalg._density_spectrum
+    monkeypatch.setattr(linalg, "_density_spectrum", lambda m: shapes.append(m.shape) or original(m))
+    scenarios._initial_state.cache_clear()
+    return shapes
+
+
 def test_one_concurrence_kernel_per_evaluation(monkeypatch):
-    kernels, stacks = [], []
+    kernels = []
     original = scenarios.concurrence_kernel
     monkeypatch.setattr(scenarios, "concurrence_kernel", lambda *a, **k: kernels.append(1) or original(*a, **k))
-    # every state stack of a scenario is built in tripartite.register_decomposition
-    monkeypatch.setattr(tripartite, "dephased_state", lambda *a, **k: stacks.append(1))
+    validated = _validated(monkeypatch)
     rtn = dict((c[0], c[1:]) for c in CASES)["rtn-g-blocks"]
     assert len(sweep(parse_config_text(rtn[0]), "g", rtn[2].split(","))) == 5
     assert len(kernels) == 1  # 200 points: three blocks of two values, one kernel
@@ -100,7 +110,11 @@ def test_one_concurrence_kernel_per_evaluation(monkeypatch):
     hidden = _cfg("random-field", "concurrence, eof, hidden-entanglement", 12.0, 17, PURE_XYZ, {"rabi": 1.0})
     scenarios.run_scenario(parse_config_text(hidden))
     assert len(kernels) == 4
-    assert stacks == []  # the two-qubit measures build no state stack
+    # the flow measures read their entropies off the same kernel
+    flows = dict((c[0], c[1:]) for c in CASES)["tripartite-flows-width"]
+    sweep(parse_config_text(flows[0]), "width", flows[2].split(","))
+    assert len(kernels) == 5
+    assert validated == [(4, 4)] * 3  # each of the three initial states, once; no state stack
 
 
 # 200 points: the flows of a width sweep run in blocks of two values, the last one partial
@@ -108,36 +122,37 @@ FLOWS_BLOCKS = _cfg("tripartite-flows", "concurrence, eof, tripartite, info-deco
                     {"rabi": 1.0, "width": 0.1})
 
 
-def _stack_shapes(monkeypatch) -> list:
-    """The factor shape of each dephased_state stack the runner builds from now
-    on: (V, T) for rho_AB and for the register stack; every factor must be
-    real."""
+def _entropy_shapes(monkeypatch) -> list:
+    """The factor shape of each call of a kernel's entropies from now on: (2,
+    V, T), Re f for rho_AB and |f| for the register blocks; every factor must
+    be real."""
     shapes = []
-    original = tripartite.dephased_state
+    original = measures.DephasingKernel.entropies
 
-    def recorded(rho, f, **kw):
-        assert np.isrealobj(f), "a complex-factor stack"
+    def recorded(kernel, f):
+        assert np.isrealobj(f), "a complex factor"
         shapes.append(np.shape(f))
-        return original(rho, f, **kw)
+        return original(kernel, f)
 
-    monkeypatch.setattr(tripartite, "dephased_state", recorded)
+    monkeypatch.setattr(measures.DephasingKernel, "entropies", recorded)
     return shapes
 
 
-def test_one_flows_block_stack_per_block(monkeypatch):
-    shapes = _stack_shapes(monkeypatch)
+def test_one_pair_of_flows_spectra_per_block(monkeypatch):
+    shapes, validated = _entropy_shapes(monkeypatch), _validated(monkeypatch)
     assert len(sweep(parse_config_text(FLOWS_BLOCKS), "width", [0.0, 0.1, 0.2, 0.3, 0.4])) == 5
-    assert shapes == [(2, 200), (2, 200), (2, 200), (2, 200), (1, 200), (1, 200)]
+    assert shapes == [(2, 2, 200), (2, 2, 200), (2, 1, 200)]
     flows = dict((c[0], c[1:]) for c in CASES)["tripartite-flows-width"]
     sweep(parse_config_text(flows[0]), "width", flows[2].split(","))
-    assert shapes[6:] == [(3, 17), (3, 17)]  # 3 values x 17 times fit one block
+    assert shapes[3:] == [(2, 3, 17)]  # 3 values x 17 times fit one block
+    assert validated == [(4, 4)]  # the one initial state: no state stack
 
 
 def test_two_qubit_flows_build_no_register_blocks(monkeypatch):
-    shapes = _stack_shapes(monkeypatch)
+    shapes = _entropy_shapes(monkeypatch)
     values = [0.0, 0.1, 0.2, 0.3, 0.4]
     two = sweep(parse_config_text(FLOWS_BLOCKS.replace(", tripartite, info-decomposition", "")), "width", values)
-    assert shapes == []  # the concurrence kernel needs no state stack
+    assert shapes == []  # the concurrence and eof need no spectrum
     four = sweep(parse_config_text(FLOWS_BLOCKS), "width", values)
     for (_, a), (_, b) in zip(two, four):
         rows = [line for line in a.to_csv().splitlines() if not line.startswith("#")]

@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qrevivals import linalg
+from qrevivals import linalg, scenarios
 from qrevivals.acceptance import find_local_extrema
 from qrevivals.linalg import DensityOperator, EYE2, SIGMA_X, partial_trace, von_neumann_entropy
 from qrevivals.measures import concurrence, mutual_information, tripartite_correlations
@@ -175,6 +175,15 @@ def _density(psi):
     return DensityOperator(np.outer(psi, psi.conj()), (2, 2))
 
 
+def _random_unitary(seed):
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(4, 4, 2)) @ [1.0, 1.0j])
+    return q
+
+
+def _with_spectrum(u, p):
+    return DensityOperator((u * p) @ u.conj().T, (2, 2))
+
+
 FLOW_INPUTS = {
     "bell-2+": lambda: _density(bell_state("2+")),
     "bell-1-": lambda: _density(bell_state("1-")),
@@ -183,6 +192,10 @@ FLOW_INPUTS = {
     "xyz-pure": lambda: xyz_state(XYZParams(0.6, 1.0, 1.0)),
     "ewl-complex-pure": lambda: ewl_state(EWLParams(r=1.0, a=0.6 + 0.3j, kind="two-excitation")),
     "ewl-complex-mixed": lambda: ewl_state(EWLParams(r=0.8, a=0.6 + 0.3j, kind="one-excitation")),
+    # complex and full rank, so the kernel is 4x4: a Gram matrix with its
+    # conjugates misplaced matches every real input above within 1e-14, yet
+    # misses this one by 5.5e-3 (and ewl-complex-mixed by 5.7e-2)
+    "random-complex-full-rank": lambda: _with_spectrum(_random_unitary(11), [0.4, 0.3, 0.2, 0.1]),
 }
 FLOW_GRIDS = {
     "period": np.linspace(0.0, 4 * np.pi, 37),  # starts at t = 0
@@ -192,8 +205,8 @@ FLOW_GRIDS = {
 
 
 class TestBlockFormAgainstDilation:
-    """The flows from the AB stack and one stack dephased by |f| against the
-    (8, 8) dilation, and the constants that form takes from rho0."""
+    """The flows from the concurrence kernel's spectra at Re f and |f| against
+    the (8, 8) dilation, and the constants that form takes from rho0."""
 
     @pytest.mark.parametrize("grid", FLOW_GRIDS.values(), ids=FLOW_GRIDS.keys())
     @pytest.mark.parametrize("width", [0.0, 0.3])
@@ -226,12 +239,32 @@ class TestBlockFormAgainstDilation:
             assert all(np.array_equal(getattr(dec, k)[v], value) for k, value in vars(dec_v).items())
 
 
-def test_no_eight_by_eight_state_on_the_cli_path(monkeypatch):
-    dims = []
+@pytest.mark.parametrize("width", [0.0, 0.3])
+def test_a_weight_under_the_cut_moves_the_entropies_within_the_stated_bound(width):
+    # concurrence_kernel drops the weight eps of rho0, just under 1e-13 of the
+    # largest; each entropy read through the kernel, S(AB) and S(ABE), then
+    # moves by at most eps (ln 2 - ln eps), and a column sums at most four such
+    # moves (the residual holds each of the two twice)
+    eps = 0.99e-13 * 0.7
+    rho0 = _with_spectrum(_random_unitary(12), [0.7, 0.3 - eps, eps, 0.0])
+    grid, p = FLOW_GRIDS["period"], RandomFieldParams(1.0, width)
+    conc, dec = flow_measures(rho0, p, grid)
+    conc_8, dec_8 = dilation_flow_measures(rho0, p, grid)
+    bound = eps * (LN2 - np.log(eps))
+    assert np.max(np.abs(conc - conc_8)) < 1e-12
+    assert 1e-12 < np.max(np.abs(dec.total - dec_8.total)) <= bound  # S(ABE) alone: the cut shows
+    for name, value in vars(dec).items():
+        assert np.max(np.abs(value - getattr(dec_8, name))) <= 4 * bound, name
+
+
+@pytest.mark.parametrize("cfg", sorted((Path(__file__).parent / "golden").glob("*.cfg")), ids=lambda p: p.stem)
+def test_no_state_stack_on_the_cli_path(monkeypatch, cfg):
+    shapes = []
     original = linalg._density_spectrum
-    monkeypatch.setattr(linalg, "_density_spectrum", lambda m: dims.append(m.shape[-1]) or original(m))
-    run_scenario(parse_config(Path(__file__).parent / "golden" / "tripartite-flows.cfg"))
-    assert max(dims) == 4
+    monkeypatch.setattr(linalg, "_density_spectrum", lambda m: shapes.append(m.shape) or original(m))
+    scenarios._initial_state.cache_clear()  # so that the run builds its initial state
+    run_scenario(parse_config(cfg))
+    assert shapes == [(4, 4)]  # rho0 alone: no (8, 8) state and no stack of any size, flows included
 
 
 class TestFindLocalExtrema:
