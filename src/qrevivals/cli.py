@@ -13,7 +13,6 @@ prints one line on stderr.
 """
 from __future__ import annotations
 
-import dataclasses
 import os
 import re
 import sys
@@ -24,6 +23,7 @@ import numpy as np
 
 from . import __version__
 from .linalg import NumericalError
+from .records import replace
 from .scenarios import ConfigError, parse_config, parse_sweep_values, run_scenario, sweep
 
 _REQUIRED = object()  # the default of an option that must be given
@@ -173,7 +173,7 @@ def _read_argv(argv: list[str]):
 def _load_config(args):
     cfg = parse_config(args.config)
     # the config checks itself on replace, so an out-of-range seed is a config error
-    return cfg if args.seed is None else dataclasses.replace(cfg, seed=args.seed)
+    return cfg if args.seed is None else replace(cfg, seed=args.seed)
 
 
 def _check_out_dir(out: str | None, paths: list[str], config: str):

@@ -8,9 +8,9 @@ serves every matrix of the stack; a single matrix is the stack of one.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
+
+from .records import Record
 
 SUPPORTED_DIMS = (2, 4, 8)
 
@@ -117,8 +117,7 @@ def _density_spectrum(m) -> np.ndarray:
     return vals
 
 
-@dataclass(frozen=True)
-class DensityOperator:
+class DensityOperator(Record):
     """Trace-one Hermitian positive-semidefinite matrix with subsystem metadata,
     or a stack (..., d, d) of such matrices sharing the metadata.
 
@@ -128,9 +127,9 @@ class DensityOperator:
     ``eigenvalues`` needs no further eigendecomposition.
     """
 
-    matrix: np.ndarray
-    dims: tuple[int, ...] = (2,)
-    _spectrum: np.ndarray = field(init=False, repr=False, compare=False)
+    def __init__(self, matrix: np.ndarray, dims: tuple[int, ...] = (2,)):
+        vars(self).update(matrix=matrix, dims=dims)
+        self.__post_init__()
 
     def __post_init__(self):
         m = _as_stack(self.matrix).copy()

@@ -16,8 +16,6 @@ formation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .linalg import (
@@ -32,6 +30,7 @@ from .linalg import (
     tensor_product,
     von_neumann_entropy,
 )
+from .records import Record
 
 _YY = tensor_product(SIGMA_Y, SIGMA_Y)
 
@@ -213,17 +212,15 @@ def tripartite_correlations(rho_abe: DensityOperator):
     return information_decomposition(rho_abe).tripartite
 
 
-@dataclass(frozen=True)
-class InformationDecomposition:
+class InformationDecomposition(Record):
     """Split of the total state information into local, genuine-tripartite and
     maximal-bipartite parts, plus the residual of the bookkeeping identity
     (floats, or arrays with one value per state of a stack)."""
 
-    total: float | np.ndarray
-    local: float | np.ndarray
-    tripartite: float | np.ndarray
-    bipartite_max: float | np.ndarray
-    residual: float | np.ndarray
+    def __init__(self, total: float | np.ndarray, local: float | np.ndarray, tripartite: float | np.ndarray,
+                 bipartite_max: float | np.ndarray, residual: float | np.ndarray):
+        vars(self).update(total=total, local=local, tripartite=tripartite, bipartite_max=bipartite_max,
+                          residual=residual)
 
 
 def information_decomposition(rho_abe: DensityOperator) -> InformationDecomposition:
@@ -268,16 +265,16 @@ def decomposition_from_entropies(s_full, singles, pairs) -> InformationDecomposi
     )
 
 
-@dataclass(frozen=True)
-class WeightedPureEnsemble:
+class WeightedPureEnsemble(Record):
     """Probability-weighted set of two-qubit pure states.
 
     ``weights`` has shape (n,), ``states`` shape (n, 4); weights must be
     nonnegative and sum to 1, states unit-norm (both within 1e-9).
     """
 
-    weights: np.ndarray
-    states: np.ndarray
+    def __init__(self, weights: np.ndarray, states: np.ndarray):
+        vars(self).update(weights=weights, states=states)
+        self.__post_init__()
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float).reshape(-1)

@@ -37,13 +37,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import ClassVar
+import threading
 
 import numpy as np
 
 from .linalg import DensityOperator, EYE2, SIGMA_X, SIGMA_Z
 from .measures import WeightedPureEnsemble
+from .records import Record
 from .states import EWLParams
 
 MC_BATCH = 2048
@@ -57,12 +57,12 @@ FIELD_PHASES = (np.pi / 2.0, -np.pi / 2.0)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RandomFieldParams:
+class RandomFieldParams(Record):
     """Two-phase random driving field: central Rabi frequency and Gaussian width."""
 
-    rabi: float
-    width: float = 0.0
+    def __init__(self, rabi: float, width: float = 0.0):
+        vars(self).update(rabi=rabi, width=width)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.rabi <= 0.0:
@@ -71,8 +71,7 @@ class RandomFieldParams:
             raise ValueError(f"width={self.width} must be >= 0")
 
 
-@dataclass(frozen=True)
-class StaticNoiseParams:
+class StaticNoiseParams(Record):
     """Longitudinal Gaussian dephasing noise of strength sigma.
 
     ``correlation_time`` = inf selects the quasi-static regime; a finite value
@@ -80,9 +79,9 @@ class StaticNoiseParams:
     ``echo_time`` schedules an instantaneous sigma_x pulse.
     """
 
-    sigma: float
-    echo_time: float | None = None
-    correlation_time: float = math.inf
+    def __init__(self, sigma: float, echo_time: float | None = None, correlation_time: float = math.inf):
+        vars(self).update(sigma=sigma, echo_time=echo_time, correlation_time=correlation_time)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.sigma < 0.0:
@@ -97,8 +96,7 @@ class StaticNoiseParams:
         return math.isinf(self.correlation_time)
 
 
-@dataclass(frozen=True)
-class RTNParams:
+class RTNParams(Record):
     """Random telegraph noise: switching rate gamma and coupling v.
 
     The telegraph signal flips sign at Poisson rate ``rate`` (autocorrelation
@@ -106,8 +104,9 @@ class RTNParams:
     at g = 1. Zero coupling is the trivial noise-free edge.
     """
 
-    rate: float
-    coupling: float
+    def __init__(self, rate: float, coupling: float):
+        vars(self).update(rate=rate, coupling=coupling)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.rate <= 0.0:
@@ -120,8 +119,7 @@ class RTNParams:
         return self.coupling / self.rate
 
 
-@dataclass(frozen=True)
-class StroboscopicParams:
+class StroboscopicParams(Record):
     """Four-step stroboscopic dephasing with AR(1)-correlated Gaussian phases.
 
     Each step applies diag(1, exp(i x_k)) to qubit B; the x_k form a
@@ -131,10 +129,11 @@ class StroboscopicParams:
     ``echo_after_step``.
     """
 
-    phase_sigma: float
-    autocorrelation: float
-    echo_after_step: int | None = None
-    steps: ClassVar[int] = 4
+    steps = 4
+
+    def __init__(self, phase_sigma: float, autocorrelation: float, echo_after_step: int | None = None):
+        vars(self).update(phase_sigma=phase_sigma, autocorrelation=autocorrelation, echo_after_step=echo_after_step)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.phase_sigma < 0.0:
@@ -188,13 +187,13 @@ def _gh_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-@dataclass(frozen=True)
-class RandomUnitaryChannel:
+class RandomUnitaryChannel(Record):
     """Weighted finite mixture of unitaries acting on qubit B of a two-qubit
     pair: rho -> sum_k w_k (1 (x) U_k) rho (1 (x) U_k)^dag."""
 
-    weights: np.ndarray
-    unitaries: np.ndarray  # (n, 2, 2)
+    def __init__(self, weights: np.ndarray, unitaries: np.ndarray):  # unitaries (n, 2, 2)
+        vars(self).update(weights=weights, unitaries=unitaries)
+        self.__post_init__()
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float).reshape(-1)
@@ -334,18 +333,41 @@ def _batch_sizes(n: int) -> list[int]:
     return sizes
 
 
-@functools.cache
-def _pool(threads: int):
-    """One worker pool per thread count, kept for the life of the process."""
-    from concurrent.futures import ThreadPoolExecutor  # only the threaded oracles load it
-
-    return ThreadPoolExecutor(max_workers=threads)
-
-
 def _map_ordered(fn, n_batches: int, threads: int) -> list:
-    if threads <= 1 or n_batches <= 1:
-        return [fn(i) for i in range(n_batches)]
-    return list(_pool(threads).map(fn, range(n_batches)))
+    """``[fn(i) for i in range(n_batches)]``, run on this thread and up to
+    ``threads - 1`` worker threads, each taking the lowest batch not yet
+    taken. Once a batch has failed no batch starts; when every thread has
+    stopped, the exception of the lowest failing batch is raised. Every batch
+    below a taken one was taken before it and runs, so which exception that
+    is does not depend on the thread count."""
+    results, errors = [None] * n_batches, {}
+    pending, lock = iter(range(n_batches)), threading.Lock()
+
+    def work():
+        while not errors:
+            with lock:
+                i = next(pending, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(i)
+            except Exception as exc:
+                errors[i] = exc
+
+    workers = [threading.Thread(target=work) for _ in range(min(threads, n_batches) - 1)]
+    for worker in workers:
+        worker.start()
+    try:
+        work()
+    finally:
+        with lock:  # so that no worker starts a batch, if this thread was interrupted
+            for _ in pending:
+                pass
+        for worker in workers:
+            worker.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def _mc_batches(seed: int, trajectories: int, threads: int, draw) -> list:
@@ -574,8 +596,9 @@ def rtn_coherence(p: RTNParams, t):
     # most sqrt(1 + (gamma/mu)^2)), though there gamma t or mu t may be inf
     with np.errstate(over="ignore", invalid="ignore"):
         damp = np.exp(-gamma * t)
-        # np.isclose(v, gamma, rtol=1e-12, atol=0.0): equal infinities are close
-        if v == gamma or (abs(v - gamma) <= 1e-12 * abs(gamma) and math.isfinite(gamma)):
+        # the crossover form only at the crossover itself: next to it the other
+        # two forms are the more accurate (a snap within 1e-12 was 6e-10 off)
+        if v == gamma:
             q = np.where(damp > 0.0, damp * (1.0 + gamma * t), 0.0)
         elif v < gamma:
             x = v / gamma

@@ -38,13 +38,10 @@ printed with 17 significant digits so determinism is byte-checkable.
 """
 from __future__ import annotations
 
-import cmath
-import configparser
-import dataclasses
 import hashlib
 import io
 import math
-from dataclasses import dataclass
+import re
 from functools import lru_cache
 from typing import Callable
 
@@ -66,6 +63,7 @@ from .noise import (
     rtn_coherence,
     stroboscopic_phase_variance,
 )
+from .records import Record, replace
 from .states import BELL_LABELS, EWLParams, XYZParams, bell_state, ewl_state, xyz_state
 from .tripartite import register_decomposition
 
@@ -147,11 +145,15 @@ def _ewl_params(r: float, a: complex, excitation: str) -> EWLParams:
     return EWLParams(r=r, a=a, kind=f"{excitation}-excitation")
 
 
-@dataclass(frozen=True, eq=False)  # hashed by identity: a key of _initial_state's cache
-class _InitialKind:
-    keys: dict  # the keys of [initial-state] after 'kind'
-    params: Callable  # (**section values) -> params of the state; may raise ValueError
-    state: Callable  # params -> DensityOperator
+class _InitialKind(Record):
+    def __init__(self, keys: dict, params: Callable, state: Callable):
+        # keys: the keys of [initial-state] after 'kind'; params: (**section
+        # values) -> params of the state, which may raise ValueError; state:
+        # params -> DensityOperator
+        vars(self).update(keys=keys, params=params, state=state)
+
+    # hashed by identity: a key of _initial_state's cache
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
 
 _INITIAL_KINDS = {
@@ -175,36 +177,35 @@ def _build(section: str, builder, *args, **kwargs):
         return builder(*args, **kwargs)
     except ConfigError:
         raise
-    except ValueError as exc:  # the dataclasses name a key by its field, echo_time for echo-time
+    except ValueError as exc:  # the params classes name a key by its field, echo_time for echo-time
         raise ConfigError(f"[{section}] {str(exc).replace('_', '-')}") from exc
 
 
-# most grid points of a scenario: at the cap a (T, 4, 4) complex array takes 16 MiB
+# most grid points of a scenario: no state stack is built, so its largest
+# object is the CSV text, at the cap 12.5 MB for the eight columns of
+# tripartite-flows, whose run peaks about 60 MiB above the import
 MAX_TIME_POINTS = 2**16
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """A scenario, checked whenever one is made (by dataclasses.replace too);
+class ScenarioConfig(Record):
+    """A scenario, checked whenever one is made (by records.replace too);
     times are in the model's dimensionless unit. ``initial_params`` and
     ``model_params`` are the (key, value) pairs of the [initial-state] and
-    model sections, ``params`` the model's dimensionless params dataclass
+    model sections, ``params`` (no field) the model's dimensionless params
     (rabi, sigma and rate 1) built from the whole config, and ``rho0`` the
     initial state, built on first use and shared by every config with the same
-    [initial-state] section."""
+    [initial-state] section. ``seed``, ``quadrature_order`` and
+    ``trajectories`` are echoed into the metadata only."""
 
-    model: str
-    measures: tuple[str, ...]
-    time_start: float
-    time_stop: float
-    time_points: int
-    seed: int | None  # echoed into the metadata only, like the two below
-    quadrature_order: int
-    trajectories: int | None
-    initial_kind: str  # bell | xyz | ewl
-    initial_params: tuple[tuple[str, object], ...]
-    model_params: tuple[tuple[str, float], ...]
-    params: object = dataclasses.field(init=False, repr=False, compare=False)
+    def __init__(self, model: str, measures: tuple[str, ...], time_start: float, time_stop: float,
+                 time_points: int, seed: int | None, quadrature_order: int, trajectories: int | None,
+                 initial_kind: str, initial_params: tuple[tuple[str, object], ...],
+                 model_params: tuple[tuple[str, float], ...]):
+        vars(self).update(model=model, measures=measures, time_start=time_start, time_stop=time_stop,
+                          time_points=time_points, seed=seed, quadrature_order=quadrature_order,
+                          trajectories=trajectories, initial_kind=initial_kind, initial_params=initial_params,
+                          model_params=model_params)
+        self.__post_init__()
 
     def __post_init__(self):
         row = _MODEL_TABLE[_one_of("scenario", "model", self.model, MODELS)]
@@ -254,19 +255,88 @@ def _parse_scalar(section: str, key: str, raw: str, parser):
         value = parser(raw.replace(" ", "") if parser is complex else raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} as {parser.__name__}") from exc
-    if isinstance(value, (float, complex)) and not cmath.isfinite(value):
+    if isinstance(value, (float, complex)) and not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise ConfigError(f"[{section}] {key}: value must be finite, got {raw!r}")
     if isinstance(value, int) and abs(value) >= 2**64:
         raise ConfigError(f"[{section}] {key}: value must fit in 64 bits, got {raw!r}")
     return value
 
 
-def _read_section(cp: configparser.ConfigParser, section: str, keys: dict) -> tuple[tuple[str, object], ...]:
+_DELIMITER = re.compile("[=:]")
+
+
+def _comment_start(line: str) -> int | None:
+    """Where the inline comment of ``line`` starts, found as configparser
+    finds it: round k looks at the k-th '#' and the k-th ';', and the first
+    round in which one of them starts the line or follows whitespace gives
+    the earlier of those that do."""
+    if "#" not in line and ";" not in line:
+        return None
+    start, found = None, {"#": -1, ";": -1}
+    while start is None and found:
+        found = {p: i for p, i in ((p, line.find(p, i + 1)) for p, i in found.items()) if i != -1}
+        start = min((i for i in found.values() if i == 0 or line[i - 1].isspace()), default=None)
+    return start
+
+
+def _read_ini(text: str) -> dict[str, dict[str, str]]:
+    """Each section of ``text`` with its keys, lower-cased, and their values,
+    the keys of [DEFAULT] first, read as configparser.ConfigParser(
+    inline_comment_prefixes=("#", ";"), interpolation=None).read_string reads
+    them: a header is a line from '[' to its last ']', a key line is split at
+    its first '=' or ':', a line indented deeper than its key line continues
+    the value, and a repeated section or key is an error. A syntax error is a
+    ConfigError in configparser's words."""
+    sections, defaults = {}, {}
+    section = values = key = None  # the current section, its keys and its last key
+    indent, bad = 0, ""
+    for lineno, line in enumerate(io.StringIO(text), 1):
+        comment = _comment_start(line)
+        value = line[:comment].strip()
+        if not value:
+            if comment is None and key:  # a blank line is part of a value
+                values[key].append("")
+            continue
+        line_indent = len(line) - len(line.lstrip())
+        if key and line_indent > indent:
+            values[key].append(value)
+            continue
+        indent = line_indent
+        end = value.rfind("]")
+        if value[0] == "[" and end > 1:
+            section, key = value[1:end], None
+            if section in sections:
+                raise ConfigError(f"config syntax error: While reading from '<string>' [line {lineno:2d}]: "
+                                  f"section {section!r} already exists")
+            values = defaults if section == "DEFAULT" else sections.setdefault(section, {})
+        elif values is None:
+            raise ConfigError(f"config syntax error: File contains no section headers.\n"
+                              f"file: '<string>', line: {lineno}\n{line!r}")
+        elif cut := _DELIMITER.search(value):
+            key = value[:cut.start()].rstrip().lower()
+            if not key:
+                bad += f"\n\t[line {lineno:2d}]: {line!r}"
+            if key in values:
+                raise ConfigError(f"config syntax error: While reading from '<string>' [line {lineno:2d}]: "
+                                  f"option {key!r} in section {section!r} already exists")
+            values[key] = [value[cut.end():].strip()]
+        else:
+            bad += f"\n\t[line {lineno:2d}]: {line!r}"
+    if bad:
+        raise ConfigError(f"config syntax error: Source contains parsing errors: '<string>'{bad}")
+
+    def joined(lines: dict) -> dict:  # each value's lines as one string
+        return {k: "\n".join(v).rstrip() for k, v in lines.items()}
+
+    return {name: {**joined(defaults), **joined(own)} for name, own in sections.items()}
+
+
+def _read_section(sections: dict, section: str, keys: dict) -> tuple[tuple[str, object], ...]:
     """The (key, value) pairs of ``section`` read with the table ``keys``, in
     table order; an absent key takes its default."""
-    if not cp.has_section(section):
+    if section not in sections:
         raise ConfigError(f"missing [{section}] section")
-    raw = dict(cp.items(section))
+    raw = sections[section]
     for key in raw:
         if key not in keys:
             raise ConfigError(f"[{section}] unknown key {key!r}; expected from {list(keys)}")
@@ -283,26 +353,22 @@ def _read_section(cp: configparser.ConfigParser, section: str, keys: dict) -> tu
 
 def parse_config_text(text: str) -> ScenarioConfig:
     """Parse and validate a scenario config from its text form."""
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
-    try:
-        cp.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError(f"config syntax error: {exc}") from exc
-    scenario = dict(_read_section(cp, "scenario", _SCENARIO_KEYS))
+    sections = _read_ini(text)
+    scenario = dict(_read_section(sections, "scenario", _SCENARIO_KEYS))
     model = scenario["model"]
     row = _MODEL_TABLE[_one_of("scenario", "model", model, MODELS)]
-    if not cp.has_section("initial-state"):
+    if "initial-state" not in sections:
         raise ConfigError("missing [initial-state] section")
-    kind = _one_of("initial-state", "kind", cp["initial-state"].get("kind", "").strip(), _INITIAL_KINDS)
-    initial = _read_section(cp, "initial-state", {"kind": (str.strip, _REQUIRED), **_INITIAL_KINDS[kind].keys})
-    extra = set(cp.sections()) - {"scenario", "initial-state", model}
+    kind = _one_of("initial-state", "kind", sections["initial-state"].get("kind", "").strip(), _INITIAL_KINDS)
+    initial = _read_section(sections, "initial-state", {"kind": (str.strip, _REQUIRED), **_INITIAL_KINDS[kind].keys})
+    extra = set(sections) - {"scenario", "initial-state", model}
     if extra:
         raise ConfigError(f"unknown section(s): {sorted(extra)}")
     return ScenarioConfig(
         **{key.replace("-", "_"): scenario.get(key) for key in _SCENARIO_KEYS},
         initial_kind=kind,
         initial_params=initial[1:],
-        model_params=_read_section(cp, model, row.keys),
+        model_params=_read_section(sections, model, row.keys),
     )
 
 
@@ -325,13 +391,11 @@ def _grid_values(cfg: ScenarioConfig) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScenarioResult:
-    """Tabular scenario output: '#'-metadata, a header row, numeric rows."""
+class ScenarioResult(Record):
+    """Tabular scenario output: '#'-metadata, a header row, (n_rows, n_cols) float rows."""
 
-    metadata: tuple[tuple[str, str], ...]
-    columns: tuple[str, ...]
-    rows: np.ndarray  # (n_rows, n_cols) float
+    def __init__(self, metadata: tuple[tuple[str, str], ...], columns: tuple[str, ...], rows: np.ndarray):
+        vars(self).update(metadata=metadata, columns=columns, rows=rows)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -390,8 +454,8 @@ _BLOCK_POINTS = 512
 
 
 # ---------------------------------------------------------------------------
-# the model table: a params builder (the dataclass plus the checks no
-# dataclass makes) and a grid evaluator per model
+# the model table: a params builder (the params class plus the checks it
+# does not make) and a grid evaluator per model
 # ---------------------------------------------------------------------------
 
 
@@ -465,13 +529,13 @@ def _strobo_channel(p: StroboscopicParams, grid):
     return np.exp(-0.5 * stroboscopic_phase_variance(p, np.rint(grid).astype(int)))
 
 
-@dataclass(frozen=True)
-class _Model:
-    keys: dict  # the model section's table, in sorted (echo) order
-    measures: tuple[str, ...]
-    params: Callable  # ScenarioConfig -> params dataclass; may raise ValueError
-    channel: Callable  # (params, grid) -> (T,) factors by which one value dephases qubit B
-    axis: np.ndarray  # the Pauli on B about which it dephases
+class _Model(Record):
+    def __init__(self, keys: dict, measures: tuple[str, ...], params: Callable, channel: Callable, axis: np.ndarray):
+        # keys: the model section's table, in sorted (echo) order; params:
+        # ScenarioConfig -> params, which may raise ValueError; channel:
+        # (params, grid) -> (T,) factors by which one value dephases qubit B;
+        # axis: the Pauli on B about which it dephases
+        vars(self).update(keys=keys, measures=measures, params=params, channel=channel, axis=axis)
 
 
 _FIELD_KEYS = {"rabi": (float, _REQUIRED), "width": (float, _OMITTED)}
@@ -597,7 +661,7 @@ def sweep(cfg: ScenarioConfig, parameter: str, values):
                 model_params.pop("coupling", None)
             elif parameter == "coupling":
                 model_params.pop("g", None)
-        configs.append(dataclasses.replace(cfg, model_params=tuple(sorted(model_params.items()))))
+        configs.append(replace(cfg, model_params=tuple(sorted(model_params.items()))))
     if not configs:
         return []
     return list(zip(values, _run(configs, parameter)))

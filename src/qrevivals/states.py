@@ -4,11 +4,10 @@ Canonical basis ordering is {|00>, |01>, |10>, |11>} everywhere.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .linalg import DensityOperator
+from .records import Record
 
 # One-excitation Bell states |1+->=(|01>+-|10>)/sqrt2, two-excitation |2+->=(|00>+-|11>)/sqrt2.
 BELL_LABELS = ("1+", "1-", "2+", "2-")
@@ -29,13 +28,12 @@ def bell_state(label: str) -> np.ndarray:
     return _BELL_VECTORS[label].copy()
 
 
-@dataclass(frozen=True)
-class XYZParams:
+class XYZParams(Record):
     """Parameters of the two-term Bell-superposition mixture family."""
 
-    x: float
-    y: float
-    z: float
+    def __init__(self, x: float, y: float, z: float):
+        vars(self).update(x=x, y=y, z=z)
+        self.__post_init__()
 
     def __post_init__(self):
         for name in ("x", "y", "z"):
@@ -53,16 +51,15 @@ def xyz_state(p: XYZParams) -> DensityOperator:
     return DensityOperator(m, (2, 2))
 
 
-@dataclass(frozen=True)
-class EWLParams:
+class EWLParams(Record):
     """Extended Werner-like state parameters: purity r, amplitude a, excitation kind.
 
     The second amplitude b = sqrt(1-|a|^2) is derived (real, nonnegative).
     """
 
-    r: float
-    a: complex
-    kind: str = "one-excitation"
+    def __init__(self, r: float, a: complex, kind: str = "one-excitation"):
+        vars(self).update(r=r, a=a, kind=kind)
+        self.__post_init__()
 
     def __post_init__(self):
         if not 0.0 <= self.r <= 1.0:

@@ -1,4 +1,3 @@
-import dataclasses
 import errno
 import io
 import os
@@ -14,6 +13,7 @@ import qrevivals
 from qrevivals import cli, scenarios
 from qrevivals.cli import main
 from qrevivals.linalg import SIGMA_X, DensityOperator, NumericalError, PositivityError
+from qrevivals.records import replace
 from qrevivals.measures import (
     WeightedPureEnsemble,
     average_entanglement,
@@ -853,7 +853,7 @@ def _set(text, key, value):
 
 class TestModelParameterRanges:
     """Every out-of-range model parameter is one config error naming the
-    section and the key (the params dataclasses hold the range checks)."""
+    section and the key (the params classes hold the range checks)."""
 
     @pytest.mark.parametrize("text, section, key", [
         (_set(FIELD_CFG, "rabi", "0.0"), "random-field", "rabi"),
@@ -1162,21 +1162,44 @@ class TestConfigTables:
     def test_replace_checks_like_a_parse(self):
         cfg = parse_config_text(RTN_CFG)
         with pytest.raises(ConfigError, match=r"\[scenario\] seed"):
-            dataclasses.replace(cfg, seed=2**64)
+            replace(cfg, seed=2**64)
         with pytest.raises(ConfigError, match=r"\[rtn\] rate"):
-            dataclasses.replace(cfg, model_params=(("g", 5.0), ("rate", -1.0)))
+            replace(cfg, model_params=(("g", 5.0), ("rate", -1.0)))
         with pytest.raises(ConfigError, match=r"\[initial-state\] excitation"):
-            dataclasses.replace(cfg, initial_params=(("r", 0.9), ("a", 0.5 + 0j), ("excitation", "three")))
+            replace(cfg, initial_params=(("r", 0.9), ("a", 0.5 + 0j), ("excitation", "three")))
 
     def test_model_params_built_once_per_config(self, monkeypatch):
         calls = []
         row = scenarios._MODEL_TABLE["rtn"]
-        monkeypatch.setitem(scenarios._MODEL_TABLE, "rtn", dataclasses.replace(
+        monkeypatch.setitem(scenarios._MODEL_TABLE, "rtn", replace(
             row, params=lambda cfg: calls.append(cfg) or row.params(cfg)))
         run_scenario(parse_config_text(RTN_CFG))
         assert len(calls) == 1
         sweep(parse_config_text(RTN_CFG), "g", [0.5, 2.0])
         assert len(calls) == 4  # the parse, then one per value
+
+
+class TestConfigSyntaxErrors:
+    """A config that is no INI text is one config error in configparser's
+    words: the line number, and the line itself where there is one."""
+
+    @pytest.mark.parametrize("text, message", [
+        pytest.param(FIELD_CFG.replace("rabi = 1.0\n", "rabi = 1.0\nRabi = 2.0\n"),
+                     "While reading from '<string>' [line 18]: option 'rabi' in section 'random-field' already exists",
+                     id="duplicate-key"),
+        pytest.param(FIELD_CFG + "[Scenario]\n[scenario]\n",
+                     "While reading from '<string>' [line 20]: section 'scenario' already exists",
+                     id="duplicate-section"),
+        pytest.param("# a scenario\nmodel = rtn\n" + FIELD_CFG,
+                     r"File contains no section headers. file: '<string>', line: 2 'model = rtn\n'",
+                     id="missing-section-header"),
+        pytest.param(FIELD_CFG.replace("x = 1.0\n", "x = 1.0\nx 1.0\n").replace("z = 1.0", "z  1.0 ; z"),
+                     r"Source contains parsing errors: '<string>' [line 13]: 'x 1.0\n' [line 15]: 'z 1.0 ; z\n'",
+                     id="no-delimiter"),
+    ])
+    def test_one_line_in_configparser_words(self, tmp_path, capsys, text, message):
+        code, err = _cli_error(tmp_path, capsys, text)
+        assert code == 1 and err == f"config error: config syntax error: {message}\n"
 
 
 MIXTURE_MEASURES = "concurrence, eof, hidden-entanglement, average-entanglement"
@@ -1384,19 +1407,42 @@ def test_names_the_benchmark_runner_calls_resolve():
     assert mean.shape == se.shape == times.shape
 
 
+def _loaded_after(code, *args):
+    """Whether each module of the tuple ``mods`` that ``code`` defines is
+    loaded once ``code`` has run in a fresh interpreter, with ``args`` as
+    sys.argv[1:]."""
+    src = str(Path(qrevivals.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code += "\nprint(*(m in sys.modules for m in mods))"
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True)
+    return out.stdout.split()
+
+
 def test_cli_import_leaves_the_acceptance_suite_out():
     # simulate and sweep never load the selftest code; selftest imports it
     # itself. The command line is read without argparse (nor its gettext and
-    # locale), which cost more than a small simulate's rows, and without the
-    # thread pool's concurrent.futures, which only a threaded oracle loads
-    src = str(Path(qrevivals.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    # locale), which cost more than a small simulate's rows; the config
+    # without configparser, the records without dataclasses, which compiles
+    # their methods at every import, and no thread pool is built
     code = (
         "import os, sys, qrevivals.cli\n"
         "assert qrevivals.cli.main(['simulate', '--config', sys.argv[1], '--out', os.devnull]) == 0\n"
-        "mods = ('qrevivals.cli', 'qrevivals.acceptance', 'argparse', 'gettext', 'locale', 'concurrent.futures')\n"
-        "print(*(m in sys.modules for m in mods))"
+        "sys.stdout = open(os.devnull, 'w')\n"
+        "assert qrevivals.cli.main(['sweep', '--config', sys.argv[1], '--param', 'g', '--values', '1,2']) == 0\n"
+        "sys.stdout = sys.__stdout__\n"
+        "mods = ('qrevivals.cli', 'qrevivals.acceptance', 'argparse', 'gettext', 'locale', 'concurrent.futures',\n"
+        "        'dataclasses', 'configparser', 'cmath')"
     )
-    cfg = str(GOLDEN / "rtn.cfg")
-    out = subprocess.run([sys.executable, "-c", code, cfg], env=env, capture_output=True, text=True, check=True).stdout
-    assert out.split() == ["True", "False", "False", "False", "False", "False"]
+    assert _loaded_after(code, str(GOLDEN / "rtn.cfg")) == ["True"] + ["False"] * 8
+
+
+def test_threaded_oracle_loads_no_executor():
+    # the Monte-Carlo batches run on plain threads
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from qrevivals import noise\n"
+        "noise.rtn_mc_coherence_grid(noise.RTNParams(rate=1.0, coupling=2.0), np.linspace(0.0, 8.0, 5), 10_000, 3, 2)\n"
+        "mods = ('qrevivals.noise', 'concurrent')"
+    )
+    assert _loaded_after(code) == ["True", "False"]

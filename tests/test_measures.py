@@ -274,7 +274,7 @@ class TestInformationDecomposition:
             # coincide, because their objectives sum to S_A + S_B + S_E
             assert abs(d.residual) < 1e-10
 
-    def test_is_dataclass_with_residual(self):
+    def test_holds_its_residual(self):
         d = InformationDecomposition(1.0, 0.2, 0.3, 0.4, 0.1)
         assert d.residual == 0.1
 

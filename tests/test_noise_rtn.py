@@ -1,4 +1,7 @@
 import hashlib
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ import pytest
 from qrevivals.measures import concurrence
 from qrevivals.noise import (
     RTNParams,
+    _map_ordered,
     dephased_state,
     rtn_coherence,
     rtn_concurrence,
@@ -54,16 +58,13 @@ class TestAnalyticCoherence:
         assert abs(below - at) < 1e-7
         assert abs(above - at) < 1e-7
 
-    # the crossover branch is taken where np.isclose(coupling, rate, rtol=1e-12,
-    # atol=0) holds: of the ratios 1 +- 1e-12 and 1 +- 2e-12 only 1 - 1e-12 in
-    # float arithmetic, |coupling - rate| = 1e-12 rate exactly at rate 1e12, and
-    # equal infinities; these values were recorded with that call
+    # the crossover branch is taken only where coupling == rate, equal
+    # infinities included; next to it the hyperbolic and oscillating forms are
+    # pinned as recorded
     @pytest.mark.parametrize("rate, coupling, expected", [
         (1.0, 1 + 1e-12, [1.0, 0.9097959895687732, 0.19914827347055955, 1.741825243695175e-16]),
-        (1.0, 1 - 1e-12, [1.0, 0.9097959895689501, 0.19914827347145578, 1.7418252446695514e-16]),
         (1.0, 1 + 2e-12, [1.0, 0.9097959895685963, 0.19914827346966346, 1.741825242721016e-16]),
         (1.0, 1 - 2e-12, [1.0, 0.9097959895693039, 0.19914827347324807, 1.741825246618093e-16]),
-        (1e12, 1e12 + 1, [1.0, 0.9097959895689501, 0.19914827347145578, 1.7418252446695514e-16]),
         (1e12, 1e12 + 2, [1.0, 0.9097959895685963, 0.19914827346966346, 1.7418252427209725e-16]),
         (np.inf, np.inf, [0.0] * 4),
         (np.inf, 1.0, [np.nan] * 4),
@@ -74,6 +75,19 @@ class TestAnalyticCoherence:
         with np.errstate(invalid="ignore"):
             q = rtn_coherence(RTNParams(rate=rate, coupling=coupling), t / rate if np.isfinite(rate) else t)
         np.testing.assert_array_equal(q, expected)
+
+    # 1e-12 (relative) from the crossover on either side, where it was once snapped to
+    # exp(-t)(1 + t), up to 6e-10 off: the 80-digit mpmath values of
+    # exp(-gamma t)[cosh(d t) + (gamma/d) sinh(d t)] and its oscillating
+    # continuation, correctly rounded
+    @pytest.mark.parametrize("rate, coupling, expected", [
+        (1.0, 1 - 1e-12, [1.0, 0.909795989569127, 0.19914827347235192, 1.7418252456438193e-16]),
+        (1e12, 1e12 + 1, [1.0, 0.9097959895687733, 0.19914827347055958, 1.7418252436952663e-16]),
+    ])
+    def test_next_to_the_crossover_against_80_digits(self, rate, coupling, expected):
+        t = np.array([0.0, 0.5, 3.0, 40.0]) / rate
+        q = rtn_coherence(RTNParams(rate=rate, coupling=coupling), t)
+        np.testing.assert_allclose(q, expected, rtol=4e-15, atol=0.0)
 
     def test_finite_where_the_hyperbolic_form_overflows(self):
         # the former form exp(-gamma t) [cosh(d t) + (gamma/d) sinh(d t)] gives
@@ -185,6 +199,59 @@ class TestMonteCarloOracle:
     def test_non_finite_grid_time_is_refused(self, times):
         with pytest.raises(ValueError, match="finite grid"):
             rtn_mc_coherence_grid(RTNParams(rate=1.0, coupling=1.0), times, 10_000, 1)
+
+
+class TestBatchMap:
+    """_map_ordered runs batches on the calling thread and threads - 1 workers
+    (at most 8 here) and hands back their results in batch order."""
+
+    @pytest.mark.parametrize("threads", [1, 2, 8])
+    def test_results_in_batch_order(self, threads):
+        # later batches finish first where they run beside earlier ones
+        def fn(i):
+            time.sleep(0.002 * (5 - i % 5))
+            return i * i, threading.get_ident()
+
+        before = threading.active_count()
+        out = _map_ordered(fn, 10, threads)
+        assert [r for r, _ in out] == [i * i for i in range(10)]
+        idents = {ident for _, ident in out}
+        assert len(idents) <= threads and (threads > 1 or idents == {threading.get_ident()})
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_lowest_failing_batch_is_raised(self, threads):
+        # batch 1 fails after batch 3 has failed: its exception is the one raised
+        started = []
+
+        def fn(i):
+            started.append(i)
+            if i == 1:
+                time.sleep(0.05)
+                raise ValueError("batch 1")
+            if i == 3:
+                raise KeyError("batch 3")
+            return i
+
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="batch 1"):
+            _map_ordered(fn, 8, threads)
+        assert threading.active_count() == before
+        # batches start in order, and none once one has failed
+        assert sorted(started) == list(range(len(started)))
+        assert len(started) == 2 if threads == 1 else len(started) <= 4
+
+    def test_every_batch_runs_once_under_frequent_switches(self):
+        # more threads than cores, switching every microsecond: a batch taken
+        # twice or never would show in the calls
+        calls = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            out = _map_ordered(lambda i: calls.append(i) or i, 2000, 8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert out == list(range(2000)) and sorted(calls) == list(range(2000))
 
 
 class TestRTNConcurrence:

@@ -3,7 +3,8 @@ exit 0 and a finite CSV whose concurrences lie in [0, 1], or with a documented
 exit code (1 config, 3 numerical) and one line on stderr; so does a sweep of
 one of its model keys, each file of which keeps the same contract. A run's
 hidden and average entanglement keep the identities of a local-unitary
-mixture."""
+mixture. The config reader reads every text as configparser does."""
+import configparser
 import contextlib
 import io
 import re
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from qrevivals.cli import main
+from qrevivals.scenarios import ConfigError, _read_ini
 
 MIXTURE = ("concurrence", "eof", "hidden-entanglement", "average-entanglement")
 MEASURES = {
@@ -219,3 +221,48 @@ def _check_every_config(case):
             # the config's own value is the first: its file has the rows of simulate
             if simulated is not None and path.name == f"sweep__{key}={float(values.split(',')[0]):g}.csv":
                 assert body == simulated
+
+
+# lines that reach every branch of an INI reader: headers (repeated, of
+# DEFAULT, with text after the bracket), key lines with either delimiter, no
+# key or none, inline comments with and without whitespace before them, blank
+# and comment lines, each indented or not to continue a value
+INI_LINES = st.one_of(
+    st.sampled_from(["[scenario]", "[Scenario]", "[DEFAULT]", "[a]b] x", "[]", "model = rtn", "Model: rtn",
+                     "= 1", "x = 1 ; one", "x = 1;one", "k = a#b;c;d ;e #f", "k", "# comment", "; comment", "",
+                     " ", "\t", "\u00a0", "x \u00a0= 2", "y =", "y := 3", "\r"]),
+    st.text(alphabet="ab[]=:;# \t\u00a0\r\x0c\u2028", max_size=12),
+)
+INDENTS = st.sampled_from(["", "", " ", "  ", "\t"])
+
+
+def _configparser_reading(text):
+    """The sections and items configparser reads from ``text``, or the message of its error."""
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
+    try:
+        cp.read_string(text)
+    except configparser.Error as exc:
+        return f"config syntax error: {exc}"
+    return [(name, cp.items(name)) for name in cp.sections()]
+
+
+def test_the_config_reader_reads_as_configparser(tmp_path):
+    set_hypothesis_home_dir(tmp_path / "hypothesis")
+    try:
+        _check_reading()
+    finally:
+        set_hypothesis_home_dir(None)
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.tuples(INDENTS, INI_LINES), max_size=12), st.booleans())
+@example([("", "[s]"), ("", "k = a#b;c;d ;e #f"), ("  ", "more"), ("", ""), ("\t", "x")], True)
+@example([("", "[DEFAULT]"), ("", "k = 1"), ("", "[s]"), ("", "j = 2"), ("", "K = 4"), ("", "[DEFAULT]"),
+          ("", "m = 3")], False)  # s holds k = 4, m = 3, j = 2, in that order
+def _check_reading(lines, final_newline):
+    text = "\n".join(indent + line for indent, line in lines) + ("\n" if final_newline else "")
+    try:
+        read = [(name, list(items.items())) for name, items in _read_ini(text).items()]
+    except ConfigError as exc:
+        read = str(exc)
+    assert read == _configparser_reading(text)

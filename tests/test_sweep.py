@@ -1,7 +1,6 @@
 """A sweep is one stacked evaluation of its values; each of its files must
 equal ``simulate`` on the config with that value written in, byte for byte,
 apart from the two ``sweep.*`` metadata lines."""
-import dataclasses
 
 import numpy as np
 import pytest
@@ -9,6 +8,7 @@ import pytest
 from qrevivals import linalg, measures, scenarios
 from qrevivals.cli import main
 from qrevivals.linalg import NumericalError
+from qrevivals.records import replace
 from qrevivals.scenarios import parse_config_text, sweep
 
 BELL = "[initial-state]\nkind = bell\nlabel = 2+\n"
@@ -170,7 +170,7 @@ def _channel_nan_at(monkeypatch, model, key, value, time_index):
             f[time_index] = np.nan
         return f
 
-    monkeypatch.setitem(scenarios._MODEL_TABLE, model, dataclasses.replace(row, channel=channel))
+    monkeypatch.setitem(scenarios._MODEL_TABLE, model, replace(row, channel=channel))
 
 
 def test_flows_numerical_error_in_a_later_block_names_the_value(monkeypatch):
